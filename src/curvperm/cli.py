@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .corona import Params, build_top, packing_sum, stop_mass_report
 from .experiments import (
     ACCEPTANCE_SPECS,
@@ -22,6 +20,7 @@ from .experiments import (
     bilipschitz_experiment,
     cantor_growth,
     corpus,
+    jsonable,
     run,
     t0_bracket,
 )
@@ -73,22 +72,12 @@ def emit(payload: dict, args) -> None:
         for key, value in sorted(_flatten(payload).items()):
             writer.writerow([key, value])
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=_default))
+        print(json.dumps(payload, indent=2, sort_keys=True, default=jsonable))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.command}.json")
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, default=_default)
-
-
-def _default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    raise TypeError(str(type(x)))
+            json.dump(payload, fh, sort_keys=True, default=jsonable)
 
 
 def _flatten(d, prefix=""):
@@ -123,7 +112,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--measure", required=True)
         p.add_argument("--t", default="inf")
-        p.add_argument("--eps", type=float, default=None)
+        # perm and curv read eps 0 as no truncation; sio and mv-check need
+        # eps > 0 and fall back to a sup norm or a default eps without one
+        p.add_argument("--eps", type=float,
+                       default=0.0 if name in ("perm", "curv") else None)
 
     for name in ("lattice", "corona", "graph-fit"):
         p = sub.add_parser(name, parents=[common])
@@ -156,6 +148,9 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     ok = True
+    if (args.command in ("sio", "mv-check")
+            and not (args.eps is None or args.eps > 0)):
+        raise SystemExit(f"{args.command}: --eps must be positive")
 
     if args.command == "gen":
         mu = parse_measure(args.measure, seed=args.seed)
@@ -166,29 +161,29 @@ def main(argv=None) -> int:
     elif args.command == "perm":
         mu = parse_measure(args.measure, seed=args.seed)
         k = parse_kernel(args.t)
-        res = perm_measure(k, mu, eps=args.eps or 0.0, workers=args.workers)
+        res = perm_measure(k, mu, eps=args.eps, workers=args.workers)
         emit({"kernel": str(k), "value": res.value,
               "triples": res.triples_counted, "truncation": res.truncation}, args)
 
     elif args.command == "curv":
         mu = parse_measure(args.measure, seed=args.seed)
-        emit({"c2": curvature_squared(mu, eps=args.eps or 0.0,
+        emit({"c2": curvature_squared(mu, eps=args.eps,
                                       workers=args.workers)}, args)
 
     elif args.command == "sio":
         mu = parse_measure(args.measure, seed=args.seed)
         k = parse_kernel(args.t)
-        if args.eps:
-            emit({"kernel": str(k), "eps": args.eps,
-                  "l2_norm_T1": l2_norm_T1(k, mu, args.eps)}, args)
-        else:
+        if args.eps is None:
             val, eps = sup_l2_norm(k, mu, default_grid(mu))
             emit({"kernel": str(k), "sup_l2_norm": val, "argmax_eps": eps}, args)
+        else:
+            emit({"kernel": str(k), "eps": args.eps,
+                  "l2_norm_T1": l2_norm_T1(k, mu, args.eps)}, args)
 
     elif args.command == "mv-check":
         mu = parse_measure(args.measure, seed=args.seed)
         k = parse_kernel(args.t)
-        eps = args.eps if args.eps else max(mu.scale * 4, mu.diameter / 20)
+        eps = max(mu.scale * 4, mu.diameter / 20) if args.eps is None else args.eps
         mv = mv_identity_report(k, mu, eps)
         emit({"kernel": str(k), "eps": eps, "lhs": mv.lhs, "p_third": mv.p_third,
               "remainder": mv.remainder,
@@ -274,7 +269,7 @@ def main(argv=None) -> int:
                         })
                 ipath = os.path.join(args.out, f"intervals_{rid}.json")
                 with open(ipath, "w") as fh:
-                    json.dump(table, fh, sort_keys=True, default=_default)
+                    json.dump(table, fh, sort_keys=True, default=jsonable)
         emit({"trees": rows}, args)
 
     elif args.command == "verify":

@@ -11,7 +11,7 @@ generation of roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class Params:
     doubling_constant: float = 128.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
         if not (0 < 1.0 / self.a <= self.tau**2):
@@ -162,21 +166,13 @@ class _PermEngine:
         hit = self._cache.get(atom)
         if hit is not None:
             return hit
-        z = self.mu.points[atom]
-        j = self.pos_of.get(atom)
-        if j is not None:
-            a = self.c[j]
-            dist = np.abs(z - self.pts)
-            v = -self.g[:, j]
-            u = self.cw - self.c[:, j] * self.w[j]
-        else:
-            dz = z - self.pts
-            a = kernel_values(K_ZERO, dz)
-            dist = np.abs(dz)
-            bw = np.where(dist > 0, self.w * a, 0.0)
-            v = self.c @ bw
-            u = self.cw
-        out = (dist, a, v, u)
+        # a tree cube's centre lies within separation * r(R) of the root's
+        # and its radius is at most r(R) / a0; with separation + 56 / a0 <= 56
+        # (the defaults give 17) its 2B lies in the root's 2B, so slot-one
+        # atoms are always engine atoms
+        j = self.pos_of[atom]
+        dist = np.abs(self.mu.points[atom] - self.pts)
+        out = (dist, self.c[j], -self.g[:, j], self.cw - self.c[:, j] * self.w[j])
         self._cache[atom] = out
         return out
 

@@ -32,6 +32,7 @@ from .permutations import (
     menger_curvature,
     perm_measure,
     perm_pointwise,
+    perm_values,
     sign_scan,
 )
 from .sio import default_grid, l2_norm_T1, mv_identity_report, theorem1_ratios
@@ -89,10 +90,12 @@ class Report:
         }
         if include_times:
             payload["wall_time"] = self.wall_time
-        return json.dumps(payload, sort_keys=True, default=_jsonable)
+        return json.dumps(payload, sort_keys=True, default=jsonable)
 
 
-def _jsonable(x):
+def jsonable(x):
+    """``default=`` encoder for ``json``: numpy scalars and arrays as plain
+    values, complex numbers as ``[re, im]``."""
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, np.ndarray):
@@ -159,14 +162,6 @@ def _random_triples(rng, n, min_angle_sine: float = 0.0):
     return z1[ok][:n], z2[ok][:n], z3[ok][:n]
 
 
-def _perm_arrays(k: KernelParam, z1, z2, z3):
-    return (
-        kernel_values(k, z1 - z2) * kernel_values(k, z1 - z3)
-        + kernel_values(k, z2 - z1) * kernel_values(k, z2 - z3)
-        + kernel_values(k, z3 - z1) * kernel_values(k, z3 - z2)
-    )
-
-
 def _curvature_arrays(z1, z2, z3):
     a = np.abs(z1 - z2)
     b = np.abs(z1 - z3)
@@ -180,7 +175,7 @@ def _curvature_arrays(z1, z2, z3):
 def _exp_curvature_identity(spec: ExperimentSpec):
     rng = np.random.default_rng(spec.seed)
     z1, z2, z3 = _random_triples(rng, spec.n_samples, min_angle_sine=1e-2)
-    p = _perm_arrays(K_INF, z1, z2, z3)
+    p = perm_values(K_INF, z1, z2, z3)
     c = _curvature_arrays(z1, z2, z3)
     ref = 0.25 * c * c
     denom = np.maximum(np.abs(ref), 1e-300)
@@ -204,8 +199,8 @@ def _exp_curvature_identity(spec: ExperimentSpec):
 def _exp_p0_vs_pinf(spec: ExperimentSpec):
     rng = np.random.default_rng(spec.seed)
     z1, z2, z3 = _random_triples(rng, spec.n_samples)
-    p0 = _perm_arrays(K_ZERO, z1, z2, z3)
-    pinf = _perm_arrays(K_INF, z1, z2, z3)
+    p0 = perm_values(K_ZERO, z1, z2, z3)
+    pinf = perm_values(K_INF, z1, z2, z3)
     slack = 1e-12 * np.maximum(1.0, np.abs(pinf))
     bad = int(np.count_nonzero(p0 > 2 * pinf + slack))
     records = {
@@ -343,7 +338,7 @@ def _exp_oracle_equivalence(spec: ExperimentSpec):
     return records, flags
 
 
-def _corona_for(mu: DiscreteMeasure, params: Params, workers: int = 1):
+def _corona_for(mu: DiscreteMeasure, params: Params):
     lat = build_lattice(
         mu,
         c0=params.c0,
@@ -390,8 +385,7 @@ def _exp_corona_structure(spec: ExperimentSpec):
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
-        t0 = time.time()
-        lat, corona = _corona_for(mu, params, spec.workers)
+        lat, corona = _corona_for(mu, params)
         d, n, g, b = _check_corona_structure(lat, corona)
         records[name] = {
             "generations": [len(g) for g in corona.generations],
@@ -399,7 +393,6 @@ def _exp_corona_structure(spec: ExperimentSpec):
             "stop_labels": sorted(
                 {v.label for t in corona.trees.values() for v in t.stop.values()}
             ),
-            "build_time": time.time() - t0,
         }
         flags[f"{name}_stop_disjoint"] = d
         flags[f"{name}_next_doubling"] = n
@@ -418,7 +411,7 @@ def _exp_corona_structure(spec: ExperimentSpec):
 def _exp_graph_fit(spec: ExperimentSpec):
     params = Params(**spec.params) if spec.params else Params()
     mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
-    lat, corona = _corona_for(mu, params, spec.workers)
+    lat, corona = _corona_for(mu, params)
     records = {"trees": []}
     lip_ok = True
     support_ok = True
@@ -473,7 +466,7 @@ def _exp_packing(spec: ExperimentSpec):
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
-        lat, corona = _corona_for(mu, params, spec.workers)
+        lat, corona = _corona_for(mu, params)
         rep = packing_sum(lat, corona, mu, workers=spec.workers)
         records[name] = {
             "top_sum": rep.top_sum,
@@ -492,7 +485,7 @@ def _exp_packing(spec: ExperimentSpec):
     base = None
     for n in (128, 256):
         mu = generate("lipschitz_graph", n=n, slope=0.2, teeth=1)
-        lat, corona = _corona_for(mu, params, spec.workers)
+        lat, corona = _corona_for(mu, params)
         rep = packing_sum(lat, corona, mu, workers=spec.workers)
         if base is not None:
             drifts.append(
@@ -696,7 +689,7 @@ def _exp_identity_suite(spec: ExperimentSpec):
     # pre-cancellation term magnitude
     rng2 = np.random.default_rng(spec.seed + 1)
     z1, z2, z3 = _random_triples(rng2, 2000)
-    base = _perm_arrays(K_ZERO, z1, z2, z3)
+    base = perm_values(K_ZERO, z1, z2, z3)
     mag = (
         np.abs(kernel_values(K_ZERO, z1 - z2) * kernel_values(K_ZERO, z1 - z3))
         + np.abs(kernel_values(K_ZERO, z2 - z1) * kernel_values(K_ZERO, z2 - z3))
@@ -705,7 +698,7 @@ def _exp_identity_suite(spec: ExperimentSpec):
     scale = np.maximum(np.abs(base), mag)
     worst = 0.0
     for order in ((z1, z3, z2), (z2, z1, z3), (z2, z3, z1), (z3, z1, z2), (z3, z2, z1)):
-        v = _perm_arrays(K_ZERO, *order)
+        v = perm_values(K_ZERO, *order)
         worst = max(worst, float(np.max(np.abs(v - base) / scale)))
     records["symmetry"] = worst
     flags["symmetry"] = bool(worst <= 1e-13)

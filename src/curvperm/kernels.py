@@ -74,11 +74,7 @@ def kernel_eval(k: KernelParam, z: complex) -> float:
     z = complex(z)
     if z == 0:
         raise ValueError("kernel is singular at the origin")
-    x = z.real
-    r2 = x * x + z.imag * z.imag
-    if k.is_infinite:
-        return x / r2
-    return (x * x * x) / (r2 * r2) + k.t * (x / r2)
+    return float(kernel_values(k, z))
 
 
 def cauchy_kernel(z: complex) -> complex:

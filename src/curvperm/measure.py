@@ -328,6 +328,10 @@ def save_json(mu: DiscreteMeasure, path) -> None:
 def load_json(path) -> DiscreteMeasure:
     with open(path) as fh:
         data = json.load(fh)
-    pts = np.array([a["x"] + 1j * a["y"] for a in data["atoms"]], dtype=complex)
-    w = np.array([a["w"] for a in data["atoms"]], dtype=float)
-    return DiscreteMeasure(pts, w, float(data["scale"]))
+    try:
+        pts = np.array([a["x"] + 1j * a["y"] for a in data["atoms"]], dtype=complex)
+        w = np.array([a["w"] for a in data["atoms"]], dtype=float)
+        scale = float(data["scale"])
+    except KeyError as err:
+        raise ValueError(f"measure JSON lacks the key {err.args[0]!r}") from None
+    return DiscreteMeasure(pts, w, scale)

@@ -23,6 +23,7 @@ __all__ = [
     "TripleIntegralResult",
     "SignScanResult",
     "C1Estimate",
+    "perm_values",
     "perm_pointwise",
     "menger_curvature",
     "perm_measure",
@@ -36,12 +37,14 @@ __all__ = [
 DEGENERACY_FACTOR = 1e-14
 
 
-def _scalar_kernel(k: KernelParam, z: complex) -> float:
-    x = z.real
-    r2 = x * x + z.imag * z.imag
-    if k.is_infinite:
-        return x / r2
-    return (x * x * x) / (r2 * r2) + k.t * (x / r2)
+def perm_values(k: KernelParam, z1, z2, z3) -> np.ndarray:
+    """Pointwise permutation over arrays of triples (broadcast like
+    ``z1 - z2``); a coincident pair contributes through the kernel's 0 fill."""
+    return (
+        kernel_values(k, z1 - z2) * kernel_values(k, z1 - z3)
+        + kernel_values(k, z2 - z1) * kernel_values(k, z2 - z3)
+        + kernel_values(k, z3 - z1) * kernel_values(k, z3 - z2)
+    )
 
 
 def perm_pointwise(k: KernelParam, z1: complex, z2: complex, z3: complex) -> float:
@@ -49,11 +52,7 @@ def perm_pointwise(k: KernelParam, z1: complex, z2: complex, z3: complex) -> flo
     z1, z2, z3 = complex(z1), complex(z2), complex(z3)
     if z1 == z2 or z1 == z3 or z2 == z3:
         raise ValueError("permutation needs pairwise distinct points")
-    return (
-        _scalar_kernel(k, z1 - z2) * _scalar_kernel(k, z1 - z3)
-        + _scalar_kernel(k, z2 - z1) * _scalar_kernel(k, z2 - z3)
-        + _scalar_kernel(k, z3 - z1) * _scalar_kernel(k, z3 - z2)
-    )
+    return float(perm_values(k, z1, z2, z3))
 
 
 def menger_curvature(z1: complex, z2: complex, z3: complex) -> float:
@@ -83,8 +82,49 @@ class TripleIntegralResult:
             raise ValueError("triple integral overflowed")
 
 
-def _pair_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return p[:, None] - q[None, :]
+_TINY = np.finfo(float).tiny
+_DISTINCT = (_TINY, math.inf)
+
+
+def _row_sums(
+    k: KernelParam,
+    p1: np.ndarray,
+    mu2: DiscreteMeasure,
+    mu3: DiscreteMeasure,
+    ranges: tuple,
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per first-slot point, the double sum of the permutation against
+    ``mu2 x mu3`` and the number of admissible pairs.
+
+    ``ranges`` holds the closed admissible distance interval ``(lo, hi)`` of
+    the pairs (1, 2), (1, 3) and (2, 3); a triple counts when all three
+    pairs are admissible.
+    """
+    p2, w2 = mu2.points, mu2.weights
+    p3, w3 = mu3.points, mu3.weights
+    diffs = (p1[:, None] - p2[None, :], p1[:, None] - p3[None, :],
+             p2[:, None] - p3[None, :])
+    k12, k13, k23 = (kernel_values(k, d) for d in diffs)
+    m12, m13, m23 = (
+        (a >= lo) & (a <= hi) for a, (lo, hi) in zip(map(np.abs, diffs), ranges)
+    )
+    m23 = m23.astype(float)
+    counts = np.zeros(len(p1), dtype=np.int64)
+
+    def chunk_values(a: int, b: int) -> np.ndarray:
+        out = np.empty(b - a)
+        for i in range(a, b):
+            row2 = np.where(m12[i], w2, 0.0)
+            row3 = np.where(m13[i], w3, 0.0)
+            t1 = np.outer(k12[i] * row2, k13[i] * row3)
+            t2 = (-k12[i] * row2)[:, None] * (k23 * row3[None, :])
+            t3 = (k13[i] * row3)[None, :] * (k23 * row2[:, None])
+            out[i - a] = float(((t1 + t2 + t3) * m23).sum())
+            counts[i] = np.count_nonzero(m23[np.ix_(m12[i], m13[i])])
+        return out
+
+    return parallel_map_chunks(chunk_values, len(p1), workers=workers), counts
 
 
 def perm_measure(
@@ -103,55 +143,24 @@ def perm_measure(
     ``method="ordered"`` is the reference path: a plain lexicographic
     triple loop with sequential accumulation.
     """
-    if eps < 0:
+    if not (eps >= 0):
         raise ValueError("truncation length must be >= 0")
     mu2 = mu1 if mu2 is None else mu2
     mu3 = mu1 if mu3 is None else mu3
     trunc = {"kind": "eps", "eps": float(eps)}
-    if min(len(mu1), len(mu2), len(mu3)) == 0:
-        return TripleIntegralResult(0.0, 0, trunc)
     if method == "ordered":
         return _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc)
     if method != "fast":
         raise ValueError(f"unknown method {method!r}")
-
-    p1, w1 = mu1.points, mu1.weights
-    p2, w2 = mu2.points, mu2.weights
-    p3, w3 = mu3.points, mu3.weights
-    d12 = _pair_matrix(p1, p2)
-    d13 = _pair_matrix(p1, p3)
-    d23 = _pair_matrix(p2, p3)
-    k12 = kernel_values(k, d12)
-    k13 = kernel_values(k, d13)
-    k23 = kernel_values(k, d23)
-    lo = max(eps, np.finfo(float).tiny)
-    m12 = np.abs(d12) >= lo
-    m13 = np.abs(d13) >= lo
-    m23 = (np.abs(d23) >= lo).astype(float)
-    counts = np.zeros(len(mu1), dtype=np.int64)
-
-    def chunk_values(a: int, b: int) -> np.ndarray:
-        out = np.empty(b - a)
-        for i in range(a, b):
-            row2 = np.where(m12[i], w2, 0.0)
-            row3 = np.where(m13[i], w3, 0.0)
-            t1 = np.outer(k12[i] * row2, k13[i] * row3)
-            t2 = (-k12[i] * row2)[:, None] * (k23 * row3[None, :])
-            t3 = (k13[i] * row3)[None, :] * (k23 * row2[:, None])
-            total = (t1 + t2 + t3) * m23
-            out[i - a] = w1[i] * float(total.sum())
-            counts[i] = int(
-                np.count_nonzero(m23[np.ix_(m12[i], m13[i])])
-            )
-        return out
-
-    per_i = parallel_map_chunks(chunk_values, len(mu1), workers=workers)
-    value = deterministic_sum(per_i)
-    return TripleIntegralResult(value, int(counts.sum()), trunc)
+    pair = (max(eps, _TINY), math.inf)
+    sums, counts = _row_sums(k, mu1.points, mu2, mu3, (pair, pair, pair), workers)
+    return TripleIntegralResult(
+        deterministic_sum(mu1.weights * sums), int(counts.sum()), trunc
+    )
 
 
 def _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc) -> TripleIntegralResult:
-    lo = max(eps, np.finfo(float).tiny)
+    lo = max(eps, _TINY)
     total = 0.0
     count = 0
     p1, w1 = mu1.points, mu1.weights
@@ -161,11 +170,12 @@ def _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc) -> TripleIntegralResult:
         for j in range(len(mu2)):
             if abs(p1[i] - p2[j]) < lo:
                 continue
+            # the terms of one (i, j) row at once; the sum stays sequential
+            terms = perm_values(k, p1[i], p2[j], p3)
             for l in range(len(mu3)):
                 if abs(p1[i] - p3[l]) < lo or abs(p2[j] - p3[l]) < lo:
                     continue
-                term = perm_pointwise(k, p1[i], p2[j], p3[l])
-                total = total + w1[i] * w2[j] * w3[l] * term
+                total = total + w1[i] * w2[j] * w3[l] * terms[l]
                 count += 1
     return TripleIntegralResult(total, count, trunc)
 
@@ -175,6 +185,16 @@ def curvature_squared(
 ) -> float:
     """Curvature of the measure: four times the limiting-kernel permutation."""
     return 4.0 * perm_measure(K_INF, mu, eps=eps, workers=workers).value
+
+
+def _window_ranges(delta: float, q_radius: float) -> tuple:
+    """Pair ranges of the windowed sums: the first pair within
+    ``[delta * q_radius, q_radius / delta]``, the other pairs distinct."""
+    if not (0 < delta < 1):
+        raise ValueError("delta must lie in (0, 1)")
+    if not (q_radius > 0):
+        raise ValueError("q_radius must be positive")
+    return ((delta * q_radius, q_radius / delta), _DISTINCT, _DISTINCT)
 
 
 def perm_truncated_window(
@@ -189,44 +209,12 @@ def perm_truncated_window(
     """Triple integral with the first pair windowed to
     ``delta * q_radius <= |z1 - z2| <= q_radius / delta``; the other pairs
     are only required to be distinct."""
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    if q_radius <= 0:
-        raise ValueError("q_radius must be positive")
+    ranges = _window_ranges(delta, q_radius)
     trunc = {"kind": "window", "delta": float(delta), "q_radius": float(q_radius)}
-    if min(len(mu1), len(mu2), len(mu3)) == 0:
-        return TripleIntegralResult(0.0, 0, trunc)
-    lo, hi = delta * q_radius, q_radius / delta
-    tiny = np.finfo(float).tiny
-    p1, w1 = mu1.points, mu1.weights
-    p2, w2 = mu2.points, mu2.weights
-    p3, w3 = mu3.points, mu3.weights
-    d12 = _pair_matrix(p1, p2)
-    d13 = _pair_matrix(p1, p3)
-    d23 = _pair_matrix(p2, p3)
-    k12 = kernel_values(kernel, d12)
-    k13 = kernel_values(kernel, d13)
-    k23 = kernel_values(kernel, d23)
-    a12 = np.abs(d12)
-    m12 = (a12 >= lo) & (a12 <= hi)
-    m13 = np.abs(d13) >= tiny
-    m23 = (np.abs(d23) >= tiny).astype(float)
-    counts = np.zeros(len(mu1), dtype=np.int64)
-
-    def chunk_values(a: int, b: int) -> np.ndarray:
-        out = np.empty(b - a)
-        for i in range(a, b):
-            row2 = np.where(m12[i], w2, 0.0)
-            row3 = np.where(m13[i], w3, 0.0)
-            t1 = np.outer(k12[i] * row2, k13[i] * row3)
-            t2 = (-k12[i] * row2)[:, None] * (k23 * row3[None, :])
-            t3 = (k13[i] * row3)[None, :] * (k23 * row2[:, None])
-            out[i - a] = w1[i] * float(((t1 + t2 + t3) * m23).sum())
-            counts[i] = int(np.count_nonzero(m23[np.ix_(m12[i], m13[i])]))
-        return out
-
-    per_i = parallel_map_chunks(chunk_values, len(mu1), workers=workers)
-    return TripleIntegralResult(deterministic_sum(per_i), int(counts.sum()), trunc)
+    sums, counts = _row_sums(kernel, mu1.points, mu2, mu3, ranges, workers)
+    return TripleIntegralResult(
+        deterministic_sum(mu1.weights * sums), int(counts.sum()), trunc
+    )
 
 
 def perm_at_point(
@@ -239,26 +227,9 @@ def perm_at_point(
 ) -> float:
     """Double integral of the permutation with the first point frozen at
     ``x`` and the pair (x, y) windowed as in the triple version."""
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    if min(len(mu2), len(mu3)) == 0:
-        return 0.0
-    x = complex(x)
-    lo, hi = delta * q_radius, q_radius / delta
-    tiny = np.finfo(float).tiny
-    dy = x - mu2.points
-    dz = x - mu3.points
-    ay = kernel_values(kernel, dy)
-    bz = kernel_values(kernel, dz)
-    ady = np.abs(dy)
-    wy = np.where((ady >= lo) & (ady <= hi), mu2.weights, 0.0)
-    wz = np.where(np.abs(dz) >= tiny, mu3.weights, 0.0)
-    c = kernel_values(kernel, _pair_matrix(mu2.points, mu3.points))
-    mask = (np.abs(_pair_matrix(mu2.points, mu3.points)) >= tiny).astype(float)
-    t1 = np.outer(ay * wy, bz * wz)
-    t2 = (-ay * wy)[:, None] * (c * wz[None, :])
-    t3 = (bz * wz)[None, :] * (c * wy[:, None])
-    return float(((t1 + t2 + t3) * mask).sum())
+    ranges = _window_ranges(delta, q_radius)
+    sums, _ = _row_sums(kernel, np.array([complex(x)]), mu2, mu3, ranges)
+    return float(sums[0])
 
 
 @dataclass(frozen=True)
@@ -266,15 +237,6 @@ class SignScanResult:
     min_value: float
     argmin_triple: tuple[complex, complex, complex]
     samples: int
-
-
-def _perm_t_arrays(t: float, z1, z2, z3) -> np.ndarray:
-    k = KernelParam(t)
-    return (
-        kernel_values(k, z1 - z2) * kernel_values(k, z1 - z3)
-        + kernel_values(k, z2 - z1) * kernel_values(k, z2 - z3)
-        + kernel_values(k, z3 - z1) * kernel_values(k, z3 - z2)
-    )
 
 
 def sign_scan(
@@ -323,7 +285,7 @@ def sign_scan(
         & (np.abs(z1 - z3) > 1e-12 * r)
         & (np.abs(z2 - z3) > 1e-12 * r)
     )
-    vals = np.where(good, _perm_t_arrays(t, z1, z2, z3), np.inf)
+    vals = np.where(good, perm_values(KernelParam(t), z1, z2, z3), np.inf)
     best = int(np.argmin(vals))
     best_val = float(vals[best])
     triple = (complex(z1[best]), complex(z2[best]), complex(z3[best]))
@@ -400,12 +362,8 @@ def estimate_c1(
             return np.arccos(np.clip(np.abs(d.imag) / np.abs(d), 0.0, 1.0))
 
     far = vert_angle(d12) + vert_angle(d13) + vert_angle(d23) >= theta
-    p0 = _perm_t_arrays(0.0, z1, z2, z3)
-    pinf = (
-        kernel_values(K_INF, d12) * kernel_values(K_INF, d13)
-        + kernel_values(K_INF, -d12) * kernel_values(K_INF, d23)
-        + kernel_values(K_INF, -d13) * kernel_values(K_INF, -d23)
-    )
+    p0 = perm_values(K_ZERO, z1, z2, z3)
+    pinf = perm_values(K_INF, z1, z2, z3)
     sel = ok & far & (pinf > p_inf_floor)
     if not np.any(sel):
         raise ValueError("no admissible far-from-vertical samples found")

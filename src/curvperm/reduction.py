@@ -19,18 +19,6 @@ import numpy as np
 DEFAULT_CHUNK = 256
 
 
-def kahan_sum(values) -> float:
-    """Compensated (Kahan) sum of a 1-d sequence, in the given order."""
-    total = 0.0
-    carry = 0.0
-    for v in np.asarray(values, dtype=float).ravel():
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def deterministic_sum(values, chunk: int = DEFAULT_CHUNK) -> float:
     """Fixed-chunk compensated sum, independent of any parallel split.
 

@@ -42,6 +42,13 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(tau=0.1, gamma=0.01)
 
+    @pytest.mark.parametrize(
+        "field", ["theta0", "eps0", "alpha", "c_f", "c2", "separation"]
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            Params(**{field: math.nan})
+
     def test_c2_override(self):
         assert Params(c2=0.25).c2_value == 0.25
 

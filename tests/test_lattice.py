@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from curvperm.corona import Params
+from curvperm.experiments import corona_corpus
 from curvperm.lattice import (
     BIG_BALL_FACTOR,
     build,
@@ -113,6 +115,23 @@ class TestBuild:
             len(q.children) * (len(q.children) - 1) // 2 for q in lat.cubes
         )
         assert total_pairs > 0
+
+    def test_doubled_balls_nest_in_ancestors(self):
+        # the corona's windowed sums see only the root's 2B, so every
+        # descendant's 2B must lie inside it
+        params = Params()
+        two_b = 2 * BIG_BALL_FACTOR
+        for mu in corona_corpus().values():
+            lat = build(mu, c0=params.c0, a0=params.a0,
+                        separation=params.separation,
+                        doubling_constant=params.doubling_constant)
+            for q in lat.cubes:
+                rid = q.parent
+                while rid is not None:
+                    r = lat.cubes[rid]
+                    assert (abs(q.center - r.center) + two_b * q.radius
+                            <= two_b * r.radius)
+                    rid = r.parent
 
     def test_bad_constants(self):
         mu = generate("segment", n=8)

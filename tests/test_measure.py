@@ -272,3 +272,13 @@ class TestJsonRoundTrip:
         data = json.loads(path.read_text())
         assert set(data) == {"scale", "atoms"}
         assert set(data["atoms"][0]) == {"x", "y", "w"}
+
+    @pytest.mark.parametrize("drop", ["scale", "w"])
+    def test_missing_key_names_it(self, tmp_path, drop):
+        data = {"scale": 0.5, "atoms": [{"x": 0.0, "y": 0.0, "w": 1.0}]}
+        data.pop(drop, None)
+        data["atoms"][0].pop(drop, None)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=repr(drop)):
+            load_json(path)

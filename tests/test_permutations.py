@@ -179,6 +179,11 @@ class TestPermMeasure:
         # the distance-2 pair alone cannot form a triple
         assert perm_measure(K_INF, mu, eps=2.0).triples_counted == 0
 
+    def test_nan_eps_rejected(self):
+        mu = generate("cantor4", level=1)
+        with pytest.raises(ValueError):
+            perm_measure(K_INF, mu, eps=math.nan)
+
     def test_eps_truncation_against_naive(self):
         mu = generate("cantor4", level=2)
         for e in (0.1, 0.3):
@@ -244,6 +249,17 @@ class TestWindowed:
             for z, w in zip(mu.points, mu.weights)
         )
         assert split == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("q_radius", [-1.0, math.nan])
+    def test_point_sum_rejects_bad_radius(self, q_radius):
+        mu = generate("cantor4", level=1)
+        with pytest.raises(ValueError):
+            perm_at_point(0j, mu, mu, 0.5, q_radius)
+
+    def test_window_rejects_nan_radius(self):
+        mu = generate("cantor4", level=1)
+        with pytest.raises(ValueError):
+            perm_truncated_window(mu, mu, mu, 0.5, math.nan)
 
     def test_single_admissible_pair(self):
         pts = [0j, 1 + 0j, 0.5 + 1j]
