@@ -29,9 +29,7 @@ __all__ = [
     "CoronaDecomposition",
     "build_tree",
     "build_top",
-    "stopping_classify",
     "theta_r_rule",
-    "compute_r_far",
     "id_classify",
     "packing_sum",
     "beta_packing_sum",
@@ -140,62 +138,55 @@ class TreeDecomposition:
         return sorted(q for q, v in self.stop.items() if v.label == label)
 
 
+# slot-one atoms per block of the windowed sums: bounds the temporaries to
+# _ROW_BLOCK x m floats for an engine of m atoms
+_ROW_BLOCK = 64
+
+
 class _PermEngine:
     """Windowed permutation sums of one tree, against the root's doubled
     companion ball, via precomputed kernel matrices."""
 
     def __init__(self, lattice: Lattice, mu: DiscreteMeasure, root_id: int):
-        self.lattice = lattice
-        self.mu = mu
-        self.root_id = root_id
-        ball = lattice.big_ball(root_id, 2.0)
-        self.sub = np.flatnonzero(np.abs(mu.points - ball.center) < ball.radius)
-        pts = mu.points[self.sub]
-        w = mu.weights[self.sub]
-        self.pts = pts
-        self.w = w
-        diff = pts[:, None] - pts[None, :]
-        self.c = kernel_values(K_ZERO, diff)
-        self.cw = self.c @ w
-        self.g = self.c @ (w[:, None] * self.c)
-        self.pos_of = {int(i): j for j, i in enumerate(self.sub)}
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.sub = np.flatnonzero(lattice.big_ball(root_id, 2.0).contains(mu.points))
+        self.pts = mu.points[self.sub]
+        self.w = mu.weights[self.sub]
+        self.c = kernel_values(K_ZERO, self.pts[:, None] - self.pts[None, :])
+        self.cw = self.c @ self.w
+        self.g = self.c @ (self.w[:, None] * self.c)
 
-    def _vectors(self, atom: int):
-        """Distances, kernel row, and the convolved column for one atom."""
-        hit = self._cache.get(atom)
-        if hit is not None:
-            return hit
-        # a tree cube's centre lies within separation * r(R) of the root's
-        # and its radius is at most r(R) / a0; with separation + 56 / a0 <= 56
-        # (the defaults give 17) its 2B lies in the root's 2B, so slot-one
-        # atoms are always engine atoms
-        j = self.pos_of[atom]
-        dist = np.abs(self.mu.points[atom] - self.pts)
-        out = (dist, self.c[j], -self.g[:, j], self.cw - self.c[:, j] * self.w[j])
-        self._cache[atom] = out
-        return out
+    def point_sums(self, atoms: np.ndarray, q_radius: float,
+                   delta: float) -> np.ndarray:
+        """Double sums of the flat-kernel permutation with the first point at
+        each atom and the first pair windowed to [delta r, r / delta].
 
-    def point_sum(self, atom: int, q_radius: float, delta: float) -> float:
-        """Double sum of the flat-kernel permutation with the first point at
-        the atom and the first pair windowed to [delta r, r / delta]."""
-        dist, a, v, u = self._vectors(atom)
+        A tree cube's 2B lies in its root's 2B whenever separation + 56 / a0
+        <= 56 (17 at the defaults), so its atoms are engine atoms; others
+        are rejected rather than summed against a partial ball.
+        """
+        rows = np.searchsorted(self.sub, atoms)
+        if not (np.all(rows < self.sub.size) and np.array_equal(self.sub[rows], atoms)):
+            raise ValueError("slot-one atoms must lie in the root's doubled ball")
         lo, hi = delta * q_radius, q_radius / delta
-        win = (dist >= lo) & (dist <= hi) & (dist > 0)
-        alpha = np.where(win, self.w * a, 0.0)
-        wb = np.where(dist > 0, self.w * a, 0.0)
-        t1 = alpha.sum() * wb.sum() - float((alpha * wb).sum())
-        t2 = -float((alpha * u).sum())
-        t3 = float((np.where(win, self.w, 0.0) * v).sum())
-        return t1 + t2 + t3
-
-    def windowed_triple(self, slot1_atoms: np.ndarray, q_radius: float,
-                        delta: float) -> float:
-        vals = [
-            self.mu.weights[a] * self.point_sum(int(a), q_radius, delta)
-            for a in slot1_atoms
-        ]
-        return deterministic_sum(vals)
+        w = self.w
+        out = np.empty(rows.size)
+        for start in range(0, rows.size, _ROW_BLOCK):
+            j = rows[start:start + _ROW_BLOCK]
+            dist = np.abs(self.pts[j, None] - self.pts[None, :])
+            # columns of C and C W C, copied into C-contiguous rows so each
+            # row reduces like a vector; C W C is not bit-symmetric
+            g_col = np.ascontiguousarray(self.g[:, j].T)
+            c_col = np.ascontiguousarray(self.c[:, j].T)
+            u = self.cw - c_col * w[j, None]
+            win = (dist >= lo) & (dist <= hi) & (dist > 0)
+            wc = w * self.c[j]
+            alpha = np.where(win, wc, 0.0)
+            wb = np.where(dist > 0, wc, 0.0)
+            t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * wb).sum(axis=1)
+            t2 = -(alpha * u).sum(axis=1)
+            t3 = (np.where(win, w, 0.0) * -g_col).sum(axis=1)
+            out[start:start + j.size] = t1 + t2 + t3
+        return out
 
 
 def _ball_contains(lattice: Lattice, outer: int, inner: int) -> bool:
@@ -226,6 +217,8 @@ class _TreeBuilder:
         self.root_id = root_id
         self.params = params
         self.engine = _PermEngine(lattice, mu, root_id)
+        # slot-one atoms and their windowed point sums, per cube
+        self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.theta_density = lattice.theta_2b(root_id)
         self.lines: dict[int, Line | None] = {}
         self.thetas: dict[int, float] = {}
@@ -249,18 +242,17 @@ class _TreeBuilder:
         if qid in self.lines:
             return self.lines[qid]
         ball = self.lattice.big_ball(qid, 2.0)
-        sub = self.mu.restrict(ball)
-        line = beta2(self.mu, ball).line if len(sub) >= 2 else None
+        n_atoms = np.count_nonzero(ball.contains(self.mu.points))
+        line = beta2(self.mu, ball).line if n_atoms >= 2 else None
         self.lines[qid] = line
         return line
 
     def perm_sq(self, qid: int) -> float:
         q = self.lattice.cubes[qid]
-        ball = self.lattice.big_ball(qid, 2.0)
-        slot1 = np.flatnonzero(
-            np.abs(self.mu.points - ball.center) < ball.radius
-        )
-        p = self.engine.windowed_triple(slot1, q.radius, self.params.delta)
+        slot1 = np.flatnonzero(self.lattice.big_ball(qid, 2.0).contains(self.mu.points))
+        sums = self.engine.point_sums(slot1, q.radius, self.params.delta)
+        self.sums[qid] = (slot1, sums)
+        p = deterministic_sum(self.mu.weights[slot1] * sums)
         # the flat kernel is outside the sign-changing parameter range, so
         # its permutation is pointwise nonnegative; negative totals are
         # cancellation roundoff
@@ -405,7 +397,16 @@ class _TreeBuilder:
             next_atoms[lat.cubes[q].members] = True
         dropped = members_r[stopped_atoms[members_r] & ~next_atoms[members_r]]
 
-        tree = TreeDecomposition(
+        # far atoms: a large windowed point sum at some surviving cube (the
+        # root always counts) whose doubled ball holds the atom
+        cut = par.c2_value * self.theta_density**2
+        far = np.zeros(len(mu), dtype=bool)
+        for qid in kept_tree:
+            if qid == self.root_id or qid not in final_stop:
+                atoms, sums = self.sums[qid]
+                far[atoms[sums >= cut]] = True
+
+        return TreeDecomposition(
             root_id=self.root_id,
             params=par,
             line=self.line,
@@ -416,13 +417,11 @@ class _TreeBuilder:
             stop=final_stop,
             dbtree_ids=dbtree,
             g_r=g_r,
-            r_far=np.zeros(0, dtype=int),
+            r_far=members_r[far[members_r]],
             next_ids=next_ids,
             perm_sq={q: perm_table[q] for q in kept_tree},
             dropped_atoms=dropped,
         )
-        tree.r_far = compute_r_far(lat, mu, tree, engine=self.engine)
-        return tree
 
 
 def build_tree(
@@ -430,44 +429,6 @@ def build_tree(
 ) -> TreeDecomposition:
     """Grow and stop one tree, then derive its replacement generation."""
     return _TreeBuilder(lattice, mu, root_id, params).build()
-
-
-def stopping_classify(
-    lattice: Lattice, mu: DiscreteMeasure, qid: int, root_id: int, params: Params
-) -> StopVerdict:
-    """Verdict of one cube inside the root's tree (building the context)."""
-    tree = build_tree(lattice, mu, root_id, params)
-    if qid in tree.stop:
-        return tree.stop[qid]
-    return StopVerdict("none", 0.0)
-
-
-def compute_r_far(
-    lattice: Lattice,
-    mu: DiscreteMeasure,
-    tree: TreeDecomposition,
-    engine: _PermEngine | None = None,
-) -> np.ndarray:
-    """Atoms of the root whose windowed point permutation is large at some
-    surviving cube containing them."""
-    if engine is None:
-        engine = _PermEngine(lattice, mu, tree.root_id)
-    par = tree.params
-    cut = par.c2_value * tree.theta_density**2
-    survivors = [tree.root_id] + [
-        q for q in tree.tree_ids if q not in tree.stop and q != tree.root_id
-    ]
-    members = lattice.cubes[tree.root_id].members
-    flagged = np.zeros(members.size, dtype=bool)
-    for qid in survivors:
-        ball = lattice.big_ball(qid, 2.0)
-        inside = np.abs(mu.points[members] - ball.center) < ball.radius
-        radius = lattice.cubes[qid].radius
-        for pos in np.flatnonzero(inside & ~flagged):
-            val = engine.point_sum(int(members[pos]), radius, par.delta)
-            if val >= cut:
-                flagged[pos] = True
-    return members[flagged]
 
 
 @dataclass

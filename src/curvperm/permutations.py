@@ -367,7 +367,7 @@ def estimate_c1(
     sel = ok & far & (pinf > p_inf_floor)
     if not np.any(sel):
         raise ValueError("no admissible far-from-vertical samples found")
-    ratio = np.where(sel, p0 / pinf, np.inf)
+    ratio = np.divide(p0, pinf, out=np.full_like(p0, np.inf), where=sel)
     best = int(np.argmin(ratio))
     return C1Estimate(
         float(ratio[best]),

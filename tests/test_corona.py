@@ -11,12 +11,13 @@ from curvperm.corona import (
     id_classify,
     packing_sum,
     stop_mass_report,
-    stopping_classify,
     theta_r_rule,
 )
 from curvperm.graphfit import beta2
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
+from curvperm.permutations import perm_at_point
+from curvperm.reduction import deterministic_sum
 
 
 def make(mu, params=None):
@@ -85,8 +86,7 @@ class TestSegmentTree:
         mu = generate("segment", n=64)
         lat, params = make(mu)
         some_cube = lat.levels[2][1]
-        v = stopping_classify(lat, mu, some_cube, lat.root.id, params)
-        assert v.label == "none"
+        assert some_cube not in build_tree(lat, mu, lat.root.id, params).stop
 
     def test_collinear_never_bp_bs_f(self):
         mu = generate("segment", n=64, end=np.exp(0.3j))
@@ -174,6 +174,35 @@ class TestRFar:
         # recorded against the expected bound; not asserted as a theorem
         assert far_mass >= 0.0
         assert math.isfinite(far_mass / max(mu.total_mass, 1e-12))
+
+    def test_matches_public_point_op(self):
+        # r_far against the public pointwise op over the root's doubled
+        # ball: root atoms whose windowed sum reaches c2 Theta^2 at some
+        # surviving cube whose doubled ball holds them; with this narrow
+        # window the root's sums flag only some atoms, the smaller
+        # surviving cubes flag most of the rest
+        mu = generate("perturbed", base="lipschitz_graph", n=96, slope=0.2,
+                      amplitude=2e-4, seed=13)
+        lat, params = make(mu, Params(alpha=1e9, delta=0.3, c2=600.0))
+        tree = build_tree(lat, mu, lat.root.id, params)
+        rid = tree.root_id
+        nu = mu.restrict(lat.big_ball(rid, 2.0))
+        cut = params.c2_value * tree.theta_density**2
+        members = lat.cubes[rid].members
+        survivors = [q for q in tree.tree_ids if q == rid or q not in tree.stop]
+        assert len(survivors) > 1
+        best = dict.fromkeys(members.tolist(), -math.inf)
+        for q in survivors:
+            inside = lat.big_ball(q, 2.0).contains(mu.points[members])
+            for x in members[inside].tolist():
+                v = perm_at_point(mu.points[x], nu, nu, params.delta,
+                                  lat.cubes[q].radius)
+                best[x] = max(best[x], v)
+        got = set(tree.r_far.tolist())
+        assert 0 < len(got) < len(members)
+        for x, v in best.items():
+            if abs(v - cut) > 1e-10 * cut:
+                assert (x in got) == (v >= cut), x
 
 
 @pytest.fixture(scope="module")
@@ -371,14 +400,28 @@ class TestDepthCappedLattice:
             slot1 = np.flatnonzero(
                 np.abs(mu.points - ball.center) < ball.radius
             )
-            got = engine.windowed_triple(
-                slot1, lat.cubes[qid].radius, params.delta
-            )
+            sums = engine.point_sums(slot1, lat.cubes[qid].radius, params.delta)
+            got = deterministic_sum(mu.weights[slot1] * sums)
             ref = perm_truncated_window(
                 mu.subset(slot1), slot23, slot23,
                 params.delta, lat.cubes[qid].radius,
             ).value
             assert got == pytest.approx(ref, rel=1e-10, abs=1e-18)
+
+    def test_engine_rejects_atoms_outside_root_ball(self):
+        from curvperm.corona import _PermEngine
+
+        mu = generate("cantor4", level=3)
+        lat, params = make(mu)
+        rid = next(q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4)
+        engine = _PermEngine(lat, mu, rid)
+        outside = np.flatnonzero(~lat.big_ball(rid, 2.0).contains(mu.points))
+        assert outside.size
+        with pytest.raises(ValueError, match="doubled ball"):
+            engine.point_sums(outside[:1], lat.cubes[rid].radius, params.delta)
+        mixed = np.sort(np.concatenate([engine.sub[:2], outside[-1:]]))
+        with pytest.raises(ValueError, match="doubled ball"):
+            engine.point_sums(mixed, lat.cubes[rid].radius, params.delta)
 
 
 class TestPackingSums:

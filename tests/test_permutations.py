@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,3 +311,14 @@ class TestC1Estimate:
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             estimate_c1(0.0)
+
+    def test_zero_pinf_samples_do_not_warn(self):
+        # some of these samples have pinf == 0; they are never selected, so
+        # the ratio must not be formed for them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = estimate_c1(0.1, 100_000, seed=0)
+        assert 0 < est.value <= 2.0
+        p0 = perm_pointwise(K_ZERO, *est.witness)
+        pinf = perm_pointwise(K_INF, *est.witness)
+        assert p0 / pinf == pytest.approx(est.value, rel=1e-9)
