@@ -11,13 +11,14 @@ generation of roots.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graphfit import balanced_ball_test, beta2
 from .kernels import K_INF, K_ZERO, Line, angle_between, kernel_values, theta_vertical
-from .lattice import Lattice, maximal_doubling
+from .lattice import Lattice, build as build_lattice, maximal_doubling
 from .measure import DiscreteMeasure
 from .permutations import perm_measure
 from .reduction import deterministic_sum
@@ -27,6 +28,7 @@ __all__ = [
     "StopVerdict",
     "TreeDecomposition",
     "CoronaDecomposition",
+    "lattice_for",
     "build_tree",
     "build_top",
     "theta_r_rule",
@@ -66,8 +68,8 @@ class Params:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite")
+            if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ValueError(f"{f.name} must be a finite number")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
         if not (0 < 1.0 / self.a <= self.tau**2):
@@ -96,6 +98,13 @@ class Params:
             "separation": self.separation,
             "doubling_constant": self.doubling_constant,
         }
+
+
+def lattice_for(mu: DiscreteMeasure, params: Params) -> Lattice:
+    """The cube lattice of ``mu`` under the lattice constants of ``params``."""
+    return build_lattice(mu, c0=params.c0, a0=params.a0,
+                         separation=params.separation,
+                         doubling_constant=params.doubling_constant)
 
 
 def theta_r_rule(theta_v: float, params: Params) -> tuple[bool, float]:
@@ -129,10 +138,6 @@ class TreeDecomposition:
     next_ids: list[int]
     perm_sq: dict[int, float]
     dropped_atoms: np.ndarray
-
-    @property
-    def stop_ids(self) -> list[int]:
-        return sorted(self.stop)
 
     def family(self, label: str) -> list[int]:
         return sorted(q for q, v in self.stop.items() if v.label == label)
@@ -216,7 +221,6 @@ class _TreeBuilder:
         self.mu = mu
         self.root_id = root_id
         self.params = params
-        self.engine = _PermEngine(lattice, mu, root_id)
         # slot-one atoms and their windowed point sums, per cube
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.theta_density = lattice.theta_2b(root_id)
@@ -284,6 +288,7 @@ class _TreeBuilder:
                 perm_sq={q: 0.0 for q in chain},
                 dropped_atoms=np.zeros(0, dtype=int),
             )
+        self.engine = _PermEngine(lat, mu, self.root_id)
         order = sorted(
             lat.descendants(self.root_id),
             key=lambda q: (lat.cubes[q].level, q),

@@ -20,12 +20,12 @@ from .corona import (
     Params,
     beta_packing_sum,
     build_top,
+    lattice_for,
     packing_sum,
     stop_mass_report,
 )
 from .graphfit import build_lipschitz_F, partition_of_unity, DistanceField
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, kt, zero_lines
-from .lattice import build as build_lattice
 from .measure import Ball, DiscreteMeasure, generate, pushforward
 from .permutations import (
     estimate_c1,
@@ -44,6 +44,7 @@ __all__ = [
     "line_corpus",
     "corona_corpus",
     "run",
+    "EXPERIMENTS",
     "ACCEPTANCE_SPECS",
     "bilipschitz_experiment",
     "t0_bracket",
@@ -339,13 +340,7 @@ def _exp_oracle_equivalence(spec: ExperimentSpec):
 
 
 def _corona_for(mu: DiscreteMeasure, params: Params):
-    lat = build_lattice(
-        mu,
-        c0=params.c0,
-        a0=params.a0,
-        separation=params.separation,
-        doubling_constant=params.doubling_constant,
-    )
+    lat = lattice_for(mu, params)
     return lat, build_top(lat, mu, params)
 
 
@@ -381,7 +376,7 @@ def _check_corona_structure(lat, corona: CoronaDecomposition):
 
 
 def _exp_corona_structure(spec: ExperimentSpec):
-    params = Params(**spec.params) if spec.params else Params()
+    params = Params(**spec.params)
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
@@ -409,7 +404,7 @@ def _exp_corona_structure(spec: ExperimentSpec):
 
 
 def _exp_graph_fit(spec: ExperimentSpec):
-    params = Params(**spec.params) if spec.params else Params()
+    params = Params(**spec.params)
     mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
     lat, corona = _corona_for(mu, params)
     records = {"trees": []}
@@ -462,7 +457,7 @@ def _exp_graph_fit(spec: ExperimentSpec):
 
 
 def _exp_packing(spec: ExperimentSpec):
-    params = Params(**spec.params) if spec.params else Params()
+    params = Params(**spec.params)
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
@@ -498,15 +493,11 @@ def _exp_packing(spec: ExperimentSpec):
 
 
 def _exp_beta_packing(spec: ExperimentSpec):
-    params = Params(**spec.params) if spec.params else Params()
+    params = Params(**spec.params)
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
-        lat = build_lattice(
-            mu, c0=params.c0, a0=params.a0,
-            separation=params.separation,
-            doubling_constant=params.doubling_constant,
-        )
+        lat = lattice_for(mu, params)
         rep = beta_packing_sum(lat, mu, workers=spec.workers)
         records[name] = {
             "beta_sum": rep.beta_sum,
@@ -718,7 +709,7 @@ def _exp_c1(spec: ExperimentSpec):
     return records, flags
 
 
-_EXPERIMENTS = {
+EXPERIMENTS = {
     "curvature-identity": _exp_curvature_identity,
     "p0-vs-pinf": _exp_p0_vs_pinf,
     "sign-dichotomy": _exp_sign_dichotomy,
@@ -757,7 +748,7 @@ ACCEPTANCE_SPECS = {
 
 def run(spec: ExperimentSpec) -> Report:
     """Execute a named experiment; deterministic for a fixed spec."""
-    fn = _EXPERIMENTS.get(spec.name)
+    fn = EXPERIMENTS.get(spec.name)
     if fn is None:
         raise ValueError(f"unknown experiment {spec.name!r}")
     t0 = time.time()

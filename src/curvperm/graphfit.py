@@ -29,8 +29,6 @@ __all__ = [
     "LipschitzGraph",
     "BalanceVerdict",
     "beta2",
-    "d_function",
-    "D_function",
     "whitney_cover",
     "partition_of_unity",
     "build_lipschitz_F",
@@ -56,12 +54,12 @@ def beta2(mu: DiscreteMeasure, ball: Ball) -> BetaResult:
     The minimizing line passes through the weighted centroid along the top
     principal direction, so the fit is closed form and deterministic.
     """
-    sub = mu.restrict(ball)
+    keep = ball.contains(mu.points)
     r = ball.radius
-    if len(sub) == 0:
+    if not np.any(keep):
         return BetaResult(0.0, Line(ball.center, 1 + 0j), ball, 0.0, True)
-    w = sub.weights
-    pts = sub.points
+    w = mu.weights[keep]
+    pts = mu.points[keep]
     mass = float(w.sum())
     cx = float((w * pts.real).sum()) / mass
     cy = float((w * pts.imag).sum()) / mass
@@ -148,16 +146,6 @@ class ProjectedField:
                 gap = np.maximum(0.0, np.maximum(lo - c, c - hi))
                 return float(np.min(gap + self.offsets[a:b]))
         raise KeyError(qid)
-
-
-def d_function(z, lattice: Lattice, cube_ids) -> np.ndarray:
-    """Distance-plus-diameter infimum over a cube family at plane points."""
-    return DistanceField(lattice, cube_ids).d(z)
-
-
-def D_function(u, line: Line, lattice: Lattice, cube_ids) -> np.ndarray:
-    """The on-line projection of the distance infimum."""
-    return DistanceField(lattice, cube_ids).project(line).value(u)
 
 
 @dataclass
@@ -360,9 +348,6 @@ class LipschitzGraph:
                     vals[j] = hit
         return vals
 
-    def graph_points(self, u) -> np.ndarray:
-        return self.line.embed(np.atleast_1d(u), self.eval(u))
-
 
 def build_lipschitz_F(
     lattice: Lattice,
@@ -498,14 +483,12 @@ def balanced_ball_test(
     mu: DiscreteMeasure,
     qid: int,
     gamma: float,
-    rho1: float | None = None,
-    rho2: float | None = None,
 ) -> BalanceVerdict:
     """Search atom-centered balls for two separated mass chunks.
 
-    Balanced: two balls of radius rho1*r(Q), each carrying rho2*mass(Q) of
-    the cube, every cross pair of their member atoms at distance at least
-    gamma*r(28B(Q)).  Single-atom cubes are balanced by convention: a point
+    Balanced: two balls of radius gamma/4 r(Q), each carrying gamma^2
+    mass(Q) of the cube, every cross pair of their member atoms at distance
+    at least gamma*r(28B(Q)).  Single-atom cubes are balanced by convention: a point
     mass offers no two chunks and no descendant density gain.
     """
     q = lattice.cubes[qid]
@@ -513,16 +496,14 @@ def balanced_ball_test(
         raise ValueError("balance test applies to doubling cubes")
     if not (0 < gamma < 1):
         raise ValueError("gamma must lie in (0, 1)")
-    rho1 = gamma / 4 if rho1 is None else rho1
-    rho2 = gamma * gamma if rho2 is None else rho2
     members = q.members
     if members.size == 1:
         return BalanceVerdict(True, None, (), 0.0, "singleton")
     pts = mu.points[members]
     w = mu.weights[members]
     mass_q = float(w.sum())
-    ball_r = rho1 * q.radius
-    need = rho2 * mass_q
+    ball_r = gamma / 4 * q.radius
+    need = gamma * gamma * mass_q
     sep = gamma * BIG_BALL_FACTOR * q.radius
     dmat = np.abs(pts[:, None] - pts[None, :])
     in_ball = dmat <= ball_r

@@ -56,8 +56,8 @@ def kt(t: float) -> KernelParam:
     return KernelParam(float(t))
 
 
-def kernel_values(k: KernelParam, dz: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """Vectorized kernel on an array of differences; zeros map to ``fill``."""
+def kernel_values(k: KernelParam, dz: np.ndarray) -> np.ndarray:
+    """Vectorized kernel on an array of differences; zeros map to 0."""
     dz = np.asarray(dz, dtype=complex)
     x = dz.real
     r2 = x * x + dz.imag * dz.imag
@@ -66,7 +66,7 @@ def kernel_values(k: KernelParam, dz: np.ndarray, fill: float = 0.0) -> np.ndarr
             out = x / r2
         else:
             out = (x * x * x) / (r2 * r2) + k.t * (x / r2)
-    return np.where(r2 == 0.0, fill, out)
+    return np.where(r2 == 0.0, 0.0, out)
 
 
 def kernel_eval(k: KernelParam, z: complex) -> float:
@@ -124,9 +124,6 @@ class Line:
         a = self.anchor
         foot = a - (a.real * d.real + a.imag * d.imag) * d
         return Line(foot, d)
-
-    def point_at(self, s: float) -> complex:
-        return self.anchor + s * self.direction
 
     def distance(self, z) -> np.ndarray:
         """Unsigned distance from point(s) to the line."""

@@ -97,12 +97,6 @@ class DiscreteMeasure:
             return 0.0
         return float(np.max(_pairwise_distances(self.points)))
 
-    @cached_property
-    def min_spacing(self) -> float:
-        if len(self) < 2:
-            return np.inf
-        return _min_pairwise_distance(self.points)
-
     def distances_from(self, z: complex) -> np.ndarray:
         return np.abs(self.points - z)
 
@@ -111,10 +105,9 @@ class DiscreteMeasure:
         keep = self.distances_from(ball.center) < ball.radius
         return DiscreteMeasure(self.points[keep], self.weights[keep], self.scale)
 
-    def mass_in(self, ball: Ball, closed: bool = False) -> float:
-        d = self.distances_from(ball.center)
-        keep = d <= ball.radius if closed else d < ball.radius
-        return float(self.weights[keep].sum())
+    def mass_in(self, ball: Ball) -> float:
+        """Mass of the open ball."""
+        return float(self.weights[ball.contains(self.points)].sum())
 
     def density(self, ball: Ball) -> float:
         """Mass of the open ball divided by its radius."""

@@ -244,7 +244,6 @@ def sign_scan(
     domain: Ball = Ball(0j, 1.0),
     n_samples: int = 100_000,
     seed: int = 0,
-    refine: bool = True,
 ) -> SignScanResult:
     """Minimum of the pointwise permutation over sampled triples.
 
@@ -252,6 +251,7 @@ def sign_scan(
     (where sign changes concentrate), and the best candidate is polished
     with a derivative-free local search.
     """
+    k = KernelParam(t)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -285,36 +285,39 @@ def sign_scan(
         & (np.abs(z1 - z3) > 1e-12 * r)
         & (np.abs(z2 - z3) > 1e-12 * r)
     )
-    vals = np.where(good, perm_values(KernelParam(t), z1, z2, z3), np.inf)
+    vals = np.where(good, perm_values(k, z1, z2, z3), np.inf)
     best = int(np.argmin(vals))
     best_val = float(vals[best])
     triple = (complex(z1[best]), complex(z2[best]), complex(z3[best]))
 
-    if refine:
+    def objective(v):
+        a = complex(v[0], v[1])
+        b = complex(v[2], v[3])
+        d = complex(v[4], v[5])
+        m = min(abs(a - b), abs(a - d), abs(b - d))
+        if m < 1e-12 * r:
+            return np.inf
+        return perm_pointwise(k, a, b, d)
 
-        def objective(v):
-            a = complex(v[0], v[1])
-            b = complex(v[2], v[3])
-            d = complex(v[4], v[5])
-            m = min(abs(a - b), abs(a - d), abs(b - d))
-            if m < 1e-12 * r:
-                return np.inf
-            return perm_pointwise(KernelParam(t), a, b, d)
-
-        v0 = np.array(
-            [triple[0].real, triple[0].imag, triple[1].real, triple[1].imag,
-             triple[2].real, triple[2].imag]
+    v0 = np.array(
+        [triple[0].real, triple[0].imag, triple[1].real, triple[1].imag,
+         triple[2].real, triple[2].imag]
+    )
+    res = minimize(objective, v0, method="Nelder-Mead",
+                   options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-14})
+    if np.isfinite(res.fun) and res.fun < best_val:
+        best_val = float(res.fun)
+        triple = (
+            complex(res.x[0], res.x[1]),
+            complex(res.x[2], res.x[3]),
+            complex(res.x[4], res.x[5]),
         )
-        res = minimize(objective, v0, method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-14})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            triple = (
-                complex(res.x[0], res.x[1]),
-                complex(res.x[2], res.x[3]),
-                complex(res.x[4], res.x[5]),
-            )
     return SignScanResult(best_val, triple, n_samples)
+
+
+# samples whose limiting-kernel permutation is at most this are left out of
+# the ratio p_0 / p_inf
+_P_INF_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,7 @@ class C1Estimate:
 
 
 def estimate_c1(
-    theta: float, n_samples: int = 20_000, seed: int = 0, p_inf_floor: float = 1e-9
+    theta: float, n_samples: int = 20_000, seed: int = 0
 ) -> C1Estimate:
     """Empirical infimum of p_0 / p_inf over sampled far-from-vertical
     triples.  A scan can only certify an upper bound on the true constant;
@@ -364,7 +367,7 @@ def estimate_c1(
     far = vert_angle(d12) + vert_angle(d13) + vert_angle(d23) >= theta
     p0 = perm_values(K_ZERO, z1, z2, z3)
     pinf = perm_values(K_INF, z1, z2, z3)
-    sel = ok & far & (pinf > p_inf_floor)
+    sel = ok & far & (pinf > _P_INF_FLOOR)
     if not np.any(sel):
         raise ValueError("no admissible far-from-vertical samples found")
     ratio = np.divide(p0, pinf, out=np.full_like(p0, np.inf), where=sel)

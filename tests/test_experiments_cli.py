@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from curvperm.experiments import (
     bilipschitz_experiment,
     cantor_growth,
     corpus,
+    jsonable,
     run,
     t0_bracket,
 )
@@ -184,9 +187,91 @@ class TestCli:
     def test_eps_zero_rejected_by_sio_and_mv_check(self):
         for cmd in ("sio", "mv-check"):
             res = self.run_cli(cmd, "--measure", "segment:n=16", "--eps", "0")
-            assert res.returncode != 0
+            assert res.returncode == 2
             assert "--eps must be positive" in res.stderr
 
     def test_bad_measure(self):
         res = self.run_cli("perm", "--measure", "nonsense:n=2")
-        assert res.returncode != 0
+        assert res.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ("lattice", "--measure", "segment:n=8", "--params", "{bad"),
+        ("lattice", "--measure", "segment:n=8", "--params", '{"bogus": 1}'),
+        ("corona", "--measure", "segment:n=8", "--params", '{"tau": 2}'),
+        ("graph-fit", "--measure", "segment:n=8", "--params", "[1]"),
+        ("verify", "--criteria", "99"),
+        ("verify", "--criteria", "x"),
+        ("perm", "--measure", "segment:n=8", "--t", "abc"),
+        ("perm", "--measure", "segment:n=8", "--t", "nan"),
+        ("scan-sign", "--t", "nan"),
+        ("perm", "--measure", "segment:n"),
+        ("curv", "--measure", "segment:n=8", "--workers", "0"),
+    ])
+    def test_rejected_argument_exits_2(self, args):
+        res = self.run_cli(*args)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"curvperm {args[0]}: ")
+        assert res.stdout == ""
+
+    def test_out_onto_a_file_is_rejected(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        res = self.run_cli("curv", "--measure", "segment:n=4", "--out", str(taken))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("curvperm curv: ")
+
+    def test_rejection_names_the_culprit(self):
+        assert "no criterion 99" in self.run_cli("verify", "--criteria", "4,99").stderr
+        res = self.run_cli("lattice", "--measure", "segment:n=8",
+                           "--params", '{"bogus": 1}')
+        assert "keys among" in res.stderr and "tau" in res.stderr
+
+    def test_failed_invariant_exits_1(self, monkeypatch, capsys):
+        from curvperm import cli
+        from curvperm.experiments import Report
+
+        monkeypatch.setattr(cli, "run", lambda spec: Report(
+            spec.to_dict(), {"value": 0.5}, {"held": False}, 0.0))
+        assert cli.main(["t0-bracket"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"value": 0.5}
+
+    def test_csv_format(self):
+        flat = self.run_cli("perm", "--measure", "cantor4:level=1",
+                            "--format", "csv")
+        assert flat.returncode == 0
+        rows = dict(csv.reader(io.StringIO(flat.stdout)))
+        data = json.loads(self.run_cli("perm", "--measure",
+                                       "cantor4:level=1").stdout)
+        trunc = data.pop("truncation")
+        assert rows == {**{k: str(v) for k, v in data.items()},
+                        **{f"truncation.{k}": str(v) for k, v in trunc.items()}}
+        nested = self.run_cli("c1-estimate", "--theta", "0.4", "--samples",
+                              "4000", "--format", "csv")
+        keys = [row[0] for row in csv.reader(io.StringIO(nested.stdout))]
+        assert keys == sorted(keys)
+        assert {"witness.0.0", "witness.2.1", "estimate"} <= set(keys)
+
+    def test_t0_bracket_command(self):
+        res = self.run_cli("t0-bracket")
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert set(data["rows"]) == set(corpus())
+        assert data["max_perm_ratio"] == max(
+            r["perm_ratio"] for r in data["rows"].values())
+
+    def test_bilip_command(self):
+        res = self.run_cli("bilip", "--measure", "cantor4:level=2")
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert [r["L"] for r in data["rows"]] == [1.1, 1.2, 1.5]
+        assert data["isometry_rel_err"] <= 1e-12
+
+    def test_c1_payload_is_experiment_records(self):
+        res = self.run_cli("c1-estimate", "--theta", "0.4", "--samples", "4000",
+                           "--seed", "3")
+        rep = run(ExperimentSpec("c1-estimate", seed=3, n_samples=4000,
+                                 options={"theta": 0.4}))
+        assert json.loads(res.stdout) == json.loads(
+            json.dumps(rep.records, default=jsonable))

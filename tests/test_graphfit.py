@@ -9,8 +9,6 @@ from curvperm.graphfit import (
     balanced_ball_test,
     beta2,
     build_lipschitz_F,
-    d_function,
-    D_function,
     graph_closeness_report,
     partition_of_unity,
     whitney_cover,
@@ -93,7 +91,7 @@ class TestDistanceFunctions:
             if not singles:
                 continue
             atom = mu.points[lat.cubes[singles[0]].members[0]]
-            assert d_function(atom, lat, tree.dbtree_ids) == pytest.approx(0.0)
+            assert DistanceField(lat, tree.dbtree_ids).d(atom) == pytest.approx(0.0)
             checked = True
         assert checked
 
@@ -101,7 +99,7 @@ class TestDistanceFunctions:
         mu = generate("segment", n=16)
         lat = build(mu)
         far = 100 + 100j
-        val = d_function(far, lat, [lat.root.id])
+        val = DistanceField(lat, [lat.root.id]).d(far)
         expect = float(np.min(np.abs(mu.points - far))) + lat.set_diameter(0)
         assert val == pytest.approx(expect)
 
@@ -119,7 +117,7 @@ class TestDistanceFunctions:
                 small = q.id
         assert big is not None and small is not None
         z = 2.2 + 0j
-        val = d_function(z, lat, [big, small])
+        val = DistanceField(lat, [big, small]).d(z)
         d_small = abs(3 - 2.2)  # diam 0
         d_big = abs(1.05 - 2.2) + lat.set_diameter(big)
         assert val == pytest.approx(min(d_small, d_big)) == pytest.approx(d_small)
@@ -131,9 +129,10 @@ class TestDistanceFunctions:
         line = line_from_angle(0j, 0.1)
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 1, 40) + 1j * rng.uniform(-0.2, 0.4, 40)
-        d_vals = np.atleast_1d(d_function(pts, lat, tree.dbtree_ids))
+        field = DistanceField(lat, tree.dbtree_ids)
+        d_vals = np.atleast_1d(field.d(pts))
         u = line.project(pts)
-        big_d = np.atleast_1d(D_function(u, line, lat, tree.dbtree_ids))
+        big_d = np.atleast_1d(field.project(line).value(u))
         assert np.all(big_d <= d_vals + 1e-12)
 
     def test_interval_infimum_exact(self, graph_setup):

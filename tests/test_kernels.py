@@ -53,7 +53,7 @@ class TestKernelEval:
 
     def test_vectorized_fill(self):
         z = np.array([0j, 1 + 0j])
-        out = kernel_values(K_ZERO, z, fill=0.0)
+        out = kernel_values(K_ZERO, z)
         assert out[0] == 0.0 and out[1] == 1.0
 
 
