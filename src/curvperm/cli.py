@@ -319,6 +319,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line rejections; subparsers inherit it, their prog names the command."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -326,7 +333,7 @@ def main(argv=None) -> int:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--workers", type=int, default=1)
 
-    ap = argparse.ArgumentParser(prog="curvperm")
+    ap = _Parser(prog="curvperm")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (handler, takes_measure, extra) in COMMANDS.items():
         # argparse lists a subcommand under its commands only when given help

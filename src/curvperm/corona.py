@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 LABELS = ("HD", "LD", "UB", "BP", "BS", "F")
+K_MAX = 64  # generations of trees build_top grows at most
 
 
 @dataclass(frozen=True)
@@ -451,16 +452,16 @@ def build_top(
     lattice: Lattice,
     mu: DiscreteMeasure,
     params: Params,
-    k_max: int = 64,
 ) -> CoronaDecomposition:
-    """Iterate tree building from the root until no replacements remain."""
+    """Iterate tree building from the root until no replacements remain,
+    for at most ``K_MAX`` generations."""
     root = lattice.root
     if not root.doubling:
         raise ValueError("the support cube is not doubling")
     generations = [[root.id]]
     trees: dict[int, TreeDecomposition] = {}
     seen = {root.id}
-    for _ in range(k_max):
+    for _ in range(K_MAX):
         nxt: list[int] = []
         for rid in generations[-1]:
             tree = build_tree(lattice, mu, rid, params)

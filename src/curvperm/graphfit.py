@@ -83,28 +83,23 @@ def beta2(mu: DiscreteMeasure, ball: Ball) -> BetaResult:
 
 class DistanceField:
     """Pooled (point, diameter) pairs of a cube family, for fast infima of
-    distance-to-cube plus cube-diameter, in the plane and on a line."""
+    distance-to-cube plus cube-diameter, in the plane and on a line.
+
+    The per-cube table is in family order: ``diameters`` holds each cube's
+    diameter and ``starts`` the offset of its atoms in the pooled points."""
 
     def __init__(self, lattice: Lattice, cube_ids):
         cube_ids = list(cube_ids)
         if not cube_ids:
             raise ValueError("empty cube family")
-        pts = []
-        offs = []
-        for qid in cube_ids:
-            members = lattice.cubes[qid].members
-            diam = lattice.set_diameter(qid)
-            pts.append(lattice.mu.points[members])
-            offs.append(np.full(members.size, diam))
-        self.points = np.concatenate(pts)
-        self.offsets = np.concatenate(offs)
+        members = [lattice.cubes[qid].members for qid in cube_ids]
+        sizes = np.array([m.size for m in members])
         self.cube_ids = cube_ids
-        self._slices = []
-        pos = 0
-        for qid in cube_ids:
-            n = lattice.cubes[qid].members.size
-            self._slices.append((qid, pos, pos + n))
-            pos += n
+        self.index = {qid: i for i, qid in enumerate(cube_ids)}
+        self.diameters = np.array([lattice.set_diameter(qid) for qid in cube_ids])
+        self.starts = np.cumsum(sizes) - sizes
+        self.points = lattice.mu.points[np.concatenate(members)]
+        self.offsets = np.repeat(self.diameters, sizes)
 
     def d(self, z) -> np.ndarray:
         """Infimum of dist(z, cube) + diam(cube) over the family."""
@@ -115,17 +110,17 @@ class DistanceField:
         return out if out.size > 1 else out[0]
 
     def project(self, line: Line) -> "ProjectedField":
-        return ProjectedField(line.project(self.points), self.offsets, self._slices)
+        return ProjectedField(line.project(self.points), self.offsets, self.starts)
 
 
 class ProjectedField:
     """On-line version of the distance field; infima over intervals are
     exact because each contribution is 1-Lipschitz and piecewise linear."""
 
-    def __init__(self, coords: np.ndarray, offsets: np.ndarray, slices):
+    def __init__(self, coords: np.ndarray, offsets: np.ndarray, starts: np.ndarray):
         self.coords = coords
         self.offsets = offsets
-        self._slices = slices
+        self.starts = starts
 
     def value(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -134,18 +129,17 @@ class ProjectedField:
         )
         return out if out.size > 1 else out[0]
 
-    def inf_on(self, lo: float, hi: float) -> float:
+    def _costs(self, lo: float, hi: float) -> np.ndarray:
         gap = np.maximum(0.0, np.maximum(lo - self.coords, self.coords - hi))
-        return float(np.min(gap + self.offsets))
+        return gap + self.offsets
 
-    def cube_cost(self, qid: int, lo: float, hi: float) -> float:
-        """Distance of one cube's projection to [lo, hi] plus its diameter."""
-        for cid, a, b in self._slices:
-            if cid == qid:
-                c = self.coords[a:b]
-                gap = np.maximum(0.0, np.maximum(lo - c, c - hi))
-                return float(np.min(gap + self.offsets[a:b]))
-        raise KeyError(qid)
+    def inf_on(self, lo: float, hi: float) -> float:
+        return float(np.min(self._costs(lo, hi)))
+
+    def cube_costs(self, lo: float, hi: float) -> np.ndarray:
+        """Each cube's distance of projection to [lo, hi] plus its diameter,
+        in family order."""
+        return np.minimum.reduceat(self._costs(lo, hi), self.starts)
 
 
 @dataclass
@@ -170,38 +164,19 @@ class WhitneyCover:
 
 
 def _select_cube(
-    proj: ProjectedField,
-    lattice: Lattice,
-    dbtree_ids: list[int],
-    dbtree_set: set[int],
-    lo: float,
-    hi: float,
-    length: float,
+    field: DistanceField, proj: ProjectedField, lattice: Lattice, lo: float, hi: float
 ) -> int:
     """Cube nearly attaining the interval's distance infimum, promoted to a
     doubling tree ancestor when its diameter is small next to the interval."""
-    target = 2.0 * proj.inf_on(lo, hi)
-    pick = None
-    for qid in dbtree_ids:
-        if proj.cube_cost(qid, lo, hi) <= target:
-            pick = qid
+    costs = proj.cube_costs(lo, hi)
+    pick = int(np.argmax(costs <= 2.0 * costs.min()))
+    while field.diameters[pick] < hi - lo:
+        parent = lattice.cubes[field.cube_ids[pick]].parent
+        try:  # ValueError: no doubling ancestor; KeyError: it is not in the family
+            pick = field.index[first_doubling_ancestor(lattice, parent)]
+        except (ValueError, KeyError):
             break
-    if pick is None:
-        pick = dbtree_ids[0]
-    while lattice.set_diameter(pick) < length:
-        parent = lattice.cubes[pick].parent
-        if parent is None:
-            break
-        try:
-            anc = first_doubling_ancestor(lattice, parent)
-        except ValueError:
-            break
-        if anc not in dbtree_set:
-            break
-        pick = anc
-        if lattice.set_diameter(pick) >= length:
-            break
-    return pick
+    return field.cube_ids[pick]
 
 
 def whitney_cover(
@@ -217,12 +192,13 @@ def whitney_cover(
     dbtree_ids = sorted(dbtree_ids, key=lambda q: (lattice.cubes[q].level, q))
     if not dbtree_ids:
         raise ValueError("empty doubling tree")
-    dbtree_set = set(dbtree_ids)
     field = DistanceField(lattice, dbtree_ids)
     proj = field.project(line)
     root = lattice.cubes[root_id]
     members = root.members
-    diam = max(lattice.set_diameter(root_id), mu.scale)
+    i = field.index.get(root_id)
+    root_diam = lattice.set_diameter(root_id) if i is None else float(field.diameters[i])
+    diam = max(root_diam, mu.scale)
     dists = line.distance(mu.points[members])
     x0 = mu.points[members[int(np.argmin(dists))]]
     u0 = float(line.project(x0))
@@ -257,14 +233,17 @@ def whitney_cover(
     in_window = (hi > u0 - window) & (lo < u0 + window)
     cube_of: list[int | None] = []
     coeffs: list[tuple[float, float] | None] = []
+    fits: dict[int, BetaResult] = {}
     for a, b, flag in zip(lo, hi, in_window):
         if not flag:
             cube_of.append(None)
             coeffs.append(None)
             continue
-        qid = _select_cube(proj, lattice, dbtree_ids, dbtree_set, a, b, b - a)
+        qid = _select_cube(field, proj, lattice, a, b)
         cube_of.append(qid)
-        best = beta2(mu, lattice.big_ball(qid, 2.0))
+        if qid not in fits:
+            fits[qid] = beta2(mu, lattice.big_ball(qid, 2.0))
+        best = fits[qid]
         du = (best.line.direction * np.conj(line.direction)).real
         dv = (best.line.direction * np.conj(line.direction)).imag
         if abs(du) < 1e-9:

@@ -232,6 +232,10 @@ def _triangle_wave(x: np.ndarray, teeth: int) -> np.ndarray:
     return np.minimum(u, p - u)
 
 
+_RECIPE_KEYS = {"segment": ("n", "start", "end"), "lipschitz_graph": ("n", "slope", "teeth"),
+                "circle": ("n", "radius", "center"), "cantor4": ("level",)}
+
+
 def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
     """Deterministic test-measure generators.
 
@@ -242,8 +246,13 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
       circle(n, radius, center)       equally spaced atoms, mass = circumference
       cantor4(level)                  4^n atoms of weight 4^-n at the level-n
                                        quarter-corner Cantor square centers
-      perturbed(base, amplitude, ...) seeded jitter applied to a base kind
+      perturbed(base, amplitude, ...) seeded jitter applied to a base kind,
+                                       which takes the other keys
     """
+    for key in params:
+        if key not in _RECIPE_KEYS.get(kind, (key,)):
+            raise ValueError(f"{kind} takes no key {key!r}; it takes "
+                             f"{', '.join(_RECIPE_KEYS[kind])}")
     rng = np.random.default_rng(seed)
     if kind == "segment":
         n = int(params.get("n", 100))

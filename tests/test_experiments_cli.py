@@ -206,6 +206,12 @@ class TestCli:
         ("scan-sign", "--t", "nan"),
         ("perm", "--measure", "segment:n"),
         ("curv", "--measure", "segment:n=8", "--workers", "0"),
+        ("perm", "--measure", "segment:bogus=1,n=4"),
+        ("scan-sign", "--t", "abc"),
+        ("scan-sign",),
+        ("curv", "--measure", "segment:n=8", "--workers", "x"),
+        ("scan-sign", "--t", "-0.5", "--samples", "x"),
+        ("cantor-growth", "--n-max", "x"),
     ])
     def test_rejected_argument_exits_2(self, args):
         res = self.run_cli(*args)

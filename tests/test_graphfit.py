@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from curvperm import graphfit
 from curvperm.corona import Params, build_top, build_tree
 from curvperm.graphfit import (
     DistanceField,
@@ -11,6 +13,7 @@ from curvperm.graphfit import (
     build_lipschitz_F,
     graph_closeness_report,
     partition_of_unity,
+    _select_cube,
     whitney_cover,
 )
 from curvperm.kernels import line_from_angle
@@ -149,6 +152,101 @@ class TestDistanceFunctions:
             dense = float(np.min(proj.value(np.linspace(lo, hi, 2000))))
             assert exact <= dense + 1e-12
             assert dense - exact <= (hi - lo) / 1999 + 1e-12
+
+
+class TestCubeTable:
+    @staticmethod
+    def _costs(lat, ids, line, lo, hi):
+        """Per-cube brute force: distance of the projected atoms to [lo, hi]
+        plus the cube's diameter."""
+        out = []
+        for qid in ids:
+            u = line.project(lat.mu.points[lat.cubes[qid].members])
+            gap = np.maximum(0.0, np.maximum(lo - u, u - hi))
+            out.append(float(np.min(gap + lat.set_diameter(qid))))
+        return out
+
+    @staticmethod
+    def _family(graph_setup):
+        """Every doubling cube, root first: a cover over this family picks
+        about 40 distinct cubes, where a corona tree's picks only one."""
+        lat = graph_setup[1]
+        return sorted((q.id for q in lat.cubes if q.doubling),
+                      key=lambda q: (lat.cubes[q].level, q))
+
+    def test_table_holds_each_cube(self, graph_setup):
+        mu, lat, _ = graph_setup
+        ids = self._family(graph_setup)
+        field = DistanceField(lat, ids)
+        for i, qid in enumerate(ids):
+            members = lat.cubes[qid].members
+            a = field.starts[i]
+            assert field.diameters[i] == lat.set_diameter(qid)
+            assert np.array_equal(field.points[a:a + members.size], mu.points[members])
+            assert np.all(field.offsets[a:a + members.size] == field.diameters[i])
+        assert field.points.size == sum(lat.cubes[q].members.size for q in ids)
+
+    def test_cube_costs_match_per_cube_loop(self, graph_setup):
+        _, lat, _ = graph_setup
+        ids = self._family(graph_setup)
+        line = line_from_angle(0.1j, 0.15)
+        proj = DistanceField(lat, ids).project(line)
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            lo = rng.uniform(-0.5, 1.2)
+            hi = lo + 10.0 ** rng.uniform(-4, 0)
+            costs = proj.cube_costs(lo, hi)
+            assert costs.tolist() == self._costs(lat, ids, line, lo, hi)
+            assert costs.min() == proj.inf_on(lo, hi)
+
+    def test_select_cube_matches_oracle(self, graph_setup):
+        _, lat, _ = graph_setup
+        ids = self._family(graph_setup)
+        line = line_from_angle(0j, 0.05)
+        field = DistanceField(lat, ids)
+        proj = field.project(line)
+        rng = np.random.default_rng(11)
+        promoted = 0
+        for _ in range(60):
+            lo = rng.uniform(-0.2, 1.2)
+            hi = lo + 10.0 ** rng.uniform(-3, 0)
+            costs = self._costs(lat, ids, line, lo, hi)
+            first = pick = ids[next(i for i, c in enumerate(costs)
+                                    if c <= 2 * min(costs))]
+            while lat.set_diameter(pick) < hi - lo:
+                anc = lat.cubes[pick].parent
+                while anc is not None and not lat.cubes[anc].doubling:
+                    anc = lat.cubes[anc].parent
+                if anc not in ids:
+                    break
+                pick = anc
+            promoted += pick != first
+            assert _select_cube(field, proj, lat, lo, hi) == pick
+        assert promoted
+
+    def test_one_fit_and_one_diameter_per_cube(self, graph_setup, monkeypatch):
+        mu, lat, _ = graph_setup
+        ids = self._family(graph_setup)
+        fits, diameters = Counter(), Counter()
+        beta2_, set_diameter = graphfit.beta2, lat.set_diameter
+
+        def count_beta2(mu, ball):
+            fits[ball] += 1
+            return beta2_(mu, ball)
+
+        def count_diameter(qid):
+            diameters[qid] += 1
+            return set_diameter(qid)
+
+        monkeypatch.setattr(graphfit, "beta2", count_beta2)
+        monkeypatch.setattr(lat, "set_diameter", count_diameter)
+        line = beta2_(mu, lat.big_ball(ids[0], 2.0)).line
+        cover = whitney_cover(lat, mu, ids[0], ids, line)
+        used = [q for q in cover.cube_of if q is not None]
+        assert len(used) > len(set(used))
+        assert sum(fits.values()) == len(set(used))
+        assert set(fits.values()) == {1}
+        assert set(diameters) <= set(ids) and set(diameters.values()) == {1}
 
 
 class TestWhitney:

@@ -207,6 +207,22 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate("cantor4", level=-1)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("segment", {"N": 8}, "N"),
+        ("lipschitz_graph", {"n": 16, "slopes": 0.1}, "slopes"),
+        ("circle", {"level": 2}, "level"),
+        ("cantor4", {"n": 16}, "n"),
+        ("perturbed", {"base": "circle", "n": 16, "bogus": 1}, "bogus"),
+    ])
+    def test_unknown_key_is_named(self, kind, params, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            generate(kind, **params)
+
+    def test_perturbed_passes_keys_to_its_base(self):
+        mu = generate("perturbed", base="circle", n=16, radius=2.0, amplitude=1e-4)
+        assert len(mu) == 16
+        assert np.allclose(np.abs(mu.points), 2.0, atol=1e-3)
+
 
 class TestPushforward:
     def test_identity(self):
