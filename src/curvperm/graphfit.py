@@ -94,6 +94,7 @@ class DistanceField:
             raise ValueError("empty cube family")
         members = [lattice.cubes[qid].members for qid in cube_ids]
         sizes = np.array([m.size for m in members])
+        self.lattice = lattice
         self.cube_ids = cube_ids
         self.index = {qid: i for i, qid in enumerate(cube_ids)}
         self.diameters = np.array([lattice.set_diameter(qid) for qid in cube_ids])
@@ -108,6 +109,11 @@ class DistanceField:
             np.abs(z[:, None] - self.points[None, :]) + self.offsets[None, :], axis=1
         )
         return out if out.size > 1 else out[0]
+
+    def diameter(self, qid: int) -> float:
+        """A cube's diameter, from the table when the cube is in the family."""
+        i = self.index.get(qid)
+        return self.lattice.set_diameter(qid) if i is None else float(self.diameters[i])
 
     def project(self, line: Line) -> "ProjectedField":
         return ProjectedField(line.project(self.points), self.offsets, self.starts)
@@ -189,16 +195,26 @@ def whitney_cover(
     """Maximal dyadic intervals ``J`` (anchored at the projected base point)
     with ``len(J) <= inf_J D / 20``, each carrying the best line of a cube
     that nearly attains the infimum."""
+    field = _tree_field(lattice, dbtree_ids)
+    return _whitney_cover(field, mu, root_id, line, max(field.diameter(root_id), mu.scale))
+
+
+def _tree_field(lattice: Lattice, dbtree_ids) -> DistanceField:
+    """The distance field of a doubling tree, its cubes coarsest first."""
     dbtree_ids = sorted(dbtree_ids, key=lambda q: (lattice.cubes[q].level, q))
     if not dbtree_ids:
         raise ValueError("empty doubling tree")
-    field = DistanceField(lattice, dbtree_ids)
+    return DistanceField(lattice, dbtree_ids)
+
+
+def _whitney_cover(
+    field: DistanceField, mu: DiscreteMeasure, root_id: int, line: Line, diam: float
+) -> WhitneyCover:
+    """``whitney_cover`` over a tree's field; ``diam`` is the root's diameter,
+    at least the scale."""
+    lattice = field.lattice
     proj = field.project(line)
-    root = lattice.cubes[root_id]
-    members = root.members
-    i = field.index.get(root_id)
-    root_diam = lattice.set_diameter(root_id) if i is None else float(field.diameters[i])
-    diam = max(root_diam, mu.scale)
+    members = lattice.cubes[root_id].members
     dists = line.distance(mu.points[members])
     x0 = mu.points[members[int(np.argmin(dists))]]
     u0 = float(line.project(x0))
@@ -340,21 +356,21 @@ def build_lipschitz_F(
     With an empty doubling tree the function is identically zero and its
     graph is the base line itself.
     """
-    best = beta2(mu, lattice.big_ball(root_id, 2.0))
-    line = best.line
-    root = lattice.cubes[root_id]
-    diam = max(lattice.set_diameter(root_id), mu.scale)
+    line = beta2(mu, lattice.big_ball(root_id, 2.0)).line
+    member_pts = mu.points[lattice.cubes[root_id].members]
     dbtree_ids = list(dbtree_ids)
-    member_pts = mu.points[root.members]
     if not dbtree_ids:
+        diam = max(lattice.set_diameter(root_id), mu.scale)
         u_flat = float(np.median(line.project(member_pts)))
         g = LipschitzGraph(line, u_flat, diam, None, np.zeros(0), np.zeros(0))
         g.sample_u = np.linspace(u_flat - 12 * diam, u_flat + 12 * diam, n_samples)
         g.sample_v = np.zeros(n_samples)
         return g
 
-    cover = whitney_cover(lattice, mu, root_id, dbtree_ids, line)
-    field = DistanceField(lattice, dbtree_ids)
+    # one field serves the cover and the distances at the members
+    field = _tree_field(lattice, dbtree_ids)
+    diam = max(field.diameter(root_id), mu.scale)
+    cover = _whitney_cover(field, mu, root_id, line, diam)
     d_at_members = np.atleast_1d(field.d(member_pts))
     good = d_at_members == 0.0
     interp_u = line.project(member_pts[good])

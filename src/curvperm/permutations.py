@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array, triu
+from scipy.spatial import cKDTree
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
 from .measure import Ball, DiscreteMeasure
-from .reduction import deterministic_sum, parallel_map_chunks
+from .reduction import DEFAULT_CHUNK, deterministic_sum, parallel_map_chunks
 
 __all__ = [
     "TripleIntegralResult",
@@ -127,6 +129,90 @@ def _row_sums(
     return parallel_map_chunks(chunk_values, len(p1), workers=workers), counts
 
 
+def _leg_pairs(pa: np.ndarray, pb: np.ndarray, lo: float):
+    """The pairs of ``pa x pb`` closer than ``lo`` as a sparse 0/1 matrix,
+    or, where those are the majority, the admissible pairs; the flag is
+    True in the second case.
+
+    Near pairs come from a KD-tree at a slightly inflated radius and are
+    then filtered with the admissibility predicate itself, so ties at the
+    cutoff fall on the same side as in the dense core."""
+    ta, tb = (cKDTree(np.column_stack([p.real, p.imag])) for p in (pa, pb))
+    radius = lo * (1.0 + 1e-9)
+    admissible = 2 * ta.count_neighbors(tb, radius) > len(pa) * len(pb)
+    if admissible:
+        starts = range(0, len(pa), DEFAULT_CHUNK)
+        hits = [np.nonzero(np.abs(pa[a : a + DEFAULT_CHUNK, None] - pb[None, :]) >= lo)
+                for a in starts]
+        rows = np.concatenate([r + a for (r, _), a in zip(hits, starts)])
+        cols = np.concatenate([c for _, c in hits])
+    else:
+        found = ta.sparse_distance_matrix(tb, radius, output_type="ndarray")
+        near = np.abs(pa[found["i"]] - pb[found["j"]]) < lo
+        rows, cols = found["i"][near], found["j"][near]
+    data = np.ones(len(rows))
+    return csr_array((data, (rows, cols)), shape=(len(pa), len(pb))), admissible
+
+
+def _vertex_sums(
+    k: KernelParam,
+    pv: np.ndarray,
+    mu_a: DiscreteMeasure,
+    mu_b: DiscreteMeasure,
+    lo: float,
+    workers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex point v, ``sum K(v - a) K(v - b) w_a w_b`` over the legs
+    (a, b) of ``mu_a x mu_b`` with all three pairs of (v, a, b) at distance
+    >= ``lo``, and the number of such triples.
+
+    With ``A_v = sum_a K~(v - a) w_a`` and ``B_v`` likewise (``K~`` is the
+    kernel zeroed on inadmissible pairs) the sum is ``A_v B_v - N_v``,
+    where ``N_v`` sums the same products over the near leg pairs
+    (``|a - b| < lo``) by one sparse product.  Where the admissible leg
+    pairs are fewer, they are summed directly instead.  The counts come
+    from the same product on the 0/1 masks; every partial sum is an
+    integer below 2**53, so they are exact.  A vertex without admissible
+    triples gets exactly 0.  Over one leg measure the pair set is
+    symmetric and only its upper triangle is multiplied.  The subtraction
+    rounds relative to the products over all leg pairs admissible to v,
+    near ones included.
+    Cost: O(n^2) for the kernel rows plus O(n min(P, n^2 - P)) for the
+    sparse product, P the number of near leg pairs; memory
+    O(n * chunk + min(P, n^2 - P)).
+    """
+    (pa, wa), (pb, wb) = (mu_a.points, mu_a.weights), (mu_b.points, mu_b.weights)
+    pairs, admissible = _leg_pairs(pa, pb, lo)
+    shared = mu_a is mu_b
+    if shared:  # a symmetric set: keep its strict upper triangle
+        pairs = triu(pairs, k=1, format="csr")
+    counts = np.zeros(len(pv), dtype=np.int64)
+
+    def legs(a: int, b: int, p: np.ndarray, w: np.ndarray):
+        d = pv[a:b, None] - p[None, :]
+        mask = np.abs(d) >= lo
+        return kernel_values(k, d) * np.where(mask, w, 0.0), mask.astype(float)
+
+    def chunk_values(a: int, b: int) -> np.ndarray:
+        ka, ma = legs(a, b, pa, wa)
+        kb, mb = (ka, ma) if shared else legs(a, b, pb, wb)
+        paired = np.vstack([ka, ma]) @ pairs
+        sums = (paired[: b - a] * kb).sum(axis=1)
+        cnt = (paired[b - a :] * mb).sum(axis=1)
+        if shared:
+            # twice the upper triangle, plus the diagonal, which is near
+            sums, cnt = 2.0 * sums, 2.0 * cnt
+            if not admissible:
+                sums, cnt = sums + (ka * ka).sum(axis=1), cnt + ma.sum(axis=1)
+        if not admissible:
+            sums = ka.sum(axis=1) * kb.sum(axis=1) - sums
+            cnt = ma.sum(axis=1) * mb.sum(axis=1) - cnt
+        counts[a:b] = cnt
+        return np.where(cnt > 0, sums, 0.0)
+
+    return parallel_map_chunks(chunk_values, len(pv), workers=workers), counts
+
+
 def perm_measure(
     k: KernelParam,
     mu1: DiscreteMeasure,
@@ -140,6 +226,9 @@ def perm_measure(
 
     ``eps = 0`` keeps every triple of pairwise-distinct positions; for
     ``eps > 0`` each of the three pairwise distances must be >= eps.
+    Each of the three permutation terms is summed at its own vertex by
+    ``_vertex_sums``, in O(n^2 + n min(P, n^2 - P)) time for P near pairs;
+    over one measure the three terms are equal and one is computed.
     ``method="ordered"`` is the reference path: a plain lexicographic
     triple loop with sequential accumulation.
     """
@@ -152,11 +241,18 @@ def perm_measure(
         return _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc)
     if method != "fast":
         raise ValueError(f"unknown method {method!r}")
-    pair = (max(eps, _TINY), math.inf)
-    sums, counts = _row_sums(k, mu1.points, mu2, mu3, (pair, pair, pair), workers)
-    return TripleIntegralResult(
-        deterministic_sum(mu1.weights * sums), int(counts.sum()), trunc
-    )
+    lo = max(eps, _TINY)
+    # term j has its vertex in slot j and its legs in the other two slots;
+    # every term counts the same admissible triples
+    slots = (mu1, mu2, mu3)
+    terms = []
+    for j in range(1 if mu1 is mu2 is mu3 else 3):
+        vertex, legs = slots[j], slots[:j] + slots[j + 1 :]
+        rows, counts = _vertex_sums(k, vertex.points, *legs, lo, workers)
+        terms.append(deterministic_sum(vertex.weights * rows))
+        triples = int(counts.sum())
+    value = 3.0 * terms[0] if len(terms) == 1 else math.fsum(terms)
+    return TripleIntegralResult(value, triples, trunc)
 
 
 def _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc) -> TripleIntegralResult:

@@ -10,6 +10,7 @@ from scratch.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +56,46 @@ def naive_perm_triple(t, points, weights, eps: float = 0.0) -> float:
                 term = perm_term(t, points[i], points[j], points[l])
                 total = total + weights[i] * weights[j] * weights[l] * term
     return total
+
+
+def exact_perm_triple(t, points, weights, eps=0):
+    """Triple sum of the permutation over one measure in exact rationals.
+
+    ``t`` is a rational parameter or None for the reciprocal-modulus
+    kernel; points, weights and ``eps`` are converted exactly.  A triple
+    counts when its three pairwise distances are >= eps and nonzero.
+    Returns the sum, its total variation (the three products summed in
+    absolute value) and the number of triples.
+    """
+    xy = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, points)]
+    w = [Fraction(float(v)) for v in weights]
+    t = None if t is None else Fraction(t)
+    eps2 = Fraction(eps) ** 2
+    n = len(xy)
+    kern = [[None] * n for _ in range(n)]  # None marks an inadmissible pair
+    for i, (xi, yi) in enumerate(xy):
+        for j, (xj, yj) in enumerate(xy):
+            dx, dy = xi - xj, yi - yj
+            r2 = dx * dx + dy * dy
+            if r2 == 0 or r2 < eps2:
+                continue
+            kern[i][j] = dx / r2 if t is None else dx**3 / r2**2 + t * dx / r2
+    value = total = Fraction(0)
+    count = 0
+    for i in range(n):
+        for j in range(n):
+            if kern[i][j] is None:
+                continue
+            for l in range(n):
+                if kern[i][l] is None or kern[j][l] is None:
+                    continue
+                terms = (kern[i][j] * kern[i][l], kern[j][i] * kern[j][l],
+                         kern[l][i] * kern[l][j])
+                wt = w[i] * w[j] * w[l]
+                value += wt * sum(terms)
+                total += wt * sum(abs(a) for a in terms)
+                count += 1
+    return value, total, count
 
 
 def naive_perm_window(t, pts1, w1, pts2, w2, pts3, w3, delta, q_radius) -> float:

@@ -248,6 +248,21 @@ class TestCubeTable:
         assert set(fits.values()) == {1}
         assert set(diameters) <= set(ids) and set(diameters.values()) == {1}
 
+    def test_fit_measures_each_cube_once(self, graph_setup, monkeypatch):
+        # the cover and the distances at the members share one field
+        mu, lat, _ = graph_setup
+        ids = self._family(graph_setup)
+        diameters, set_diameter = Counter(), lat.set_diameter
+
+        def count_diameter(qid):
+            diameters[qid] += 1
+            return set_diameter(qid)
+
+        monkeypatch.setattr(lat, "set_diameter", count_diameter)
+        graph = build_lipschitz_F(lat, mu, ids[0], ids)
+        assert graph.cover is not None and graph.interp_u.size
+        assert set(diameters) <= set(ids) and set(diameters.values()) == {1}
+
 
 class TestWhitney:
     def test_segment_flat_extension(self):

@@ -1,12 +1,15 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from curvperm.kernels import K_INF, K_ZERO, kt
+from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from curvperm.permutations import (
+    _row_sums,
     curvature_squared,
     estimate_c1,
     menger_curvature,
@@ -16,8 +19,10 @@ from curvperm.permutations import (
     perm_truncated_window,
     sign_scan,
 )
+from curvperm.reduction import deterministic_sum
 from oracles import (
     circumradius,
+    exact_perm_triple,
     kernel_t,
     naive_perm_triple,
     naive_perm_window,
@@ -166,6 +171,18 @@ class TestPermMeasure:
         for w in (2, 3, 7):
             assert perm_measure(K_ZERO, mu, workers=w).value == base
 
+    @pytest.mark.parametrize("eps_frac", [0.0, 0.05, 0.6])
+    def test_worker_invariance_across_chunks(self, eps_frac):
+        # 640 atoms span three 256-row chunks; at 0.6 diam most leg pairs
+        # are near and the admissible ones are summed directly
+        mu = generate("perturbed", base="lipschitz_graph", n=640, amplitude=1e-4, seed=5)
+        eps = eps_frac * mu.diameter
+        base = perm_measure(K_ZERO, mu, eps=eps, workers=1)
+        for w in (2, 4):
+            res = perm_measure(K_ZERO, mu, eps=eps, workers=w)
+            assert res.value == base.value
+            assert res.triples_counted == base.triples_counted
+
     def test_truncation_monotonicity(self):
         mu = generate("cantor4", level=2)
         eps = [0.0, 0.05, 0.2, 0.5, 1.0]
@@ -213,6 +230,112 @@ class TestPermMeasure:
                                     complex(m2.points[j]), complex(m3.points[l]))
                     )
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+# a 5 x 4 grid of spacing 1/4 with dyadic weights: many distances tie with
+# the cutoffs 1/4 and 1/2
+_GRID = DiscreteMeasure(
+    [complex(i, j) / 4 for i in range(5) for j in range(4)],
+    [(1 + (i + 2 * j) % 3) / 8 for i in range(5) for j in range(4)],
+    0.25,
+)
+# cantor4 atoms and weights are dyadic; 3/16 and 3/4 are distances of level 2
+_EXACT_CASES = [
+    ("cantor1", generate("cantor4", level=1), 0.0),
+    ("cantor1", generate("cantor4", level=1), 0.75),
+    ("cantor2", generate("cantor4", level=2), 0.0),
+    ("cantor2", generate("cantor4", level=2), 0.1875),
+    ("cantor2", generate("cantor4", level=2), 0.75),
+    ("grid", _GRID, 0.25),
+    ("grid", _GRID, 0.5),
+]
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("t", [None, 0, Fraction(-1, 2)])
+    @pytest.mark.parametrize(
+        "mu, eps", [c[1:] for c in _EXACT_CASES], ids=[f"{c[0]}-{c[2]}" for c in _EXACT_CASES]
+    )
+    def test_forward_error(self, mu, eps, t):
+        exact, total, count = exact_perm_triple(t, mu.points, mu.weights, eps)
+        res = perm_measure(K_INF if t is None else kt(float(t)), mu, eps=eps)
+        assert res.triples_counted == count
+        assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
+
+
+def _total_variation(k, mus, lo):
+    """Sum over the admissible triples of the three permutation products in
+    absolute value."""
+    (p1, w1), (p2, w2), (p3, w3) = ((m.points, m.weights) for m in mus)
+    d12 = p1[:, None, None] - p2[None, :, None]
+    d13 = p1[:, None, None] - p3[None, None, :]
+    d23 = p2[None, :, None] - p3[None, None, :]
+    k12, k13, k23 = (np.abs(kernel_values(k, d)) for d in (d12, d13, d23))
+    adm = (np.abs(d12) >= lo) & (np.abs(d13) >= lo) & (np.abs(d23) >= lo)
+    w = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
+    return float((adm * w * (k12 * k13 + k12 * k23 + k13 * k23)).sum())
+
+
+@st.composite
+def _shared_measures(draw):
+    """Three measures on one dyadic grid that share atoms, and a cutoff
+    drawn from the pairwise distances of their atoms (0 included), so ties
+    occur."""
+    n = draw(st.integers(4, 9))
+    cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=n, max_size=n, unique=True))
+    pts = np.array([complex(x, y) / 4 for x, y in cells])
+    mus = []
+    for _ in range(3):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=n, unique=True))
+        w = draw(st.lists(st.floats(0.1, 2.0), min_size=len(idx), max_size=len(idx)))
+        mus.append(DiscreteMeasure(pts[idx], w, 0.25))
+    # the lower half of the distances: larger cutoffs mostly leave no triple
+    dists = sorted(set(np.abs(pts[:, None] - pts[None, :]).ravel()))
+    eps = draw(st.sampled_from(dists[: len(dists) // 2 + 1]))
+    return mus, float(eps)
+
+
+class TestFactorizedCore:
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_pair_at_the_cutoff(self, inside):
+        # a pair exactly at the cutoff is admissible, one ulp closer it is near
+        mu = generate("perturbed", base="circle", n=24, amplitude=1e-3, seed=3)
+        d = float(np.abs(mu.points[0] - mu.points[1]))
+        eps = float(np.nextafter(d, np.inf)) if inside else d
+        _, counts = _row_sums(K_ZERO, mu.points, mu, mu, ((eps, math.inf),) * 3)
+        assert perm_measure(K_ZERO, mu, eps=eps).triples_counted == int(counts.sum())
+
+    def test_empty_slot(self):
+        mu, empty = generate("cantor4", level=1), DiscreteMeasure([], [], 0.1)
+        for mus in ((empty,), (mu, empty, mu), (mu, mu, empty)):
+            for eps in (0.0, 0.5):
+                res = perm_measure(K_ZERO, *mus, eps=eps)
+                assert res.value == 0.0 and res.triples_counted == 0
+
+    def test_vertex_without_triples_is_zero(self):
+        # every leg pair admissible to a vertex is near: A B and N agree in
+        # exact arithmetic but round apart, and no triple is admissible
+        far = [10 + 0j, 10.1 + 0.03j, 10.05 - 0.07j]
+        near = [0j, 0.1j, 0.07 + 0.02j]
+        mu1 = DiscreteMeasure([0.03 + 0.01j, -0.02 + 0.05j], [0.3, 0.7], 0.01)
+        legs = DiscreteMeasure(far + near, [0.11, 0.23, 0.37, 0.41, 0.53, 0.67], 0.01)
+        for k in (K_INF, K_ZERO, kt(-0.5)):
+            res = perm_measure(k, mu1, legs, legs, eps=1.0)
+            assert res.value == 0.0 and res.triples_counted == 0
+
+    @given(_shared_measures(), st.sampled_from([None, 0.0, -0.5, 1.5]), st.booleans())
+    def test_matches_dense_core(self, case, t, one_measure):
+        mus, eps = case
+        if one_measure:
+            mus = [mus[0]] * 3
+        k = K_INF if t is None else kt(t)
+        lo = max(eps, np.finfo(float).tiny)
+        sums, counts = _row_sums(k, mus[0].points, mus[1], mus[2], ((lo, math.inf),) * 3)
+        res = perm_measure(k, *mus, eps=eps)
+        assert res.triples_counted == int(counts.sum())
+        dense = deterministic_sum(mus[0].weights * sums)
+        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, lo)
 
 
 class TestWindowed:
