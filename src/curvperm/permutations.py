@@ -129,29 +129,24 @@ def _row_sums(
     return parallel_map_chunks(chunk_values, len(p1), workers=workers), counts
 
 
-def _leg_pairs(pa: np.ndarray, pb: np.ndarray, lo: float):
-    """The pairs of ``pa x pb`` closer than ``lo`` as a sparse 0/1 matrix,
-    or, where those are the majority, the admissible pairs; the flag is
-    True in the second case.
+def _near_pairs(pa: np.ndarray, pb: np.ndarray, lo: float) -> csr_array:
+    """The pairs of ``pa x pb`` closer than ``lo``, coincident ones
+    included, as a sparse 0/1 matrix.
 
-    Near pairs come from a KD-tree at a slightly inflated radius and are
+    Candidates come from a KD-tree at a slightly inflated radius and are
     then filtered with the admissibility predicate itself, so ties at the
     cutoff fall on the same side as in the dense core."""
     ta, tb = (cKDTree(np.column_stack([p.real, p.imag])) for p in (pa, pb))
-    radius = lo * (1.0 + 1e-9)
-    admissible = 2 * ta.count_neighbors(tb, radius) > len(pa) * len(pb)
-    if admissible:
-        starts = range(0, len(pa), DEFAULT_CHUNK)
-        hits = [np.nonzero(np.abs(pa[a : a + DEFAULT_CHUNK, None] - pb[None, :]) >= lo)
-                for a in starts]
-        rows = np.concatenate([r + a for (r, _), a in zip(hits, starts)])
-        cols = np.concatenate([c for _, c in hits])
-    else:
-        found = ta.sparse_distance_matrix(tb, radius, output_type="ndarray")
-        near = np.abs(pa[found["i"]] - pb[found["j"]]) < lo
-        rows, cols = found["i"][near], found["j"][near]
-    data = np.ones(len(rows))
-    return csr_array((data, (rows, cols)), shape=(len(pa), len(pb))), admissible
+    found = ta.sparse_distance_matrix(tb, lo * (1.0 + 1e-9), output_type="ndarray")
+    near = np.abs(pa[found["i"]] - pb[found["j"]]) < lo
+    rows, cols = found["i"][near], found["j"][near]
+    return csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(pa), len(pb)))
+
+
+# a vertex whose leg products over every pair admissible to it, near ones
+# included, exceed those over its admissible pairs by more than this factor
+# sums the admissible pairs directly: A B - N would lose too many digits
+_CANCELLATION = 16.0
 
 
 def _vertex_sums(
@@ -169,23 +164,28 @@ def _vertex_sums(
     With ``A_v = sum_a K~(v - a) w_a`` and ``B_v`` likewise (``K~`` is the
     kernel zeroed on inadmissible pairs) the sum is ``A_v B_v - N_v``,
     where ``N_v`` sums the same products over the near leg pairs
-    (``|a - b| < lo``) by one sparse product.  Where the admissible leg
-    pairs are fewer, they are summed directly instead.  The counts come
-    from the same product on the 0/1 masks; every partial sum is an
-    integer below 2**53, so they are exact.  A vertex without admissible
-    triples gets exactly 0.  Over one leg measure the pair set is
-    symmetric and only its upper triangle is multiplied.  The subtraction
-    rounds relative to the products over all leg pairs admissible to v,
-    near ones included.
-    Cost: O(n^2) for the kernel rows plus O(n min(P, n^2 - P)) for the
-    sparse product, P the number of near leg pairs; memory
-    O(n * chunk + min(P, n^2 - P)).
+    (``|a - b| < lo``) by one sparse product.  The counts come from the
+    same product on the 0/1 masks; each entry of that product is an
+    integer below 2**24 and each later sum one below 2**53, so they are
+    exact.  A vertex without admissible triples gets
+    exactly 0.  Over one leg measure the pair set is symmetric and only its
+    upper triangle is multiplied.
+
+    The difference rounds relative to the absolute products over every leg
+    pair admissible to v; the same product on ``|K~ w|`` measures them.
+    Where they exceed the admissible ones by more than ``_CANCELLATION``
+    (heavy near pairs, light admissible ones), the vertex's admissible
+    pairs are summed directly, so every vertex's error stays relative to
+    its own admissible products.
+    Cost: O(n^2 + n P) for P near leg pairs, plus O(n^2) per vertex summed
+    directly; memory O(n * chunk + P).
     """
     (pa, wa), (pb, wb) = (mu_a.points, mu_a.weights), (mu_b.points, mu_b.weights)
-    pairs, admissible = _leg_pairs(pa, pb, lo)
+    pairs = _near_pairs(pa, pb, lo)
     shared = mu_a is mu_b
     if shared:  # a symmetric set: keep its strict upper triangle
         pairs = triu(pairs, k=1, format="csr")
+    pairs32 = pairs.astype(np.float32)
     counts = np.zeros(len(pv), dtype=np.int64)
 
     def legs(a: int, b: int, p: np.ndarray, w: np.ndarray):
@@ -193,20 +193,38 @@ def _vertex_sums(
         mask = np.abs(d) >= lo
         return kernel_values(k, d) * np.where(mask, w, 0.0), mask.astype(float)
 
+    def direct(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+        # sum over the admissible leg pairs, in blocks of first legs
+        out = np.zeros(len(ka))
+        for s in range(0, len(pa), DEFAULT_CHUNK):
+            adm = np.abs(pa[s : s + DEFAULT_CHUNK, None] - pb[None, :]) >= lo
+            out += (ka[:, s : s + DEFAULT_CHUNK] * (kb @ adm.T)).sum(axis=1)
+        return out
+
     def chunk_values(a: int, b: int) -> np.ndarray:
         ka, ma = legs(a, b, pa, wa)
         kb, mb = (ka, ma) if shared else legs(a, b, pb, wb)
-        paired = np.vstack([ka, ma]) @ pairs
-        sums = (paired[: b - a] * kb).sum(axis=1)
-        cnt = (paired[b - a :] * mb).sum(axis=1)
+        m = b - a
+        near = ((ka @ pairs) * kb).sum(axis=1)
+        # the counts and the absolute products, which only decide the
+        # cancellation, in single precision at half the cost; rows are
+        # scaled into [0, 1] first so that none overflows
+        scale = np.abs(ka).max(axis=1, initial=0.0)
+        unit = np.abs(ka) / np.where(scale > 0, scale, 1.0)[:, None]
+        paired = np.vstack([unit, ma]).astype(np.float32) @ pairs32
+        near_abs = scale * (paired[:m] * np.abs(kb)).sum(axis=1)
+        cnt = (paired[m:] * mb).sum(axis=1)
         if shared:
             # twice the upper triangle, plus the diagonal, which is near
-            sums, cnt = 2.0 * sums, 2.0 * cnt
-            if not admissible:
-                sums, cnt = sums + (ka * ka).sum(axis=1), cnt + ma.sum(axis=1)
-        if not admissible:
-            sums = ka.sum(axis=1) * kb.sum(axis=1) - sums
-            cnt = ma.sum(axis=1) * mb.sum(axis=1) - cnt
+            diag = (ka * ka).sum(axis=1)
+            near, near_abs = 2.0 * near + diag, 2.0 * near_abs + diag
+            cnt = 2.0 * cnt + ma.sum(axis=1)
+        sums = ka.sum(axis=1) * kb.sum(axis=1) - near
+        cnt = ma.sum(axis=1) * mb.sum(axis=1) - cnt
+        full = np.abs(ka).sum(axis=1) * np.abs(kb).sum(axis=1)
+        lossy = np.flatnonzero((cnt > 0) & (_CANCELLATION * (full - near_abs) < full))
+        if len(lossy):
+            sums[lossy] = direct(ka[lossy], kb[lossy])
         counts[a:b] = cnt
         return np.where(cnt > 0, sums, 0.0)
 
@@ -227,8 +245,8 @@ def perm_measure(
     ``eps = 0`` keeps every triple of pairwise-distinct positions; for
     ``eps > 0`` each of the three pairwise distances must be >= eps.
     Each of the three permutation terms is summed at its own vertex by
-    ``_vertex_sums``, in O(n^2 + n min(P, n^2 - P)) time for P near pairs;
-    over one measure the three terms are equal and one is computed.
+    ``_vertex_sums``, in O(n^2 + n P) time for P near pairs; over one
+    measure the three terms are equal and one is computed.
     ``method="ordered"`` is the reference path: a plain lexicographic
     triple loop with sequential accumulation.
     """

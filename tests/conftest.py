@@ -2,11 +2,3 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-from hypothesis import settings
-
-# property tests draw the same examples on every run and write no database
-settings.register_profile(
-    "deterministic", derandomize=True, deadline=None, max_examples=150, database=None
-)
-settings.load_profile("deterministic")
