@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -144,22 +145,47 @@ class TreeDecomposition:
         return sorted(q for q, v in self.stop.items() if v.label == label)
 
 
-# slot-one atoms per block of the windowed sums: bounds the temporaries to
-# _ROW_BLOCK x m floats for an engine of m atoms
+# rows per block of the kernel matrix and of the windowed sums: bounds the
+# temporaries to _ROW_BLOCK x m values for m atoms
 _ROW_BLOCK = 64
+
+
+def _root_atoms(lattice: Lattice, mu: DiscreteMeasure, root_id: int) -> np.ndarray:
+    """Indices of the atoms in the root's doubled companion ball."""
+    return np.flatnonzero(lattice.big_ball(root_id, 2.0).contains(mu.points))
+
+
+def _flat_kernel(pts: np.ndarray) -> np.ndarray:
+    """The K_0 matrix of a point set, _ROW_BLOCK rows at a time so that no
+    m x m temporary is made.  Each entry is evaluated on its own, so a
+    block of the matrix equals the matrix of the block's points bit for
+    bit."""
+    out = np.empty((pts.size, pts.size))
+    for start in range(0, pts.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = kernel_values(K_ZERO, pts[rows, None] - pts[None, :])
+    return out
 
 
 class _PermEngine:
     """Windowed permutation sums of one tree, against the root's doubled
-    companion ball, via precomputed kernel matrices."""
+    companion ball, via precomputed kernel matrices.
 
-    def __init__(self, lattice: Lattice, mu: DiscreteMeasure, root_id: int):
-        self.sub = np.flatnonzero(lattice.big_ball(root_id, 2.0).contains(mu.points))
-        self.pts = mu.points[self.sub]
-        self.w = mu.weights[self.sub]
-        self.c = kernel_values(K_ZERO, self.pts[:, None] - self.pts[None, :])
-        self.cw = self.c @ self.w
-        self.g = self.c @ (self.w[:, None] * self.c)
+    ``c`` is the K_0 matrix of the atoms ``sub``.  K_0 is odd, so ``c`` is
+    exactly antisymmetric and its column j is ``-c[j]``.  ``C W C`` is not
+    bit-symmetric, so its transpose is stored to read columns as rows.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, sub: np.ndarray, c: np.ndarray):
+        self.sub = sub
+        self.pts = mu.points[sub]
+        self.w = mu.weights[sub]
+        self.c = c
+        self.cw = c @ self.w
+        wc = self.w[:, None] * c
+        g = c @ wc
+        del wc  # freed before the transposed copy, g after it
+        self.g_t = np.ascontiguousarray(g.T)
 
     def point_sums(self, atoms: np.ndarray, q_radius: float,
                    delta: float) -> np.ndarray:
@@ -179,18 +205,16 @@ class _PermEngine:
         for start in range(0, rows.size, _ROW_BLOCK):
             j = rows[start:start + _ROW_BLOCK]
             dist = np.abs(self.pts[j, None] - self.pts[None, :])
-            # columns of C and C W C, copied into C-contiguous rows so each
-            # row reduces like a vector; C W C is not bit-symmetric
-            g_col = np.ascontiguousarray(self.g[:, j].T)
-            c_col = np.ascontiguousarray(self.c[:, j].T)
-            u = self.cw - c_col * w[j, None]
+            c_row = self.c[j]
+            # cw - C[:, j] w_j, with C[:, j] = -C[j]
+            u = self.cw + c_row * w[j, None]
             win = (dist >= lo) & (dist <= hi) & (dist > 0)
-            wc = w * self.c[j]
+            wc = w * c_row
             alpha = np.where(win, wc, 0.0)
             wb = np.where(dist > 0, wc, 0.0)
             t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * wb).sum(axis=1)
             t2 = -(alpha * u).sum(axis=1)
-            t3 = (np.where(win, w, 0.0) * -g_col).sum(axis=1)
+            t3 = (np.where(win, w, 0.0) * -self.g_t[j]).sum(axis=1)
             out[start:start + j.size] = t1 + t2 + t3
         return out
 
@@ -265,7 +289,9 @@ class _TreeBuilder:
         denom = self.theta_density**2 * self.lattice.mass(qid)
         return p / denom if denom > 0 else 0.0
 
-    def build(self) -> TreeDecomposition:
+    def build(self, engine_for: Callable[[np.ndarray], _PermEngine]) -> TreeDecomposition:
+        """Grow and stop the tree; ``engine_for`` maps the root's 2B atoms
+        to the engine of the windowed sums."""
         lat, mu, par = self.lattice, self.mu, self.params
         if lat.cubes[self.root_id].n_members < 2:
             # a point mass has no sub-structure to stop on
@@ -289,7 +315,7 @@ class _TreeBuilder:
                 perm_sq={q: 0.0 for q in chain},
                 dropped_atoms=np.zeros(0, dtype=int),
             )
-        self.engine = _PermEngine(lat, mu, self.root_id)
+        self.engine = engine_for(_root_atoms(lat, mu, self.root_id))
         order = sorted(
             lat.descendants(self.root_id),
             key=lambda q: (lat.cubes[q].level, q),
@@ -434,7 +460,8 @@ def build_tree(
     lattice: Lattice, mu: DiscreteMeasure, root_id: int, params: Params
 ) -> TreeDecomposition:
     """Grow and stop one tree, then derive its replacement generation."""
-    return _TreeBuilder(lattice, mu, root_id, params).build()
+    return _TreeBuilder(lattice, mu, root_id, params).build(
+        lambda sub: _PermEngine(mu, sub, _flat_kernel(mu.points[sub])))
 
 
 @dataclass
@@ -454,17 +481,34 @@ def build_top(
     params: Params,
 ) -> CoronaDecomposition:
     """Iterate tree building from the root until no replacements remain,
-    for at most ``K_MAX`` generations."""
+    for at most ``K_MAX`` generations.
+
+    The K_0 matrix of the whole measure is evaluated once; each engine
+    takes its root's block of it.  Consecutive trees whose roots' 2B hold
+    the same atoms share one engine, and only one engine is alive at a
+    time.
+    """
     root = lattice.root
     if not root.doubling:
         raise ValueError("the support cube is not doubling")
+    kmat = _flat_kernel(mu.points)
+    last: _PermEngine | None = None
+
+    def engine_for(sub: np.ndarray) -> _PermEngine:
+        nonlocal last
+        if last is None or not np.array_equal(last.sub, sub):
+            last = None  # free the old engine before building the next
+            c = kmat if sub.size == len(mu) else kmat[np.ix_(sub, sub)]
+            last = _PermEngine(mu, sub, c)
+        return last
+
     generations = [[root.id]]
     trees: dict[int, TreeDecomposition] = {}
     seen = {root.id}
     for _ in range(K_MAX):
         nxt: list[int] = []
         for rid in generations[-1]:
-            tree = build_tree(lattice, mu, rid, params)
+            tree = _TreeBuilder(lattice, mu, rid, params).build(engine_for)
             trees[rid] = tree
             for q in tree.next_ids:
                 if q not in seen:

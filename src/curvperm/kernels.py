@@ -56,17 +56,40 @@ def kt(t: float) -> KernelParam:
     return KernelParam(float(t))
 
 
+# |z|^4 = r2 * r2 is a normal double exactly when r2 lies in [2^-511, 2^512)
+_R2_LO = 2.0**-511
+_R2_HI = 2.0**512
+
+
+def _kernel_formula(k: KernelParam, x, r2):
+    if k.is_infinite:
+        return x / r2
+    return (x * x * x) / (r2 * r2) + k.t * (x / r2)
+
+
 def kernel_values(k: KernelParam, dz: np.ndarray) -> np.ndarray:
-    """Vectorized kernel on an array of differences; zeros map to 0."""
+    """Vectorized kernel on an array of differences; zeros map to 0.
+
+    Where ``|z|^4`` is not a normal double the formula would underflow or
+    overflow, so those entries are scaled by a power of two first: the
+    kernel is homogeneous of degree -1, and scaling back is exact.  Every
+    other entry is the plain formula.
+    """
     dz = np.asarray(dz, dtype=complex)
     x = dz.real
-    r2 = x * x + dz.imag * dz.imag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if k.is_infinite:
-            out = x / r2
-        else:
-            out = (x * x * x) / (r2 * r2) + k.t * (x / r2)
-    return np.where(r2 == 0.0, 0.0, out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r2 = x * x + dz.imag * dz.imag
+        out = np.asarray(_kernel_formula(k, x, r2))
+        abnormal = r2 < _R2_LO
+        abnormal |= r2 >= _R2_HI
+        odd = np.flatnonzero(abnormal)
+        if odd.size:
+            z = dz.reshape(-1)[odd]
+            _, e = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))
+            xs, ys = np.ldexp(z.real, -e), np.ldexp(z.imag, -e)
+            vals = np.ldexp(_kernel_formula(k, xs, xs * xs + ys * ys), -e)
+            out.reshape(-1)[odd] = np.where(z == 0, 0.0, vals)
+    return out
 
 
 def kernel_eval(k: KernelParam, z: complex) -> float:

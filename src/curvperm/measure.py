@@ -101,9 +101,20 @@ class DiscreteMeasure:
         return np.abs(self.points - z)
 
     def restrict(self, ball: Ball) -> "DiscreteMeasure":
-        """Atoms strictly inside the open ball; weights and scale kept."""
+        """Atoms strictly inside the open ball; weights and scale kept.
+
+        A sub-measure of a valid measure is valid (its atoms are distinct
+        and no closer than the parent's), so it is not checked again.
+        """
         keep = self.distances_from(ball.center) < ball.radius
-        return DiscreteMeasure(self.points[keep], self.weights[keep], self.scale)
+        pts, w = self.points[keep], self.weights[keep]
+        pts.flags.writeable = False
+        w.flags.writeable = False
+        sub = object.__new__(DiscreteMeasure)
+        object.__setattr__(sub, "points", pts)
+        object.__setattr__(sub, "weights", w)
+        object.__setattr__(sub, "scale", self.scale)
+        return sub
 
     def mass_in(self, ball: Ball) -> float:
         """Mass of the open ball."""

@@ -210,3 +210,58 @@ def greedy_net_1d(coords, sep):
 
 def finite_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+class DenseEngine:
+    """The corona's windowed point sums as first written: a fresh K_0
+    matrix of the root's 2B atoms, and the columns of ``C`` and ``C W C``
+    gathered as strided copies."""
+
+    def __init__(self, points, weights, sub):
+        self.sub = sub
+        self.pts = points[sub]
+        self.w = weights[sub]
+        dz = self.pts[:, None] - self.pts[None, :]
+        x = dz.real
+        r2 = x * x + dz.imag * dz.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (x * x * x) / (r2 * r2) + 0.0 * (x / r2)
+        self.c = np.where(r2 == 0.0, 0.0, c)
+        self.cw = self.c @ self.w
+        self.g = self.c @ (self.w[:, None] * self.c)
+
+    def point_sums(self, atoms, q_radius, delta, block=64):
+        rows = np.searchsorted(self.sub, atoms)
+        lo, hi = delta * q_radius, q_radius / delta
+        w = self.w
+        out = np.empty(rows.size)
+        for start in range(0, rows.size, block):
+            j = rows[start:start + block]
+            dist = np.abs(self.pts[j, None] - self.pts[None, :])
+            g_col = np.ascontiguousarray(self.g[:, j].T)
+            c_col = np.ascontiguousarray(self.c[:, j].T)
+            u = self.cw - c_col * w[j, None]
+            win = (dist >= lo) & (dist <= hi) & (dist > 0)
+            wc = w * self.c[j]
+            alpha = np.where(win, wc, 0.0)
+            wb = np.where(dist > 0, wc, 0.0)
+            t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * wb).sum(axis=1)
+            t2 = -(alpha * u).sum(axis=1)
+            t3 = (np.where(win, w, 0.0) * -g_col).sum(axis=1)
+            out[start:start + j.size] = t1 + t2 + t3
+        return out
+
+
+def level_5b_pairs(lattice):
+    """Same-level cube pairs whose 5-fold balls meet, in level order, and
+    the sibling pairs among them: a plain loop over every pair."""
+    level, sibling = [], []
+    for lvl in lattice.levels:
+        for i, a in enumerate(lvl):
+            for b in lvl[i + 1:]:
+                qa, qb = lattice.cubes[a], lattice.cubes[b]
+                if abs(qa.center - qb.center) < 5 * (qa.radius + qb.radius):
+                    level.append((a, b))
+                    if qa.parent == qb.parent:
+                        sibling.append((a, b))
+    return level, sibling

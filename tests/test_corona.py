@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from curvperm import corona
 from curvperm.corona import (
     Params,
+    _flat_kernel,
+    _PermEngine,
+    _root_atoms,
     beta_packing_sum,
     build_top,
     build_tree,
@@ -13,11 +17,19 @@ from curvperm.corona import (
     stop_mass_report,
     theta_r_rule,
 )
+from curvperm.experiments import corona_corpus
 from curvperm.graphfit import beta2
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
 from curvperm.permutations import perm_at_point
 from curvperm.reduction import deterministic_sum
+from oracles import DenseEngine
+
+
+def fresh_engine(lat, mu, rid):
+    """The engine of one root, from a fresh K_0 matrix of its 2B atoms."""
+    sub = _root_atoms(lat, mu, rid)
+    return _PermEngine(mu, sub, _flat_kernel(mu.points[sub]))
 
 
 def make(mu, params=None):
@@ -384,14 +396,13 @@ class TestDepthCappedLattice:
     def test_deep_root_engine_matches_public_op(self):
         # on a deep root the companion-ball restriction of the outer slots
         # matters; the engine must agree with the public windowed integral
-        from curvperm.corona import _PermEngine
         from curvperm.permutations import perm_truncated_window
 
         mu = generate("cantor4", level=3)
         lat, params = make(mu)
         deep = [q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4]
         rid = deep[0]
-        engine = _PermEngine(lat, mu, rid)
+        engine = fresh_engine(lat, mu, rid)
         outer = lat.big_ball(rid, 2.0)
         slot23 = mu.restrict(outer)
         assert len(slot23) < len(mu)  # the restriction is genuine
@@ -409,12 +420,10 @@ class TestDepthCappedLattice:
             assert got == pytest.approx(ref, rel=1e-10, abs=1e-18)
 
     def test_engine_rejects_atoms_outside_root_ball(self):
-        from curvperm.corona import _PermEngine
-
         mu = generate("cantor4", level=3)
         lat, params = make(mu)
         rid = next(q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4)
-        engine = _PermEngine(lat, mu, rid)
+        engine = fresh_engine(lat, mu, rid)
         outside = np.flatnonzero(~lat.big_ball(rid, 2.0).contains(mu.points))
         assert outside.size
         with pytest.raises(ValueError, match="doubled ball"):
@@ -422,6 +431,83 @@ class TestDepthCappedLattice:
         mixed = np.sort(np.concatenate([engine.sub[:2], outside[-1:]]))
         with pytest.raises(ValueError, match="doubled ball"):
             engine.point_sums(mixed, lat.cubes[rid].radius, params.delta)
+
+
+class TestEngine:
+    """The engines build_top shares across trees, sliced from one K_0 matrix
+    of the whole measure, against a fresh dense engine per tree."""
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.05])
+    def test_point_sums_equal_dense_oracle(self, delta, monkeypatch):
+        calls = []
+        real = corona._PermEngine.point_sums
+
+        def record(engine, atoms, q_radius, d):
+            out = real(engine, atoms, q_radius, d)
+            calls.append((engine.sub, atoms, q_radius, out))
+            return out
+
+        monkeypatch.setattr(corona._PermEngine, "point_sums", record)
+        params = Params(delta=delta)
+        n_cubes = 0
+        for mu in corona_corpus().values():
+            lat, _ = make(mu, params)
+            calls.clear()
+            cor = build_top(lat, mu, params)
+            n_cubes += sum(len(t.tree_ids) for rid, t in cor.trees.items()
+                           if lat.cubes[rid].n_members >= 2)
+            dense = {}
+            for sub, atoms, q_radius, out in calls:
+                key = sub.tobytes()
+                if key not in dense:
+                    dense[key] = DenseEngine(mu.points, mu.weights, sub)
+                ref = dense[key].point_sums(atoms, q_radius, delta)
+                assert np.array_equal(out, ref)
+            n_cubes -= len(calls)
+        # one call per tree cube of every multi-atom tree
+        assert n_cubes == 0
+
+    def test_one_kernel_pass_and_one_engine_per_run(self, monkeypatch):
+        mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
+        lat, params = make(mu)
+        matrices, engines = [], []
+        real_kv, real_init = corona.kernel_values, corona._PermEngine.__init__
+
+        def kv(k, dz):
+            matrices.append(np.shape(dz))
+            return real_kv(k, dz)
+
+        def init(engine, nu, sub, c):
+            engines.append(sub)
+            real_init(engine, nu, sub, c)
+
+        monkeypatch.setattr(corona, "kernel_values", kv)
+        monkeypatch.setattr(corona._PermEngine, "__init__", init)
+        cor = build_top(lat, mu, params)
+        # one pass over the measure's pairs, in row blocks
+        assert sum(rows for rows, _ in matrices) == len(mu)
+        assert all(cols == len(mu) for _, cols in matrices)
+        sets = [_root_atoms(lat, mu, rid) for rid in cor.trees
+                if lat.cubes[rid].n_members >= 2]
+        runs = [sets[0]] + [b for a, b in zip(sets, sets[1:])
+                            if not np.array_equal(a, b)]
+        assert len(runs) < len(sets)  # some consecutive roots share atoms
+        assert len(engines) == len(runs)
+        assert all(np.array_equal(a, b) for a, b in zip(engines, runs))
+
+    def test_build_tree_evaluates_only_its_root_block(self, monkeypatch):
+        mu = generate("cantor4", level=3)
+        lat, params = make(mu)
+        rid = next(q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4)
+        shapes = []
+        real_kv = corona.kernel_values
+        monkeypatch.setattr(corona, "kernel_values",
+                            lambda k, dz: shapes.append(np.shape(dz)) or real_kv(k, dz))
+        build_tree(lat, mu, rid, params)
+        m = _root_atoms(lat, mu, rid).size
+        assert m < len(mu)
+        assert sum(rows for rows, _ in shapes) == m
+        assert all(cols == m for _, cols in shapes)
 
 
 class TestPackingSums:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from curvperm.kernels import (
     v_far,
     zero_lines,
 )
+from oracles import kernel_t
 
 
 class TestKernelEval:
@@ -57,11 +59,15 @@ class TestKernelEval:
         assert out[0] == 0.0 and out[1] == 1.0
 
 
+_rng = np.random.default_rng(42)
+_z = _rng.uniform(-3, 3, 5000) + 1j * _rng.uniform(-3, 3, 5000)
+
+
 class TestKernelProperties:
+    Z = _z[np.abs(_z) > 1e-6]
+
     def setup_method(self):
-        rng = np.random.default_rng(42)
-        z = rng.uniform(-3, 3, 5000) + 1j * rng.uniform(-3, 3, 5000)
-        self.z = z[np.abs(z) > 1e-6]
+        self.z = self.Z
 
     @pytest.mark.parametrize("t", [None, 0.0, -1.0, 0.5, 3.0])
     def test_oddness(self, t):
@@ -95,6 +101,68 @@ class TestKernelProperties:
         split = kernel_values(K_ZERO, self.z) + t * kernel_values(K_INF, self.z)
         scale = np.maximum(np.abs(v), self._term_scale(t))
         assert np.max(np.abs(v - split) / scale) <= 1e-14
+
+
+class TestKernelRange:
+    """``kernel_values`` across the whole double range: |z|^4 underflows
+    below about 1e-77 and overflows above about 1e77."""
+
+    T = [None, 0.0, -0.5, 2.0]
+
+    @staticmethod
+    def _points(lo, hi):
+        rng = np.random.default_rng(3)
+        mod = 10.0 ** np.linspace(lo, hi, 1201)
+        return mod * np.exp(1j * rng.uniform(0, 2 * np.pi, mod.size))
+
+    @staticmethod
+    def _complex_form(t, z):
+        # 1/4 Re(conj(z)/z^2) + (3/4 + t) Re(1/z), in exact rationals
+        x, y = Fraction(z.real), Fraction(z.imag)
+        r2 = x * x + y * y
+        if t is None:
+            return float(x / r2)
+        t = Fraction(t)
+        return float((x**3 - 3 * x * y * y) / (4 * r2 * r2)
+                     + (Fraction(3, 4) + t) * x / r2)
+
+    @pytest.mark.parametrize("t", T)
+    def test_matches_complex_form_from_1e_300_to_1e300(self, t):
+        z = self._points(-300, 300)
+        k = K_INF if t is None else kt(t)
+        got = kernel_values(k, z)
+        ref = np.array([self._complex_form(t, v) for v in z])
+        scale = (1 + (0 if t is None else abs(t))) / np.abs(z)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("t", T)
+    def test_plain_formula_bits_from_1e_70_to_1e70(self, t):
+        z = self._points(-70, 70)
+        k = K_INF if t is None else kt(t)
+        ref = np.array([kernel_t(t, v) for v in z])
+        assert np.array_equal(kernel_values(k, z).view(np.uint64), ref.view(np.uint64))
+
+    def test_reported_extremes(self):
+        assert kernel_eval(K_ZERO, 1e-100) == 1e100
+        assert kernel_eval(K_ZERO, 1e-80 * (1 + 1j)) == pytest.approx(2.5e79, rel=1e-15)
+        assert kernel_eval(K_ZERO, 1e120) == 1e-120
+        assert kernel_eval(K_ZERO, 1e200) == 1e-200
+        assert kernel_eval(K_INF, 1e200) == 1e-200
+        assert kernel_eval(K_INF, 1e-160) == 1e160
+
+    def test_zero_maps_to_zero_at_every_scale(self):
+        z = np.array([0j, 1e-170 + 0j, 0j, 1e170j])
+        v = kernel_values(K_ZERO, z)
+        assert v[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert v[1] == pytest.approx(1e170, rel=1e-15)
+
+    def test_flat_kernel_odd_bit_for_bit(self):
+        # the corona engine reads a column of its K_0 matrix as a negated row
+        z = np.concatenate([self._points(-300, 300), TestKernelProperties.Z])
+        v = kernel_values(K_ZERO, z)
+        assert np.array_equal(kernel_values(K_ZERO, -z).view(np.uint64),
+                              (-v).view(np.uint64))
 
 
 class TestCauchy:

@@ -17,7 +17,7 @@ from curvperm.lattice import (
     small_boundary_report,
 )
 from curvperm.measure import DiscreteMeasure, generate
-from oracles import greedy_net_1d
+from oracles import greedy_net_1d, level_5b_pairs
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,20 @@ class TestBuild:
             len(q.children) * (len(q.children) - 1) // 2 for q in lat.cubes
         )
         assert total_pairs > 0
+
+    @pytest.mark.parametrize("separation", [10.0, 3.0])
+    def test_report_pairs_match_pair_loop(self, separation):
+        # the report's per-level numpy comparison lists the pairs of the
+        # plain loop, in its order; at separation 3 nets crowd and about
+        # two thousand pairs are listed
+        listed = 0
+        for mu in corona_corpus().values():
+            lat = build(mu, separation=separation)
+            level, sibling = level_5b_pairs(lat)
+            assert lat.report["level_5b_violations"] == level
+            assert lat.report["sibling_5b_violations"] == sibling
+            listed += len(level)
+        assert listed > 0
 
     def test_doubled_balls_nest_in_ancestors(self):
         # the corona's windowed sums see only the root's 2B, so every

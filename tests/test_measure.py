@@ -63,6 +63,27 @@ class TestRestrictDensity:
         assert np.array_equal(sub.points, expect)
         assert np.all(sub.points.real < 0.5)
 
+    def test_restrict_equals_validated_construction(self):
+        # restrict skips the spacing check; its sub-measures must be the
+        # ones the checked constructor gives, on every cube's 2B
+        from curvperm.lattice import build
+
+        mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
+        lat = build(mu)
+        for q in lat.cubes:
+            ball = lat.big_ball(q.id, 2.0)
+            sub = mu.restrict(ball)
+            keep = ball.contains(mu.points)
+            ref = DiscreteMeasure(mu.points[keep], mu.weights[keep], mu.scale)
+            assert np.array_equal(sub.points, ref.points)
+            assert np.array_equal(sub.weights, ref.weights)
+            assert sub.scale == ref.scale
+            assert sub.total_mass == ref.total_mass
+            assert sub.diameter == ref.diameter
+            assert sub.points.dtype == complex and sub.weights.dtype == float
+            for arr in (sub.points, sub.weights):
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+
     def test_density_three_atoms(self):
         mu = DiscreteMeasure([0, 0.5, 1 + 0j], [1.0, 1.0, 1.0], 0.25)
         assert mu.density(Ball(0j, 2.0)) == pytest.approx(1.5)
