@@ -18,10 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .graphfit import balanced_ball_test, beta2
-from .kernels import K_INF, K_ZERO, Line, angle_between, kernel_values, theta_vertical
+from .kernels import K_INF, K_ZERO, Line, angle_between, theta_vertical
 from .lattice import Lattice, build as build_lattice, maximal_doubling
 from .measure import DiscreteMeasure
-from .permutations import perm_measure
+from .permutations import _WindowEngine, _kernel_matrix, perm_measure
 from .reduction import deterministic_sum
 
 __all__ = [
@@ -145,78 +145,28 @@ class TreeDecomposition:
         return sorted(q for q, v in self.stop.items() if v.label == label)
 
 
-# rows per block of the kernel matrix and of the windowed sums: bounds the
-# temporaries to _ROW_BLOCK x m values for m atoms
-_ROW_BLOCK = 64
-
-
 def _root_atoms(lattice: Lattice, mu: DiscreteMeasure, root_id: int) -> np.ndarray:
     """Indices of the atoms in the root's doubled companion ball."""
     return np.flatnonzero(lattice.big_ball(root_id, 2.0).contains(mu.points))
 
 
-def _flat_kernel(pts: np.ndarray) -> np.ndarray:
-    """The K_0 matrix of a point set, _ROW_BLOCK rows at a time so that no
-    m x m temporary is made.  Each entry is evaluated on its own, so a
-    block of the matrix equals the matrix of the block's points bit for
-    bit."""
-    out = np.empty((pts.size, pts.size))
-    for start in range(0, pts.size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        out[rows] = kernel_values(K_ZERO, pts[rows, None] - pts[None, :])
-    return out
+def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
+                 kmat: np.ndarray | None = None) -> _WindowEngine:
+    """K_0 with the atoms ``sub`` of a root's 2B in all three slots;
+    ``kmat`` is their K_0 matrix if the caller has it."""
+    nu = mu._view(sub)
+    return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat)
 
 
-class _PermEngine:
-    """Windowed permutation sums of one tree, against the root's doubled
-    companion ball, via precomputed kernel matrices.
-
-    ``c`` is the K_0 matrix of the atoms ``sub``.  K_0 is odd, so ``c`` is
-    exactly antisymmetric and its column j is ``-c[j]``.  ``C W C`` is not
-    bit-symmetric, so its transpose is stored to read columns as rows.
-    """
-
-    def __init__(self, mu: DiscreteMeasure, sub: np.ndarray, c: np.ndarray):
-        self.sub = sub
-        self.pts = mu.points[sub]
-        self.w = mu.weights[sub]
-        self.c = c
-        self.cw = c @ self.w
-        wc = self.w[:, None] * c
-        g = c @ wc
-        del wc  # freed before the transposed copy, g after it
-        self.g_t = np.ascontiguousarray(g.T)
-
-    def point_sums(self, atoms: np.ndarray, q_radius: float,
-                   delta: float) -> np.ndarray:
-        """Double sums of the flat-kernel permutation with the first point at
-        each atom and the first pair windowed to [delta r, r / delta].
-
-        A tree cube's 2B lies in its root's 2B whenever separation + 56 / a0
-        <= 56 (17 at the defaults), so its atoms are engine atoms; others
-        are rejected rather than summed against a partial ball.
-        """
-        rows = np.searchsorted(self.sub, atoms)
-        if not (np.all(rows < self.sub.size) and np.array_equal(self.sub[rows], atoms)):
-            raise ValueError("slot-one atoms must lie in the root's doubled ball")
-        lo, hi = delta * q_radius, q_radius / delta
-        w = self.w
-        out = np.empty(rows.size)
-        for start in range(0, rows.size, _ROW_BLOCK):
-            j = rows[start:start + _ROW_BLOCK]
-            dist = np.abs(self.pts[j, None] - self.pts[None, :])
-            c_row = self.c[j]
-            # cw - C[:, j] w_j, with C[:, j] = -C[j]
-            u = self.cw + c_row * w[j, None]
-            win = (dist >= lo) & (dist <= hi) & (dist > 0)
-            wc = w * c_row
-            alpha = np.where(win, wc, 0.0)
-            wb = np.where(dist > 0, wc, 0.0)
-            t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * wb).sum(axis=1)
-            t2 = -(alpha * u).sum(axis=1)
-            t3 = (np.where(win, w, 0.0) * -self.g_t[j]).sum(axis=1)
-            out[start:start + j.size] = t1 + t2 + t3
-        return out
+def _engine_rows(sub: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Rows of the slot-one ``atoms`` in an engine over the atoms ``sub``.
+    A tree cube's 2B lies in its root's 2B whenever separation + 56 / a0
+    <= 56 (17 at the defaults); atoms outside are rejected rather than
+    summed against a partial ball."""
+    rows = np.searchsorted(sub, atoms)
+    if not (np.all(rows < sub.size) and np.array_equal(sub[rows], atoms)):
+        raise ValueError("slot-one atoms must lie in the root's doubled ball")
+    return rows
 
 
 def _ball_contains(lattice: Lattice, outer: int, inner: int) -> bool:
@@ -279,7 +229,8 @@ class _TreeBuilder:
     def perm_sq(self, qid: int) -> float:
         q = self.lattice.cubes[qid]
         slot1 = np.flatnonzero(self.lattice.big_ball(qid, 2.0).contains(self.mu.points))
-        sums = self.engine.point_sums(slot1, q.radius, self.params.delta)
+        rows = _engine_rows(self.sub, slot1)
+        sums = self.engine.point_sums(rows, q.radius, self.params.delta)
         self.sums[qid] = (slot1, sums)
         p = deterministic_sum(self.mu.weights[slot1] * sums)
         # the flat kernel is outside the sign-changing parameter range, so
@@ -289,7 +240,7 @@ class _TreeBuilder:
         denom = self.theta_density**2 * self.lattice.mass(qid)
         return p / denom if denom > 0 else 0.0
 
-    def build(self, engine_for: Callable[[np.ndarray], _PermEngine]) -> TreeDecomposition:
+    def build(self, engine_for: Callable[[np.ndarray], _WindowEngine]) -> TreeDecomposition:
         """Grow and stop the tree; ``engine_for`` maps the root's 2B atoms
         to the engine of the windowed sums."""
         lat, mu, par = self.lattice, self.mu, self.params
@@ -315,7 +266,8 @@ class _TreeBuilder:
                 perm_sq={q: 0.0 for q in chain},
                 dropped_atoms=np.zeros(0, dtype=int),
             )
-        self.engine = engine_for(_root_atoms(lat, mu, self.root_id))
+        self.sub = _root_atoms(lat, mu, self.root_id)
+        self.engine = engine_for(self.sub)
         order = sorted(
             lat.descendants(self.root_id),
             key=lambda q: (lat.cubes[q].level, q),
@@ -461,7 +413,7 @@ def build_tree(
 ) -> TreeDecomposition:
     """Grow and stop one tree, then derive its replacement generation."""
     return _TreeBuilder(lattice, mu, root_id, params).build(
-        lambda sub: _PermEngine(mu, sub, _flat_kernel(mu.points[sub])))
+        lambda sub: _flat_engine(mu, sub))
 
 
 @dataclass
@@ -491,16 +443,16 @@ def build_top(
     root = lattice.root
     if not root.doubling:
         raise ValueError("the support cube is not doubling")
-    kmat = _flat_kernel(mu.points)
-    last: _PermEngine | None = None
+    kmat = _kernel_matrix(K_ZERO, mu.points, mu.points)
+    last: tuple[np.ndarray, _WindowEngine] | None = None
 
-    def engine_for(sub: np.ndarray) -> _PermEngine:
+    def engine_for(sub: np.ndarray) -> _WindowEngine:
         nonlocal last
-        if last is None or not np.array_equal(last.sub, sub):
+        if last is None or not np.array_equal(last[0], sub):
             last = None  # free the old engine before building the next
             c = kmat if sub.size == len(mu) else kmat[np.ix_(sub, sub)]
-            last = _PermEngine(mu, sub, c)
-        return last
+            last = sub, _flat_engine(mu, sub, c)
+        return last[1]
 
     generations = [[root.id]]
     trees: dict[int, TreeDecomposition] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import Ball, DiscreteMeasure
+from .measure import Ball, DiscreteMeasure, _distance_range
 from .reduction import deterministic_sum
 
 __all__ = [
@@ -89,8 +89,7 @@ class Lattice:
         q = self.cubes[qid]
         if q.n_members < 2:
             return 0.0
-        pts = self.mu.points[q.members]
-        return float(np.max(np.abs(pts[:, None] - pts[None, :])))
+        return _distance_range(self.mu.points[q.members])[1]
 
     def is_ancestor(self, aid: int, qid: int) -> bool:
         """Whether ``aid`` is ``qid`` or one of its ancestors."""

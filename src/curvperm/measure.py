@@ -72,7 +72,7 @@ class DiscreteMeasure:
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError("discretization scale must be positive")
         if pts.size > 1:
-            dmin = _min_pairwise_distance(pts)
+            dmin, _ = _distance_range(pts)
             if dmin == 0.0:
                 raise ValueError("atom positions must be pairwise distinct")
             if self.scale > dmin * (1 + 1e-12):
@@ -95,18 +95,21 @@ class DiscreteMeasure:
     def diameter(self) -> float:
         if len(self) < 2:
             return 0.0
-        return float(np.max(_pairwise_distances(self.points)))
+        return _distance_range(self.points)[1]
 
     def distances_from(self, z: complex) -> np.ndarray:
         return np.abs(self.points - z)
 
     def restrict(self, ball: Ball) -> "DiscreteMeasure":
-        """Atoms strictly inside the open ball; weights and scale kept.
+        """Atoms strictly inside the open ball; weights and scale kept."""
+        return self._view(self.distances_from(ball.center) < ball.radius)
+
+    def _view(self, keep) -> "DiscreteMeasure":
+        """The atoms picked by a mask or by distinct indices, in order.
 
         A sub-measure of a valid measure is valid (its atoms are distinct
         and no closer than the parent's), so it is not checked again.
         """
-        keep = self.distances_from(ball.center) < ball.radius
         pts, w = self.points[keep], self.weights[keep]
         pts.flags.writeable = False
         w.flags.writeable = False
@@ -200,14 +203,19 @@ class DiscreteMeasure:
         }
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    return np.abs(pts[:, None] - pts[None, :])
+_ROWS = 256  # rows per block of the distance matrix
 
 
-def _min_pairwise_distance(pts: np.ndarray) -> float:
-    d = _pairwise_distances(pts)
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+def _distance_range(pts: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest distance between two of at least two atoms,
+    _ROWS rows of the distance matrix at a time."""
+    lo, hi = np.inf, 0.0
+    for start in range(0, pts.size, _ROWS):
+        d = np.abs(pts[start:start + _ROWS, None] - pts[None, :])
+        hi = max(hi, float(d.max()))
+        np.fill_diagonal(d[:, start:], np.inf)
+        lo = min(lo, float(d.min()))
+    return lo, hi
 
 
 def pushforward(
@@ -223,7 +231,7 @@ def pushforward(
     new_pts = np.asarray(mapping(mu.points), dtype=complex)
     if new_pts.shape != mu.points.shape:
         raise ValueError("mapping must preserve the number of atoms")
-    if new_pts.size > 1 and _min_pairwise_distance(new_pts) == 0.0:
+    if new_pts.size > 1 and _distance_range(new_pts)[0] == 0.0:
         raise ValueError("mapping collides atom positions")
     return DiscreteMeasure(new_pts, mu.weights.copy(), mu.scale / lipschitz)
 
@@ -326,7 +334,7 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
             rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu))
         )
         pts = mu.points + jitter
-        dmin = _min_pairwise_distance(pts) if pts.size > 1 else np.inf
+        dmin = _distance_range(pts)[0] if pts.size > 1 else np.inf
         if dmin == 0.0:
             raise ValueError("perturbation collided atoms; lower the amplitude")
         return DiscreteMeasure(pts, mu.weights.copy(), min(mu.scale, dmin))

@@ -85,48 +85,7 @@ class TripleIntegralResult:
 
 
 _TINY = np.finfo(float).tiny
-_DISTINCT = (_TINY, math.inf)
-
-
-def _row_sums(
-    k: KernelParam,
-    p1: np.ndarray,
-    mu2: DiscreteMeasure,
-    mu3: DiscreteMeasure,
-    ranges: tuple,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per first-slot point, the double sum of the permutation against
-    ``mu2 x mu3`` and the number of admissible pairs.
-
-    ``ranges`` holds the closed admissible distance interval ``(lo, hi)`` of
-    the pairs (1, 2), (1, 3) and (2, 3); a triple counts when all three
-    pairs are admissible.
-    """
-    p2, w2 = mu2.points, mu2.weights
-    p3, w3 = mu3.points, mu3.weights
-    diffs = (p1[:, None] - p2[None, :], p1[:, None] - p3[None, :],
-             p2[:, None] - p3[None, :])
-    k12, k13, k23 = (kernel_values(k, d) for d in diffs)
-    m12, m13, m23 = (
-        (a >= lo) & (a <= hi) for a, (lo, hi) in zip(map(np.abs, diffs), ranges)
-    )
-    m23 = m23.astype(float)
-    counts = np.zeros(len(p1), dtype=np.int64)
-
-    def chunk_values(a: int, b: int) -> np.ndarray:
-        out = np.empty(b - a)
-        for i in range(a, b):
-            row2 = np.where(m12[i], w2, 0.0)
-            row3 = np.where(m13[i], w3, 0.0)
-            t1 = np.outer(k12[i] * row2, k13[i] * row3)
-            t2 = (-k12[i] * row2)[:, None] * (k23 * row3[None, :])
-            t3 = (k13[i] * row3)[None, :] * (k23 * row2[:, None])
-            out[i - a] = float(((t1 + t2 + t3) * m23).sum())
-            counts[i] = np.count_nonzero(m23[np.ix_(m12[i], m13[i])])
-        return out
-
-    return parallel_map_chunks(chunk_values, len(p1), workers=workers), counts
+_SMALLEST = float(np.nextafter(0.0, 1.0))
 
 
 def _near_pairs(pa: np.ndarray, pb: np.ndarray, lo: float) -> csr_array:
@@ -301,14 +260,143 @@ def curvature_squared(
     return 4.0 * perm_measure(K_INF, mu, eps=eps, workers=workers).value
 
 
-def _window_ranges(delta: float, q_radius: float) -> tuple:
-    """Pair ranges of the windowed sums: the first pair within
-    ``[delta * q_radius, q_radius / delta]``, the other pairs distinct."""
+def _window(delta: float, q_radius: float) -> tuple[float, float]:
+    """The window ``[delta * q_radius, q_radius / delta]`` of the first pair."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     if not (q_radius > 0):
         raise ValueError("q_radius must be positive")
-    return ((delta * q_radius, q_radius / delta), _DISTINCT, _DISTINCT)
+    return delta * q_radius, q_radius / delta
+
+
+# rows per block of a kernel matrix and of the windowed sums: bounds the
+# temporaries to _ROW_BLOCK x m values for m atoms
+_ROW_BLOCK = 64
+
+
+def _kernel_matrix(k: KernelParam, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``K(a - b)`` over ``pa x pb``, _ROW_BLOCK rows at a time.  Each entry
+    is evaluated on its own, so a block of the matrix equals the matrix of
+    the block's points bit for bit."""
+    out = np.empty((pa.size, pb.size))
+    for start in range(0, pa.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = kernel_values(k, pa[rows, None] - pb[None, :])
+    return out
+
+
+def _weights_at(p: np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
+    """Per point of ``p``, the weight of the atom of ``mu`` there, or 0."""
+    if p is mu.points:
+        return mu.weights
+    order = np.argsort(mu.points)
+    pos = np.searchsorted(mu.points[order], p)
+    hit = np.append(mu.points[order], np.nan)[pos] == p
+    return np.where(hit, np.append(mu.weights[order], 0.0)[pos], 0.0)
+
+
+def _max_share(kmat: np.ndarray, w: np.ndarray) -> float:
+    """The largest share of one atom in any row's ``sum_z |K[r, z]| w_z``."""
+    best = 0.0
+    for start in range(0, kmat.shape[0], _ROW_BLOCK):
+        a = np.abs(kmat[start:start + _ROW_BLOCK])
+        a *= w
+        share = a.max(axis=1, initial=0.0) / np.maximum(a.sum(axis=1), _TINY)
+        best = max(best, float(share.max(initial=0.0)))
+    return best
+
+
+class _WindowEngine:
+    """Per slot-one point x, the sum of ``p(x, y, z) w_y w_z`` over y in
+    ``mu2`` with ``|x - y|`` in the window and z in ``mu3`` away from x and y.
+
+    With ``A = K(x - y)``, ``B = K(x - z)``, ``D = K(y - z)``, the
+    slot-three transpose ``Bt = K(z - x)`` and ``alpha = w_y A`` on the
+    window, the three terms are ``sum_y alpha_y (sum_z w_z B[x, z] - b_y)``
+    with ``b_y`` the z = y term, ``-sum_y alpha_y ((D w)[y] + A[x, y] w_x)``
+    with ``w_x`` the weight of ``mu3`` at x (K is odd; this drops z = x),
+    and ``-sum_y w_y (D W Bt)[y, x]`` on the window.  When the three slots
+    are one point set the four matrices are one, which ``kmat`` may pass in.
+
+    Only coincident terms are subtracted.  When one atom may carry more
+    than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
+    checked, and one whose subtracted products exceed its kept ones
+    ``_CANCELLATION``-fold is summed directly.
+    """
+
+    def __init__(self, k: KernelParam, p1: np.ndarray, mu2: DiscreteMeasure,
+                 mu3: DiscreteMeasure, kmat: np.ndarray | None = None):
+        p2, w2, p3, w3 = mu2.points, mu2.weights, mu3.points, mu3.weights
+        self.p1, self.p2, self.w2, self.p3, self.w3 = p1, p2, w2, p3, w3
+        # one matrix per pair of point arrays, so shared slots share it
+        mats = {} if kmat is None else {(id(p1), id(p1)): kmat}
+
+        def matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+            if (id(pa), id(pb)) not in mats:
+                mats[id(pa), id(pb)] = _kernel_matrix(k, pa, pb)
+            return mats[id(pa), id(pb)]
+
+        self.a, self.b, self.d = matrix(p1, p2), matrix(p1, p3), matrix(p2, p3)
+        self.dw = self.d @ w3
+        wbt = w3[:, None] * matrix(p3, p1)
+        g = self.d @ wbt
+        del wbt, mats  # freed before the transposed copy, g after it
+        self.g_t = np.ascontiguousarray(g.T)
+        # weights of the slot-three atoms at the slot-one and slot-two points
+        self.xw3, self.yw3 = _weights_at(p1, mu3), _weights_at(p2, mu3)
+        share = _max_share(self.b, w3)
+        if self.d is not self.b:
+            share = max(share, _max_share(self.d, w3))
+        self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
+
+    def _in_window(self, j: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+        """Which pairs (x, y) of the slot-one points ``j`` are in the window."""
+        lo, hi = _window(delta, q_radius)
+        d12 = np.abs(self.p1[j, None] - self.p2[None, :])
+        # the pair must be distinct too: the smallest positive distance
+        return (d12 >= max(lo, _SMALLEST)) & (d12 <= hi)
+
+    def counts(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+        """The numbers of triples of the slot-one points ``rows``."""
+        win = self._in_window(rows, q_radius, delta)
+        return (win.sum(axis=1) * (self.w3.size - (self.xw3[rows] > 0))
+                - (win & (self.yw3 > 0)).sum(axis=1))
+
+    def point_sums(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+        """The sums of the slot-one points ``rows`` with the window
+        ``[delta q_radius, q_radius / delta]``."""
+        w2, w3 = self.w2, self.w3
+        sums = np.empty(rows.size)
+        for start in range(0, rows.size, _ROW_BLOCK):
+            j = rows[start:start + _ROW_BLOCK]
+            win = self._in_window(j, q_radius, delta)
+            a_row = self.a[j]
+            u = self.dw + a_row * self.xw3[j, None]
+            wa = w2 * a_row
+            alpha = np.where(win, wa, 0.0)
+            # K(0) = 0, so the z = x term is zero
+            wb = wa if self.b is self.a else w3 * self.b[j]
+            # the z = y term B[x, y] w_y, with B[x, y] = A[x, y]
+            b = wb if self.p2 is self.p3 else a_row * self.yw3
+            t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * b).sum(axis=1)
+            t2 = -(alpha * u).sum(axis=1)
+            t3 = -(np.where(win, w2, 0.0) * self.g_t[j]).sum(axis=1)
+            out = t1 + t2 + t3
+            if self.dabs is not None:
+                aa = np.abs(alpha)
+                full = aa.sum(axis=1) * np.abs(wb).sum(axis=1) + aa @ self.dabs
+                cut = (aa * np.abs(a_row) * (self.yw3 + self.xw3[j, None])).sum(axis=1)
+                for i in np.flatnonzero(_CANCELLATION * (full - cut) < full):
+                    out[i] = self._direct(j[i], alpha[i], wb[i]) + t3[i]
+            sums[start:start + j.size] = out
+        return sums
+
+    def _direct(self, x: int, alpha: np.ndarray, wb: np.ndarray) -> float:
+        """Terms 1 and 2 of row x summed triple by triple."""
+        ys = np.flatnonzero(alpha)
+        keep = (self.p2[ys, None] != self.p3) & (self.p1[x] != self.p3)
+        terms = np.where(keep, wb - self.d[ys] * self.w3, 0.0)
+        return float(alpha[ys] @ terms.sum(axis=1))
 
 
 def perm_truncated_window(
@@ -322,10 +410,18 @@ def perm_truncated_window(
 ) -> TripleIntegralResult:
     """Triple integral with the first pair windowed to
     ``delta * q_radius <= |z1 - z2| <= q_radius / delta``; the other pairs
-    are only required to be distinct."""
-    ranges = _window_ranges(delta, q_radius)
+    are only required to be distinct.  Summed by ``_WindowEngine`` from
+    kernel matrices and one matrix product."""
+    _window(delta, q_radius)
     trunc = {"kind": "window", "delta": float(delta), "q_radius": float(q_radius)}
-    sums, counts = _row_sums(kernel, mu1.points, mu2, mu3, ranges, workers)
+    engine = _WindowEngine(kernel, mu1.points, mu2, mu3)
+    counts = np.zeros(len(mu1), dtype=np.int64)
+
+    def chunk_values(a: int, b: int) -> np.ndarray:
+        counts[a:b] = engine.counts(np.arange(a, b), q_radius, delta)
+        return engine.point_sums(np.arange(a, b), q_radius, delta)
+
+    sums = parallel_map_chunks(chunk_values, len(mu1), workers=workers)
     return TripleIntegralResult(
         deterministic_sum(mu1.weights * sums), int(counts.sum()), trunc
     )
@@ -341,9 +437,9 @@ def perm_at_point(
 ) -> float:
     """Double integral of the permutation with the first point frozen at
     ``x`` and the pair (x, y) windowed as in the triple version."""
-    ranges = _window_ranges(delta, q_radius)
-    sums, _ = _row_sums(kernel, np.array([complex(x)]), mu2, mu3, ranges)
-    return float(sums[0])
+    _window(delta, q_radius)
+    engine = _WindowEngine(kernel, np.array([complex(x)]), mu2, mu3)
+    return float(engine.point_sums(np.arange(1), q_radius, delta)[0])
 
 
 @dataclass(frozen=True)

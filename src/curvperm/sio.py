@@ -72,14 +72,22 @@ def apply_truncated(
     return deterministic_sum(np.where(keep, vals, 0.0))
 
 
+def _truncated_t1(kv: np.ndarray, dist: np.ndarray, w: np.ndarray,
+                  epsilons) -> list[np.ndarray]:
+    """The truncated transform of 1 at every atom for each cutoff, from the
+    kernel values ``kv`` of the pair differences and their moduli ``dist``.
+    Each product takes the full matrix: BLAS splits a product's rows between
+    its threads, and rows at the split round differently in a row-blocked
+    product."""
+    return [np.where(dist >= eps, kv, 0.0) @ w for eps in epsilons]
+
+
 def t1_values(k: KernelParam, mu: DiscreteMeasure, eps: float) -> np.ndarray:
     """The truncated transform of the constant 1 at every atom."""
     if eps <= 0:
         raise ValueError("truncation length must be positive")
     dz = mu.points[:, None] - mu.points[None, :]
-    mask = np.abs(dz) >= eps
-    kv = np.where(mask, kernel_values(k, dz), 0.0)
-    return kv @ mu.weights
+    return _truncated_t1(kernel_values(k, dz), np.abs(dz), mu.weights, [eps])[0]
 
 
 def l2_norm_T1(k: KernelParam, mu: DiscreteMeasure, eps: float) -> float:
@@ -94,12 +102,13 @@ def sup_l2_norm(
     k: KernelParam, mu: DiscreteMeasure, grid: TruncationGrid
 ) -> tuple[float, float]:
     """Max of the truncated norm over the grid and the attaining cutoff."""
-    best_val, best_eps = -1.0, grid.epsilons[0]
-    for eps in grid.epsilons:
-        v = l2_norm_T1(k, mu, eps)
-        if v > best_val:
-            best_val, best_eps = v, eps
-    return best_val, best_eps
+    dz = mu.points[:, None] - mu.points[None, :]
+    kv, dist = kernel_values(k, dz), np.abs(dz)
+    del dz
+    t1s = _truncated_t1(kv, dist, mu.weights, grid.epsilons)
+    norms = [math.sqrt(deterministic_sum(t1 * t1 * mu.weights)) for t1 in t1s]
+    best = int(np.argmax(norms))
+    return norms[best], grid.epsilons[best]
 
 
 def cauchy_l2_norm(mu: DiscreteMeasure, eps: float) -> float:
@@ -109,10 +118,11 @@ def cauchy_l2_norm(mu: DiscreteMeasure, eps: float) -> float:
     if len(mu) == 0:
         return 0.0
     dz = mu.points[:, None] - mu.points[None, :]
-    mask = np.abs(dz) >= eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        kv = np.where(mask, 1.0 / np.where(dz == 0, 1.0, dz), 0.0)
-    t1 = kv @ mu.weights.astype(complex)
+        inv = 1.0 / np.where(dz == 0, 1.0, dz)
+    dist = np.abs(dz)
+    del dz
+    t1 = _truncated_t1(inv, dist, mu.weights.astype(complex), [eps])[0]
     return math.sqrt(deterministic_sum((t1.real**2 + t1.imag**2) * mu.weights))
 
 

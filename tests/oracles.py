@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from curvperm.kernels import kernel_values
+
 
 def kernel_t(t, z: complex) -> float:
     """t is a float or None for the reciprocal-modulus kernel."""
@@ -58,12 +60,14 @@ def naive_perm_triple(t, points, weights, eps: float = 0.0) -> float:
     return total
 
 
-def exact_perm_triple(t, points, weights, eps=0):
+def exact_perm_triple(t, points, weights, eps=0, window=None):
     """Triple sum of the permutation over one measure in exact rationals.
 
     ``t`` is a rational parameter or None for the reciprocal-modulus
-    kernel; points, weights and ``eps`` are converted exactly.  A triple
-    counts when its three pairwise distances are >= eps and nonzero.
+    kernel; points, weights, ``eps`` and the ``window`` ``(lo, hi)`` are
+    converted exactly.  A triple counts when its three pairwise distances
+    are >= eps and nonzero and, with a window, the distance of its pair
+    (1, 2) lies in ``[lo, hi]``.
     Returns the sum, its total variation (the three products summed in
     absolute value) and the number of triples.
     """
@@ -71,8 +75,10 @@ def exact_perm_triple(t, points, weights, eps=0):
     w = [Fraction(float(v)) for v in weights]
     t = None if t is None else Fraction(t)
     eps2 = Fraction(eps) ** 2
+    lo2, hi2 = (Fraction(b) ** 2 for b in window) if window else (0, None)
     n = len(xy)
     kern = [[None] * n for _ in range(n)]  # None marks an inadmissible pair
+    in_window = [[False] * n for _ in range(n)]
     for i, (xi, yi) in enumerate(xy):
         for j, (xj, yj) in enumerate(xy):
             dx, dy = xi - xj, yi - yj
@@ -80,11 +86,12 @@ def exact_perm_triple(t, points, weights, eps=0):
             if r2 == 0 or r2 < eps2:
                 continue
             kern[i][j] = dx / r2 if t is None else dx**3 / r2**2 + t * dx / r2
+            in_window[i][j] = hi2 is None or lo2 <= r2 <= hi2
     value = total = Fraction(0)
     count = 0
     for i in range(n):
         for j in range(n):
-            if kern[i][j] is None:
+            if not in_window[i][j]:
                 continue
             for l in range(n):
                 if kern[i][l] is None or kern[j][l] is None:
@@ -96,6 +103,37 @@ def exact_perm_triple(t, points, weights, eps=0):
                 total += wt * sum(abs(a) for a in terms)
                 count += 1
     return value, total, count
+
+
+def row_sums(k, p1, mu2, mu3, ranges):
+    """Per first-slot point, the double sum of the permutation against
+    ``mu2 x mu3`` and the number of admissible pairs: one dense row at a
+    time.
+
+    ``ranges`` holds the closed admissible distance interval ``(lo, hi)`` of
+    the pairs (1, 2), (1, 3) and (2, 3); a triple counts when all three
+    pairs are admissible.
+    """
+    p2, w2 = mu2.points, mu2.weights
+    p3, w3 = mu3.points, mu3.weights
+    diffs = (p1[:, None] - p2[None, :], p1[:, None] - p3[None, :],
+             p2[:, None] - p3[None, :])
+    k12, k13, k23 = (kernel_values(k, d) for d in diffs)
+    m12, m13, m23 = (
+        (a >= lo) & (a <= hi) for a, (lo, hi) in zip(map(np.abs, diffs), ranges)
+    )
+    m23 = m23.astype(float)
+    sums = np.empty(len(p1))
+    counts = np.zeros(len(p1), dtype=np.int64)
+    for i in range(len(p1)):
+        row2 = np.where(m12[i], w2, 0.0)
+        row3 = np.where(m13[i], w3, 0.0)
+        t1 = np.outer(k12[i] * row2, k13[i] * row3)
+        t2 = (-k12[i] * row2)[:, None] * (k23 * row3[None, :])
+        t3 = (k13[i] * row3)[None, :] * (k23 * row2[:, None])
+        sums[i] = float(((t1 + t2 + t3) * m23).sum())
+        counts[i] = np.count_nonzero(m23[np.ix_(m12[i], m13[i])])
+    return sums, counts
 
 
 def naive_perm_window(t, pts1, w1, pts2, w2, pts3, w3, delta, q_radius) -> float:

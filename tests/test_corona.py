@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from curvperm import corona
+from curvperm import corona, permutations
 from curvperm.corona import (
     Params,
-    _flat_kernel,
-    _PermEngine,
+    _engine_rows,
+    _flat_engine,
     _root_atoms,
     beta_packing_sum,
     build_top,
@@ -21,15 +21,16 @@ from curvperm.experiments import corona_corpus
 from curvperm.graphfit import beta2
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
-from curvperm.permutations import perm_at_point
+from curvperm.permutations import _WindowEngine, perm_at_point
 from curvperm.reduction import deterministic_sum
 from oracles import DenseEngine
 
 
 def fresh_engine(lat, mu, rid):
-    """The engine of one root, from a fresh K_0 matrix of its 2B atoms."""
+    """The atoms of one root's 2B and their engine, from a fresh K_0
+    matrix."""
     sub = _root_atoms(lat, mu, rid)
-    return _PermEngine(mu, sub, _flat_kernel(mu.points[sub]))
+    return sub, _flat_engine(mu, sub)
 
 
 def make(mu, params=None):
@@ -402,7 +403,7 @@ class TestDepthCappedLattice:
         lat, params = make(mu)
         deep = [q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4]
         rid = deep[0]
-        engine = fresh_engine(lat, mu, rid)
+        sub, engine = fresh_engine(lat, mu, rid)
         outer = lat.big_ball(rid, 2.0)
         slot23 = mu.restrict(outer)
         assert len(slot23) < len(mu)  # the restriction is genuine
@@ -411,7 +412,8 @@ class TestDepthCappedLattice:
             slot1 = np.flatnonzero(
                 np.abs(mu.points - ball.center) < ball.radius
             )
-            sums = engine.point_sums(slot1, lat.cubes[qid].radius, params.delta)
+            sums = engine.point_sums(_engine_rows(sub, slot1),
+                                     lat.cubes[qid].radius, params.delta)
             got = deterministic_sum(mu.weights[slot1] * sums)
             ref = perm_truncated_window(
                 mu.subset(slot1), slot23, slot23,
@@ -423,14 +425,14 @@ class TestDepthCappedLattice:
         mu = generate("cantor4", level=3)
         lat, params = make(mu)
         rid = next(q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4)
-        engine = fresh_engine(lat, mu, rid)
+        sub, _ = fresh_engine(lat, mu, rid)
         outside = np.flatnonzero(~lat.big_ball(rid, 2.0).contains(mu.points))
         assert outside.size
         with pytest.raises(ValueError, match="doubled ball"):
-            engine.point_sums(outside[:1], lat.cubes[rid].radius, params.delta)
-        mixed = np.sort(np.concatenate([engine.sub[:2], outside[-1:]]))
+            _engine_rows(sub, outside[:1])
+        mixed = np.sort(np.concatenate([sub[:2], outside[-1:]]))
         with pytest.raises(ValueError, match="doubled ball"):
-            engine.point_sums(mixed, lat.cubes[rid].radius, params.delta)
+            _engine_rows(sub, mixed)
 
 
 class TestEngine:
@@ -440,14 +442,19 @@ class TestEngine:
     @pytest.mark.parametrize("delta", [1e-3, 0.05])
     def test_point_sums_equal_dense_oracle(self, delta, monkeypatch):
         calls = []
-        real = corona._PermEngine.point_sums
+        real_rows, real = corona._engine_rows, _WindowEngine.point_sums
 
-        def record(engine, atoms, q_radius, d):
-            out = real(engine, atoms, q_radius, d)
-            calls.append((engine.sub, atoms, q_radius, out))
+        def rows_of(sub, atoms):
+            calls.append([sub, atoms])
+            return real_rows(sub, atoms)
+
+        def record(engine, rows, q_radius, d):
+            out = real(engine, rows, q_radius, d)
+            calls[-1] += [q_radius, out]
             return out
 
-        monkeypatch.setattr(corona._PermEngine, "point_sums", record)
+        monkeypatch.setattr(corona, "_engine_rows", rows_of)
+        monkeypatch.setattr(_WindowEngine, "point_sums", record)
         params = Params(delta=delta)
         n_cubes = 0
         for mu in corona_corpus().values():
@@ -471,18 +478,18 @@ class TestEngine:
         mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
         lat, params = make(mu)
         matrices, engines = [], []
-        real_kv, real_init = corona.kernel_values, corona._PermEngine.__init__
+        real_kv, real_make = permutations.kernel_values, corona._flat_engine
 
         def kv(k, dz):
             matrices.append(np.shape(dz))
             return real_kv(k, dz)
 
-        def init(engine, nu, sub, c):
+        def new_engine(nu, sub, c=None):
             engines.append(sub)
-            real_init(engine, nu, sub, c)
+            return real_make(nu, sub, c)
 
-        monkeypatch.setattr(corona, "kernel_values", kv)
-        monkeypatch.setattr(corona._PermEngine, "__init__", init)
+        monkeypatch.setattr(permutations, "kernel_values", kv)
+        monkeypatch.setattr(corona, "_flat_engine", new_engine)
         cor = build_top(lat, mu, params)
         # one pass over the measure's pairs, in row blocks
         assert sum(rows for rows, _ in matrices) == len(mu)
@@ -500,8 +507,8 @@ class TestEngine:
         lat, params = make(mu)
         rid = next(q.id for q in lat.cubes if q.level == 2 and q.n_members >= 4)
         shapes = []
-        real_kv = corona.kernel_values
-        monkeypatch.setattr(corona, "kernel_values",
+        real_kv = permutations.kernel_values
+        monkeypatch.setattr(permutations, "kernel_values",
                             lambda k, dz: shapes.append(np.shape(dz)) or real_kv(k, dz))
         build_tree(lat, mu, rid, params)
         m = _root_atoms(lat, mu, rid).size

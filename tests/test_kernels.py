@@ -164,6 +164,14 @@ class TestKernelRange:
         assert np.array_equal(kernel_values(K_ZERO, -z).view(np.uint64),
                               (-v).view(np.uint64))
 
+    @pytest.mark.parametrize("t", [None, -0.5, 1.5])
+    def test_odd_bit_for_bit(self, t):
+        # the windowed-sum engine drops the z = x term of D w as -A[x, y]
+        z = np.concatenate([self._points(-300, 300), TestKernelProperties.Z])
+        k = K_INF if t is None else kt(t)
+        assert np.array_equal(kernel_values(k, -z).view(np.uint64),
+                              (-kernel_values(k, z)).view(np.uint64))
+
 
 class TestCauchy:
     def test_real(self):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from curvperm.permutations import (
-    _row_sums,
     curvature_squared,
     estimate_c1,
     menger_curvature,
@@ -27,6 +26,7 @@ from oracles import (
     naive_perm_triple,
     naive_perm_window,
     perm_term,
+    row_sums,
 )
 
 
@@ -263,15 +263,16 @@ class TestExactOracle:
         assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
 
 
-def _total_variation(k, mus, lo):
+def _total_variation(k, mus, lo, window=(0.0, math.inf)):
     """Sum over the admissible triples of the three permutation products in
-    absolute value."""
+    absolute value; the pair (1, 2) must also lie in the closed window."""
     (p1, w1), (p2, w2), (p3, w3) = ((m.points, m.weights) for m in mus)
     d12 = p1[:, None, None] - p2[None, :, None]
     d13 = p1[:, None, None] - p3[None, None, :]
     d23 = p2[None, :, None] - p3[None, None, :]
     k12, k13, k23 = (np.abs(kernel_values(k, d)) for d in (d12, d13, d23))
     adm = (np.abs(d12) >= lo) & (np.abs(d13) >= lo) & (np.abs(d23) >= lo)
+    adm &= (np.abs(d12) >= window[0]) & (np.abs(d12) <= window[1])
     w = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     return float((adm * w * (k12 * k13 + k12 * k23 + k13 * k23)).sum())
 
@@ -305,7 +306,7 @@ class TestFactorizedCore:
         mu = generate("perturbed", base="circle", n=24, amplitude=1e-3, seed=3)
         d = float(np.abs(mu.points[0] - mu.points[1]))
         eps = float(np.nextafter(d, np.inf)) if inside else d
-        _, counts = _row_sums(K_ZERO, mu.points, mu, mu, ((eps, math.inf),) * 3)
+        _, counts = row_sums(K_ZERO, mu.points, mu, mu, ((eps, math.inf),) * 3)
         assert perm_measure(K_ZERO, mu, eps=eps).triples_counted == int(counts.sum())
 
     def test_empty_slot(self):
@@ -334,7 +335,7 @@ class TestFactorizedCore:
             mus = [mus[0]] * 3
         k = K_INF if t is None else kt(t)
         lo = max(eps, np.finfo(float).tiny)
-        sums, counts = _row_sums(k, mus[0].points, mus[1], mus[2], ((lo, math.inf),) * 3)
+        sums, counts = row_sums(k, mus[0].points, mus[1], mus[2], ((lo, math.inf),) * 3)
         res = perm_measure(k, *mus, eps=eps)
         assert res.triples_counted == int(counts.sum())
         dense = deterministic_sum(mus[0].weights * sums)
@@ -354,11 +355,84 @@ class TestFactorizedCore:
         mu = DiscreteMeasure(np.concatenate([heavy, ring]), w, 1e-4)
         mus = (mu,) * 3 if one_measure else (mu, DiscreteMeasure(mu.points, w, 1e-4), mu)
         eps = 0.1
-        sums, counts = _row_sums(k, mu.points, mus[1], mus[2], ((eps, math.inf),) * 3)
+        sums, counts = row_sums(k, mu.points, mus[1], mus[2], ((eps, math.inf),) * 3)
         res = perm_measure(k, *mus, eps=eps)
         assert res.triples_counted == int(counts.sum())
         dense = deterministic_sum(mu.weights * sums)
         assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, eps)
+
+
+_TINY = np.finfo(float).tiny
+# windows [delta r, r / delta] with dyadic ends that tie with distances
+_EXACT_WINDOWS = [
+    ("cantor1", generate("cantor4", level=1), 0.5, 1.5),
+    ("cantor2", generate("cantor4", level=2), 0.5, 0.375),
+    ("cantor2", generate("cantor4", level=2), 0.25, 0.75),
+    ("grid", _GRID, 0.5, 0.5),
+    ("grid", _GRID, 0.25, 0.25),
+]
+
+
+class TestWindowEngine:
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(_shared_measures(), st.sampled_from([None, 0.0, -0.5, 1.5]),
+           st.sampled_from([(0, 1, 2), (0, 0, 0), (0, 1, 1), (0, 1, 0)]),
+           st.one_of(st.sampled_from([0.5, 0.25]), st.floats(0.01, 0.99)), st.data())
+    def test_matches_dense_rows(self, case, t, slots, delta, data):
+        mus = [case[0][s] for s in slots]
+        pts = np.concatenate([m.points for m in mus])
+        r = data.draw(st.sampled_from(sorted(set(np.abs(pts[:, None] - pts).ravel()) - {0.0})))
+        k = K_INF if t is None else kt(t)
+        window = (delta * r, r / delta)
+        sums, counts = row_sums(k, mus[0].points, mus[1], mus[2],
+                                (window, (_TINY, math.inf), (_TINY, math.inf)))
+        res = perm_truncated_window(*mus, delta, r, kernel=k)
+        assert res.triples_counted == int(counts.sum())
+        dense = deterministic_sum(mus[0].weights * sums)
+        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, _TINY, window)
+
+    @pytest.mark.parametrize("light", [1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=["inf", "0", "-0.5"])
+    @pytest.mark.parametrize("one_measure", [True, False])
+    def test_one_heavy_atom(self, light, k, one_measure):
+        # one atom of weight 1 among light ones: the terms the engine
+        # subtracts for coincident atoms carry almost all of a row's products
+        rng = np.random.default_rng(1)
+        pts = np.concatenate([[0.1 + 0.05j], np.exp(2j * np.pi * (np.arange(39) + 0.5) / 39)])
+        w = light * (1 + rng.random(40))
+        w[0] = 1.0
+        mu = DiscreteMeasure(pts, w, 1e-3)
+        mus = (mu,) * 3 if one_measure else (mu, DiscreteMeasure(pts, w, 1e-3), mu)
+        delta, r = 0.1, 0.3
+        window = (delta * r, r / delta)
+        sums, counts = row_sums(k, mu.points, mus[1], mus[2],
+                                (window, (_TINY, math.inf), (_TINY, math.inf)))
+        res = perm_truncated_window(*mus, delta, r, kernel=k)
+        assert res.triples_counted == int(counts.sum())
+        dense = deterministic_sum(mu.weights * sums)
+        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, _TINY, window)
+
+    def test_worker_count_invariant(self):
+        # three row chunks
+        mu1 = generate("perturbed", base="circle", n=600, amplitude=1e-3, seed=4)
+        mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
+        res = [perm_truncated_window(mu1, mu2, mu3, 0.2, 0.5, kernel=kt(-0.5), workers=w)
+               for w in (1, 2, 4)]
+        assert res[0].triples_counted > 0
+        assert res[1] == res[0] and res[2] == res[0]
+
+    @pytest.mark.parametrize("t", [None, 0, Fraction(-1, 2)])
+    @pytest.mark.parametrize(
+        "mu, delta, r", [c[1:] for c in _EXACT_WINDOWS],
+        ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in _EXACT_WINDOWS],
+    )
+    def test_forward_error(self, mu, delta, r, t):
+        exact, total, count = exact_perm_triple(
+            t, mu.points, mu.weights, window=(delta * r, r / delta))
+        res = perm_truncated_window(mu, mu, mu, delta, r,
+                                    kernel=K_INF if t is None else kt(float(t)))
+        assert count > 0 and res.triples_counted == count
+        assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
 
 
 class TestWindowed:
