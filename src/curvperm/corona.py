@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,7 @@ from .graphfit import balanced_ball_test, beta2
 from .kernels import K_INF, K_ZERO, Line, angle_between, theta_vertical
 from .lattice import Lattice, build as build_lattice, maximal_doubling
 from .measure import DiscreteMeasure
-from .permutations import _WindowEngine, _kernel_matrix, perm_measure
+from .permutations import _WindowEngine, _kernel_matrix, curvature_squared, perm_measure
 from .reduction import deterministic_sum
 
 __all__ = [
@@ -92,14 +92,7 @@ class Params:
         return self.eps0 * self.tau**2 * self.gamma**2
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau, "a": self.a, "theta0": self.theta0,
-            "gamma": self.gamma, "eps0": self.eps0, "alpha": self.alpha,
-            "delta": self.delta, "c0": self.c0, "a0": self.a0,
-            "c_f": self.c_f, "c2": self.c2_value,
-            "separation": self.separation,
-            "doubling_constant": self.doubling_constant,
-        }
+        return {**asdict(self), "c2": self.c2_value}
 
 
 def lattice_for(mu: DiscreteMeasure, params: Params) -> Lattice:
@@ -196,24 +189,16 @@ class _TreeBuilder:
         self.mu = mu
         self.root_id = root_id
         self.params = params
-        # slot-one atoms and their windowed point sums, per cube
+        # slot-one atoms and their windowed point sums, and the normalized
+        # permutation, per tree cube
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.perm: dict[int, float] = {}
         self.theta_density = lattice.theta_2b(root_id)
         self.lines: dict[int, Line | None] = {}
-        self.thetas: dict[int, float] = {}
-        root_fit = beta2(mu, lattice.big_ball(root_id, 2.0))
-        self.line = root_fit.line
-        self.line_degenerate = root_fit.mass == 0 or lattice.cubes[root_id].n_members < 2
+        self.line = beta2(mu, lattice.big_ball(root_id, 2.0)).line
         self.in_t_vf, self.theta_r = theta_r_rule(
             theta_vertical(self.line), params
         )
-
-    def theta_2b(self, qid: int) -> float:
-        v = self.thetas.get(qid)
-        if v is None:
-            v = self.lattice.theta_2b(qid)
-            self.thetas[qid] = v
-        return v
 
     def cube_line(self, qid: int) -> Line | None:
         """Best line of the doubled companion ball; None when the ball holds
@@ -240,142 +225,99 @@ class _TreeBuilder:
         denom = self.theta_density**2 * self.lattice.mass(qid)
         return p / denom if denom > 0 else 0.0
 
+    def verdict(self, qid: int, chain: dict[int, float]) -> StopVerdict | None:
+        """The first of HD, LD, UB, BP and BS to fire at the tree cube
+        ``qid``, or None.  Adds the cube's accumulated permutation to
+        ``chain``, which holds its ancestors'."""
+        lat, par = self.lattice, self.params
+        q = lat.cubes[qid]
+        self.perm[qid] = self.perm_sq(qid)
+        chain[qid] = chain.get(q.parent, 0.0) + self.perm[qid]
+        theta_q = lat.theta_2b(qid)
+        if q.doubling and theta_q > par.a * self.theta_density:
+            return StopVerdict("HD", theta_q / self.theta_density)
+        if theta_q < par.tau * self.theta_density:
+            return StopVerdict("LD", theta_q / self.theta_density)
+        if q.doubling:
+            bal = balanced_ball_test(lat, self.mu, qid, par.gamma)
+            if not bal.balanced:
+                return StopVerdict("UB", bal.family_strength)
+        if chain[qid] > par.alpha**2:
+            return StopVerdict("BP", chain[qid])
+        if q.doubling and qid != self.root_id:
+            l_q = self.cube_line(qid)
+            if l_q is not None:
+                ang = angle_between(l_q, self.line)
+                if ang > self.theta_r:
+                    return StopVerdict("BS", ang)
+        return None
+
     def build(self, engine_for: Callable[[np.ndarray], _WindowEngine]) -> TreeDecomposition:
         """Grow and stop the tree; ``engine_for`` maps the root's 2B atoms
         to the engine of the windowed sums."""
         lat, mu, par = self.lattice, self.mu, self.params
-        if lat.cubes[self.root_id].n_members < 2:
-            # a point mass has no sub-structure to stop on
-            chain = sorted(
-                lat.descendants(self.root_id),
-                key=lambda q: (lat.cubes[q].level, q),
-            )
-            return TreeDecomposition(
-                root_id=self.root_id,
-                params=par,
-                line=self.line,
-                in_t_vf=self.in_t_vf,
-                theta_r=self.theta_r,
-                theta_density=self.theta_density,
-                tree_ids=chain,
-                stop={},
-                dbtree_ids=[q for q in chain if lat.cubes[q].doubling],
-                g_r=lat.cubes[self.root_id].members,
-                r_far=np.zeros(0, dtype=int),
-                next_ids=[],
-                perm_sq={q: 0.0 for q in chain},
-                dropped_atoms=np.zeros(0, dtype=int),
-            )
-        self.sub = _root_atoms(lat, mu, self.root_id)
-        self.engine = engine_for(self.sub)
         order = sorted(
             lat.descendants(self.root_id),
             key=lambda q: (lat.cubes[q].level, q),
         )
-        pruned: set[int] = set()
-        stop: dict[int, StopVerdict] = {}
+        if lat.cubes[self.root_id].n_members < 2:
+            # a point mass has no sub-structure to stop on
+            return self._decomposition(dict.fromkeys(order))
+        self.sub = _root_atoms(lat, mu, self.root_id)
+        self.engine = engine_for(self.sub)
+        # top down: a cube is in the tree when its parent is and did not stop
         chain: dict[int, float] = {}
-        perm_table: dict[int, float] = {}
-        s1s3: dict[int, bool] = {}
-        tree_ids: list[int] = []
-        deferred_f: list[int] = []
-
+        stop: dict[int, StopVerdict] = {}
         for qid in order:
             parent = lat.cubes[qid].parent
-            if qid != self.root_id and (parent in pruned or parent in stop):
-                pruned.add(qid)
-                continue
-            tree_ids.append(qid)
-            theta_q = self.theta_2b(qid)
-            doubling = lat.cubes[qid].doubling
-            verdict: StopVerdict | None = None
+            if qid == self.root_id or (parent in chain and parent not in stop):
+                v = self.verdict(qid, chain)
+                if v is not None:
+                    stop[qid] = v
 
-            if doubling and theta_q > par.a * self.theta_density:
-                verdict = StopVerdict("HD", theta_q / self.theta_density)
-            elif theta_q < par.tau * self.theta_density:
-                verdict = StopVerdict("LD", theta_q / self.theta_density)
-            elif doubling:
-                bal = balanced_ball_test(lat, mu, qid, par.gamma)
-                if not bal.balanced:
-                    verdict = StopVerdict("UB", bal.family_strength)
-
-            p_sq = self.perm_sq(qid)
-            perm_table[qid] = p_sq
-            up = chain[parent] if qid != self.root_id else 0.0
-            chain[qid] = up + p_sq
-            if verdict is None and chain[qid] > par.alpha**2:
-                verdict = StopVerdict("BP", chain[qid])
-
-            if verdict is None and doubling and qid != self.root_id:
-                l_q = self.cube_line(qid)
-                if l_q is not None and not self.line_degenerate:
-                    ang = angle_between(l_q, self.line)
-                    if ang > self.theta_r:
-                        verdict = StopVerdict("BS", ang)
-
-            if verdict is not None:
-                stop[qid] = verdict
-                s1s3[qid] = True
-            else:
-                s1s3[qid] = False
-                deferred_f.append(qid)
-
-        # far-from-lines pass: needs the earlier families everywhere
-        clean: dict[int, bool] = {}
-        for qid in tree_ids:
-            parent = lat.cubes[qid].parent
-            inherited = clean.get(parent, True) if qid != self.root_id else True
-            clean[qid] = inherited and not s1s3[qid]
-        candidates = [
-            q for q in tree_ids
-            if clean[q] and lat.cubes[q].doubling and self.cube_line(q) is not None
-        ]
+        # far from the lines of the unstopped doubling tree cubes whose 2B
+        # holds the cube's 2B
+        open_ids = [q for q in chain if q not in stop]
+        fitted = [q for q in open_ids
+                  if lat.cubes[q].doubling and self.cube_line(q) is not None]
         tol = 5 * math.sqrt(par.eps0)
-        for qid in deferred_f:
+        for qid in open_ids:
             members = lat.cubes[qid].members
             pts = mu.points[members]
             far = np.zeros(members.size, dtype=bool)
-            for tid in candidates:
-                if not _ball_contains(lat, tid, qid):
-                    continue
-                line = self.cube_line(tid)
-                lim = tol * lat.big_ball(tid).radius
-                far |= np.atleast_1d(line.distance(pts)) > lim
+            for tid in fitted:
+                if _ball_contains(lat, tid, qid):
+                    lim = tol * lat.big_ball(tid).radius
+                    far |= np.atleast_1d(self.cube_line(tid).distance(pts)) > lim
             far_mass = float(mu.weights[members[far]].sum())
             if far_mass > math.sqrt(par.alpha) * lat.mass(qid):
                 stop[qid] = StopVerdict("F", far_mass / lat.mass(qid))
 
-        # resolve maximality: keep stop verdicts with no stopped proper ancestor
-        final_stop: dict[int, StopVerdict] = {}
-        kept_tree: list[int] = []
-        blocked: set[int] = set()
-        for qid in tree_ids:
+        # maximality: keep a cube when its parent is kept and not stopped
+        kept: dict[int, StopVerdict | None] = {}
+        for qid in chain:
             parent = lat.cubes[qid].parent
-            if qid != self.root_id and (parent in blocked):
-                blocked.add(qid)
-                continue
-            kept_tree.append(qid)
-            if qid in stop:
-                final_stop[qid] = stop[qid]
-                blocked.add(qid)
+            if qid == self.root_id or (parent in kept and kept[parent] is None):
+                kept[qid] = stop.get(qid)
+        return self._decomposition(kept)
 
-        dbtree = [
-            q for q in kept_tree
-            if lat.cubes[q].doubling and q not in final_stop
-        ]
+    def _decomposition(self, kept: dict[int, StopVerdict | None]) -> TreeDecomposition:
+        """The tree of the cubes ``kept``, each with its stop verdict or
+        None, and the generation its stopped cubes seed."""
+        lat, mu, par = self.lattice, self.mu, self.params
+        stop = {q: v for q, v in kept.items() if v is not None}
         members_r = lat.cubes[self.root_id].members
         stopped_atoms = np.zeros(len(mu), dtype=bool)
-        for q in final_stop:
+        for q in stop:
             stopped_atoms[lat.cubes[q].members] = True
-        g_r = members_r[~stopped_atoms[members_r]]
 
-        next_ids: list[int] = []
-        for qid, v in final_stop.items():
+        next_ids: set[int] = set()
+        for qid, v in stop.items():
             if v.label in ("HD", "BS"):
-                next_ids.append(qid)
+                next_ids.add(qid)
             else:
-                next_ids.extend(_replacement(lat, qid))
-        next_ids = sorted(set(next_ids) - {self.root_id})
+                next_ids.update(_replacement(lat, qid))
+        next_ids.discard(self.root_id)
         next_atoms = np.zeros(len(mu), dtype=bool)
         for q in next_ids:
             next_atoms[lat.cubes[q].members] = True
@@ -385,9 +327,8 @@ class _TreeBuilder:
         # root always counts) whose doubled ball holds the atom
         cut = par.c2_value * self.theta_density**2
         far = np.zeros(len(mu), dtype=bool)
-        for qid in kept_tree:
-            if qid == self.root_id or qid not in final_stop:
-                atoms, sums = self.sums[qid]
+        for qid, (atoms, sums) in self.sums.items():
+            if qid == self.root_id or (qid in kept and kept[qid] is None):
                 far[atoms[sums >= cut]] = True
 
         return TreeDecomposition(
@@ -397,13 +338,15 @@ class _TreeBuilder:
             in_t_vf=self.in_t_vf,
             theta_r=self.theta_r,
             theta_density=self.theta_density,
-            tree_ids=kept_tree,
-            stop=final_stop,
-            dbtree_ids=dbtree,
-            g_r=g_r,
+            tree_ids=list(kept),
+            stop=stop,
+            dbtree_ids=[q for q, v in kept.items()
+                        if v is None and lat.cubes[q].doubling],
+            g_r=members_r[~stopped_atoms[members_r]],
             r_far=members_r[far[members_r]],
-            next_ids=next_ids,
-            perm_sq={q: perm_table[q] for q in kept_tree},
+            next_ids=sorted(next_ids),
+            # a single-atom root computes no point sums: its cubes carry 0
+            perm_sq={q: self.perm.get(q, 0.0) for q in kept},
             dropped_atoms=dropped,
         )
 
@@ -560,7 +503,7 @@ def beta_packing_sum(
         theta = lattice.theta_2b(q.id)
         terms.append(b.beta**2 * theta * lattice.mass(q.id))
     beta_sum = deterministic_sum(terms)
-    c2 = 4.0 * perm_measure(K_INF, mu, workers=workers).value
+    c2 = curvature_squared(mu, workers=workers)
     denom = c2 + mu.total_mass
     return BetaPackingReport(beta_sum, c2, mu.total_mass,
                              beta_sum / denom if denom > 0 else math.inf)

@@ -28,6 +28,7 @@ from .graphfit import build_lipschitz_F, partition_of_unity, DistanceField
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, kt, zero_lines
 from .measure import Ball, DiscreteMeasure, generate, pushforward
 from .permutations import (
+    curvature_squared,
     estimate_c1,
     menger_curvature,
     perm_measure,
@@ -62,14 +63,7 @@ class ExperimentSpec:
     options: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "workers": self.workers,
-            "params": dict(self.params),
-            "options": dict(self.options),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -553,15 +547,15 @@ def bilipschitz_experiment(
 ) -> dict:
     """Curvature of shear images against the curvature-plus-mass budget,
     with an isometry control."""
-    c2 = 4.0 * perm_measure(K_INF, mu, workers=workers).value
+    c2 = curvature_squared(mu, workers=workers)
     budget = c2 + mu.total_mass
     rows = []
     for l_const in l_consts:
         img = pushforward(mu, _shear_for(l_const), l_const)
-        c2_img = 4.0 * perm_measure(K_INF, img, workers=workers).value
+        c2_img = curvature_squared(img, workers=workers)
         rows.append({"L": l_const, "c2_image": c2_img, "ratio": c2_img / budget})
     rot = pushforward(mu, lambda z: z * np.exp(0.37j), 1.0)
-    c2_rot = 4.0 * perm_measure(K_INF, rot, workers=workers).value
+    c2_rot = curvature_squared(rot, workers=workers)
     return {
         "c2": c2,
         "budget": budget,
@@ -589,7 +583,7 @@ def _exp_bilip(spec: ExperimentSpec):
     # a line maps to a line under shears: the image curvature stays zero
     seg = generate("segment", n=64)
     img = pushforward(seg, _shear_for(1.2), 1.2)
-    v = 4.0 * perm_measure(K_INF, img, workers=spec.workers).value
+    v = curvature_squared(img, workers=spec.workers)
     records["sheared_segment_c2"] = v
     flags["line_to_line"] = bool(abs(v) <= _collinear_tolerance(img))
     return records, flags

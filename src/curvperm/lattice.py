@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .measure import Ball, DiscreteMeasure, _distance_range
+from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range
 from .reduction import deterministic_sum
 
 __all__ = [
@@ -61,11 +62,15 @@ class Lattice:
     rescale: float
     cubes: list[Cube]
     levels: list[list[int]]
-    report: dict
 
     @property
     def root(self) -> Cube:
         return self.cubes[self.levels[0][0]]
+
+    @cached_property
+    def report(self) -> dict:
+        """Separation and containment violations, computed on first read."""
+        return _build_report(self)
 
     def ball(self, qid: int) -> Ball:
         q = self.cubes[qid]
@@ -191,8 +196,10 @@ def build(
         root_center_idx = 0
         max_dist = 0.0
     else:
-        dmat = np.abs(pts[:, None] - pts[None, :])
-        worst = dmat.max(axis=1)
+        worst = np.concatenate([
+            np.abs(pts[start:start + _ROWS, None] - pts[None, :]).max(axis=1)
+            for start in range(0, n, _ROWS)
+        ])
         root_center_idx = int(np.argmin(worst))
         max_dist = float(worst[root_center_idx])
     r_root = min(c0, max(1.0, (max_dist / rescale) * (1 + 1e-9)))
@@ -232,11 +239,10 @@ def build(
         levels.append(new_level)
 
     lattice = Lattice(
-        mu, c0, a0, separation, doubling_constant, rescale, cubes, levels, {}
+        mu, c0, a0, separation, doubling_constant, rescale, cubes, levels
     )
     for q in cubes:
         q.doubling = _doubling_raw(lattice, q.id)
-    lattice.report = _build_report(lattice)
     return lattice
 
 
@@ -251,10 +257,6 @@ def doubling_check(lattice: Lattice, qid: int) -> bool:
     flag = _doubling_raw(lattice, qid)
     lattice.cubes[qid].doubling = flag
     return flag
-
-
-# rows of the center-distance comparison per block of _build_report
-_REPORT_BLOCK = 256
 
 
 def _build_report(lattice: Lattice) -> dict:
@@ -281,8 +283,8 @@ def _build_report(lattice: Lattice) -> dict:
         # candidate pairs, row-major over the strict upper triangle; each
         # is confirmed with the scalar test, so numpy's complex abs need
         # not round like Python's
-        for start in range(0, len(cubes), _REPORT_BLOCK):
-            stop = start + _REPORT_BLOCK
+        for start in range(0, len(cubes), _ROWS):
+            stop = start + _ROWS
             near = np.abs(centers[start:stop, None] - centers[None, :]) < (
                 5 * (radii[start:stop, None] + radii[None, :]) * (1 + 1e-12))
             for i, j in zip(*np.nonzero(np.triu(near, start + 1))):

@@ -161,6 +161,21 @@ class TestConstructedStops:
                 line_q = beta2(mu, lat.big_ball(q, 2.0)).line
                 assert v.evidence > tree.theta_r
 
+    def test_far_from_lines_and_maximality(self):
+        # a loose permutation budget and a tight line tolerance let the
+        # far-from-lines rule fire; it tests every cube no earlier rule
+        # stopped, nested ones included, and maximality keeps the topmost
+        mu = corona_corpus()["perturbed_graph"]
+        lat, params = make(mu, Params(alpha=0.5, eps0=1e-8))
+        corona = build_top(lat, mu, params)
+        f_stops = [v for tree in corona.trees.values()
+                   for v in tree.stop.values() if v.label == "F"]
+        assert f_stops
+        assert all(v.evidence > math.sqrt(params.alpha) for v in f_stops)
+        for rid, tree in corona.trees.items():
+            for q in tree.tree_ids:
+                assert not tree.stop.keys() & set(lat.chain(q, rid)[1:])
+
 
 class TestRFar:
     def test_collinear_empty(self):
