@@ -153,13 +153,11 @@ class Lattice:
 def _greedy_net(points: np.ndarray, indices: np.ndarray, sep: float) -> list[int]:
     """Greedy farthest-point subset with pairwise distances >= sep.
 
-    Seeded at the lowest atom index; each step adds the member farthest
-    from the chosen set (ties to the lowest index) while that distance
-    still clears the separation.
+    Seeded at the lowest atom index of the sorted ``indices``; each step
+    adds the member farthest from the chosen set (ties to the lowest
+    index) while that distance still clears the separation.
     """
-    order = np.argsort(indices, kind="stable")
-    idx = indices[order]
-    pts = points[order]
+    pts = points[indices]
     chosen = [0]
     dist = np.abs(pts - pts[0])
     while True:
@@ -168,7 +166,7 @@ def _greedy_net(points: np.ndarray, indices: np.ndarray, sep: float) -> list[int
             break
         chosen.append(far)
         dist = np.minimum(dist, np.abs(pts - pts[far]))
-    return [int(idx[c]) for c in chosen]
+    return [int(indices[c]) for c in chosen]
 
 
 def build(

@@ -7,6 +7,7 @@ from curvperm.corona import Params
 from curvperm.experiments import corona_corpus
 from curvperm.lattice import (
     BIG_BALL_FACTOR,
+    _greedy_net,
     build,
     delta_mu,
     density_chain_report,
@@ -115,6 +116,20 @@ class TestBuild:
             len(q.children) * (len(q.children) - 1) // 2 for q in lat.cubes
         )
         assert total_pairs > 0
+
+    def test_cantor_nets_from_own_members(self):
+        # each cube's net comes from its own atoms, so siblings stay
+        # separated and members stay in the big ball at every level of the
+        # level-5 dust, where the measure's first atoms lie elsewhere
+        lat = build(generate("cantor4", level=5))
+        assert lat.report["sibling_5b_violations"] == []
+        assert lat.report["member_radius_violations"] == []
+
+    def test_greedy_net_reads_members(self):
+        # members far from the measure's first atoms
+        pts = np.concatenate([np.arange(10), 100 + 0.5 * np.arange(10)]).astype(complex)
+        net = _greedy_net(pts, np.arange(10, 20), 3.0)
+        assert net == [10, 19]  # 100 and 104.5; every member is within 2.5
 
     @pytest.mark.parametrize("separation", [10.0, 3.0])
     def test_report_pairs_match_pair_loop(self, separation):
@@ -299,12 +314,13 @@ class TestChainsAndBoundaries:
         assert rep["below_resolution"]
 
     def test_small_boundary_adversary_recorded_not_raised(self):
-        # a heavy atom a hair across a cell boundary: the split happens
-        # between parents, so the pair lands in different cubes while the
-        # reference bound decays (c0^-7 a0 > 1 at these constants)
+        # a heavy atom a hair across a cell boundary: the level-2 nets
+        # centre cells on 0 and 0.3, which split the pair at 0.15 into
+        # different cubes while the reference bound decays (c0^-7 a0 > 1
+        # at these constants)
         e = 1e-4
-        pts = [0j, 0.5 - e + 0j, 0.5 + e + 0j, 1 + 0j]
-        mu = DiscreteMeasure(pts, [1e-3, 1e-3, 10.0, 1e-3], e)
+        pts = [0j, 0.15 - e + 0j, 0.15 + e + 0j, 0.3 + 0j, 1 + 0j]
+        mu = DiscreteMeasure(pts, [1e-3, 1e-3, 10.0, 1e-3, 1e-3], e)
         lat = build(mu, c0=1.05, a0=8.0)
         failed = False
         for q in lat.cubes:
