@@ -355,4 +355,6 @@ def load_json(path) -> DiscreteMeasure:
         scale = float(data["scale"])
     except KeyError as err:
         raise ValueError(f"measure JSON lacks the key {err.args[0]!r}") from None
+    except TypeError:
+        raise ValueError('measure JSON must be {"scale": s, "atoms": [{"x", "y", "w"}]}') from None
     return DiscreteMeasure(pts, w, scale)

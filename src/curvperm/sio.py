@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
-from .measure import DiscreteMeasure
+from .measure import _ROWS, DiscreteMeasure
 from .permutations import perm_measure
 from .reduction import deterministic_sum
 
@@ -41,7 +41,7 @@ class TruncationGrid:
         eps = tuple(float(e) for e in self.epsilons)
         if len(eps) == 0:
             raise ValueError("empty truncation grid")
-        if any(e <= 0 for e in eps):
+        if not all(e > 0 for e in eps):
             raise ValueError("truncation lengths must be positive")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("truncation grid must be strictly increasing")
@@ -60,70 +60,65 @@ def default_grid(mu: DiscreteMeasure, n: int = 16) -> TruncationGrid:
     return TruncationGrid(tuple(np.geomspace(lo, hi, n)))
 
 
+def _truncated_sums(values, targets, mu: DiscreteMeasure, weights, epsilons):
+    """The sums of ``values(z - x) * weights`` over the atoms ``x`` at distance
+    at least each cutoff from each target ``z``, one row per cutoff.  Targets
+    are taken ``_ROWS`` at a time and each row is reduced on its own, so a
+    target's sum depends neither on the other targets nor on its block."""
+    if not all(e > 0 for e in epsilons):
+        raise ValueError("truncation length must be positive")
+    blocks = []
+    for start in range(0, targets.size, _ROWS):
+        dz = targets[start:start + _ROWS, None] - mu.points[None, :]
+        v, d = values(dz) * weights, np.abs(dz)
+        blocks.append([np.where(d >= e, v, 0.0).sum(axis=1) for e in epsilons])
+    return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(epsilons), 0))
+
+
+def _inverse(dz: np.ndarray) -> np.ndarray:
+    """The Cauchy kernel ``1/z``; a zero difference, which no cutoff keeps, gives 1."""
+    return 1.0 / np.where(dz == 0, 1.0, dz)
+
+
+def _l2(sums: np.ndarray, w: np.ndarray) -> float:
+    """Weighted l2 norm of one row of truncated sums, real or complex."""
+    return math.sqrt(deterministic_sum((sums.real**2 + sums.imag**2) * w))
+
+
 def apply_truncated(
     k: KernelParam, mu: DiscreteMeasure, f: np.ndarray, eps: float, z: complex
 ) -> float:
     """Truncated operator applied to per-atom values ``f`` at the point ``z``."""
-    if eps <= 0:
-        raise ValueError("truncation length must be positive")
-    dz = complex(z) - mu.points
-    keep = np.abs(dz) >= eps
-    vals = kernel_values(k, dz) * np.asarray(f, dtype=float) * mu.weights
-    return deterministic_sum(np.where(keep, vals, 0.0))
-
-
-def _truncated_t1(kv: np.ndarray, dist: np.ndarray, w: np.ndarray,
-                  epsilons) -> list[np.ndarray]:
-    """The truncated transform of 1 at every atom for each cutoff, from the
-    kernel values ``kv`` of the pair differences and their moduli ``dist``.
-    Each product takes the full matrix: BLAS splits a product's rows between
-    its threads, and rows at the split round differently in a row-blocked
-    product."""
-    return [np.where(dist >= eps, kv, 0.0) @ w for eps in epsilons]
+    w, z = np.asarray(f, dtype=float) * mu.weights, np.array([z], dtype=complex)
+    return float(_truncated_sums(lambda dz: kernel_values(k, dz), z, mu, w, [eps])[0, 0])
 
 
 def t1_values(k: KernelParam, mu: DiscreteMeasure, eps: float) -> np.ndarray:
     """The truncated transform of the constant 1 at every atom."""
-    if eps <= 0:
-        raise ValueError("truncation length must be positive")
-    dz = mu.points[:, None] - mu.points[None, :]
-    return _truncated_t1(kernel_values(k, dz), np.abs(dz), mu.weights, [eps])[0]
+    return _truncated_sums(lambda dz: kernel_values(k, dz), mu.points, mu,
+                           mu.weights, [eps])[0]
 
 
 def l2_norm_T1(k: KernelParam, mu: DiscreteMeasure, eps: float) -> float:
     """Weighted l2 norm of the truncated transform of 1."""
-    if len(mu) == 0:
-        return 0.0
-    t1 = t1_values(k, mu, eps)
-    return math.sqrt(deterministic_sum(t1 * t1 * mu.weights))
+    return _l2(t1_values(k, mu, eps), mu.weights)
 
 
 def sup_l2_norm(
     k: KernelParam, mu: DiscreteMeasure, grid: TruncationGrid
 ) -> tuple[float, float]:
     """Max of the truncated norm over the grid and the attaining cutoff."""
-    dz = mu.points[:, None] - mu.points[None, :]
-    kv, dist = kernel_values(k, dz), np.abs(dz)
-    del dz
-    t1s = _truncated_t1(kv, dist, mu.weights, grid.epsilons)
-    norms = [math.sqrt(deterministic_sum(t1 * t1 * mu.weights)) for t1 in t1s]
+    sums = _truncated_sums(lambda dz: kernel_values(k, dz), mu.points, mu,
+                           mu.weights, grid.epsilons)
+    norms = [_l2(t1, mu.weights) for t1 in sums]
     best = int(np.argmax(norms))
     return norms[best], grid.epsilons[best]
 
 
 def cauchy_l2_norm(mu: DiscreteMeasure, eps: float) -> float:
     """Weighted l2 norm of the truncated complex Cauchy transform of 1."""
-    if eps <= 0:
-        raise ValueError("truncation length must be positive")
-    if len(mu) == 0:
-        return 0.0
-    dz = mu.points[:, None] - mu.points[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.where(dz == 0, 1.0, dz)
-    dist = np.abs(dz)
-    del dz
-    t1 = _truncated_t1(inv, dist, mu.weights.astype(complex), [eps])[0]
-    return math.sqrt(deterministic_sum((t1.real**2 + t1.imag**2) * mu.weights))
+    return _l2(_truncated_sums(_inverse, mu.points, mu, mu.weights, [eps])[0],
+               mu.weights)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,21 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"curvperm {args[0]}: ")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"scale": 0.5, "atoms": 3}',
+        '{"scale": 0.5, "atoms": [{"x": "a", "y": 0.0, "w": 1.0}]}',
+    ])
+    def test_malformed_measure_file_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        res = self.run_cli("perm", "--measure", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("curvperm perm: measure JSON ")
+        assert res.stdout == ""
+
     def test_out_onto_a_file_is_rejected(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,15 @@ class TestApplyTruncated:
     def test_requires_positive_eps(self):
         with pytest.raises(ValueError):
             apply_truncated(K_INF, two_atoms(), np.ones(2), 0.0, 0j)
+        empty = DiscreteMeasure(np.zeros(0, complex), np.zeros(0), 1.0)
+        for mu in (two_atoms(), empty):
+            for eps in (float("nan"), -1.0):
+                with pytest.raises(ValueError):
+                    apply_truncated(K_INF, mu, np.ones(len(mu)), eps, 0j)
+                with pytest.raises(ValueError):
+                    l2_norm_T1(K_ZERO, mu, eps)
+                with pytest.raises(ValueError):
+                    cauchy_l2_norm(mu, eps)
 
 
 class TestL2Norm:
@@ -119,6 +129,43 @@ class TestSupNorm:
             TruncationGrid((0.2, 0.1))
         with pytest.raises(ValueError):
             TruncationGrid((-0.5, 0.1))
+        for bad in ((float("nan"),), (0.1, float("nan"))):
+            with pytest.raises(ValueError):
+                TruncationGrid(bad)
+
+
+class TestRowBlocks:
+    """The truncated sums are taken 256 targets at a time; a measure of 700
+    atoms spans three blocks."""
+
+    @pytest.fixture(scope="class")
+    def mu(self):
+        return generate("perturbed", base="circle", n=700, amplitude=1e-3, seed=4)
+
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO], ids=str)
+    def test_every_row_equals_its_point_sum(self, mu, k):
+        for eps in default_grid(mu).epsilons[1::7]:
+            t1 = t1_values(k, mu, eps)
+            point = [apply_truncated(k, mu, 1.0, eps, z) for z in mu.points]
+            assert np.array_equal(t1, point)
+
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO], ids=str)
+    def test_sup_is_max_over_grid(self, mu, k):
+        grid = default_grid(mu)
+        per_eps = [l2_norm_T1(k, mu, e) for e in grid.epsilons]
+        assert sup_l2_norm(k, mu, grid) == (max(per_eps),
+                                            grid.epsilons[int(np.argmax(per_eps))])
+
+    def test_memory_below_one_pair_matrix(self):
+        mu = generate("lipschitz_graph", n=2048)
+        grid = default_grid(mu)
+        tracemalloc.start()
+        try:
+            sup_l2_norm(K_INF, mu, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 2048 * 16  # one complex n x n array, 64 MiB
 
 
 class TestCauchy:
