@@ -598,10 +598,9 @@ def t0_bracket(measures: dict[str, DiscreteMeasure], workers: int = 1) -> dict:
     for name, mu in measures.items():
         p0 = perm_measure(K_ZERO, mu, workers=workers).value
         pinf = perm_measure(K_INF, mu, workers=workers).value
-        growth = mu.linear_growth_constant()
-        denom = p0 + growth**2 * mu.total_mass
-        ratio = pinf / denom if denom > 0 else math.inf
         r = theorem1_ratios(mu, default_grid(mu))
+        denom = p0 + r.growth**2 * mu.total_mass
+        ratio = pinf / denom if denom > 0 else math.inf
         rows[name] = {
             "p0": p0,
             "p_inf": pinf,

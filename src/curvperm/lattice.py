@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range
+from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range, _distance_rows
 from .reduction import deterministic_sum
 
 __all__ = [
@@ -194,10 +194,7 @@ def build(
         root_center_idx = 0
         max_dist = 0.0
     else:
-        worst = np.concatenate([
-            np.abs(pts[start:start + _ROWS, None] - pts[None, :]).max(axis=1)
-            for start in range(0, n, _ROWS)
-        ])
+        worst = np.concatenate([d.max(axis=1) for _, d in _distance_rows(pts)])
         root_center_idx = int(np.argmin(worst))
         max_dist = float(worst[root_center_idx])
     r_root = min(c0, max(1.0, (max_dist / rescale) * (1 + 1e-9)))
@@ -281,10 +278,8 @@ def _build_report(lattice: Lattice) -> dict:
         # candidate pairs, row-major over the strict upper triangle; each
         # is confirmed with the scalar test, so numpy's complex abs need
         # not round like Python's
-        for start in range(0, len(cubes), _ROWS):
-            stop = start + _ROWS
-            near = np.abs(centers[start:stop, None] - centers[None, :]) < (
-                5 * (radii[start:stop, None] + radii[None, :]) * (1 + 1e-12))
+        for start, d in _distance_rows(centers):
+            near = d < 5 * (radii[start:start + _ROWS, None] + radii[None, :]) * (1 + 1e-12)
             for i, j in zip(*np.nonzero(np.triu(near, start + 1))):
                 qa, qb = cubes[start + i], cubes[j]
                 if abs(qa.center - qb.center) < 5 * (qa.radius + qb.radius):

@@ -72,13 +72,14 @@ class DiscreteMeasure:
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError("discretization scale must be positive")
         if pts.size > 1:
-            dmin, _ = _distance_range(pts)
+            dmin, dmax = _distance_range(pts)
             if dmin == 0.0:
                 raise ValueError("atom positions must be pairwise distinct")
             if self.scale > dmin * (1 + 1e-12):
                 raise ValueError(
                     f"scale {self.scale} exceeds minimal atom spacing {dmin}"
                 )
+            self.__dict__["diameter"] = dmax  # where cached_property looks first
         pts.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -138,59 +139,50 @@ class DiscreteMeasure:
         idx = np.asarray(indices)
         return DiscreteMeasure(self.points[idx], self.weights[idx], self.scale)
 
+    def _sorted_rows(self):
+        """Each atom's distances in increasing order and their cumulative
+        weights, ``_ROWS`` atoms at a time."""
+        for _, d in _distance_rows(self.points):
+            cum = np.cumsum(self.weights[np.argsort(d, axis=1, kind="stable")], axis=1)
+            d.sort(axis=1)
+            yield d, cum
+
     def linear_growth_constant(self) -> float:
         """Smallest C with ``mass(B(z, r)) <= C r`` over the support.
 
-        The supremum of mass/r over r >= scale is attained in the limit at
-        jump radii, i.e. at closed balls with radius in the pairwise
-        distance set, so scanning closed balls over {scale} + the per
-        center distance sets is exact.
+        The supremum of mass/r over r >= scale is attained at closed balls:
+        the one through the k-th nearest atom of a centre holds at least
+        the first k+1 sorted weights, so their sum over the larger of that
+        distance and the scale is a candidate, and the largest is exact.
         """
         if len(self) == 0:
             raise ValueError("growth constant of the empty measure")
-        best = 0.0
-        for i in range(len(self)):
-            d = self.distances_from(self.points[i])
-            order = np.argsort(d, kind="stable")
-            d_sorted = d[order]
-            cum = np.cumsum(self.weights[order])
-            radii = np.unique(np.concatenate([[self.scale], d_sorted[d_sorted >= self.scale]]))
-            mass_at = cum[np.searchsorted(d_sorted, radii, side="right") - 1]
-            best = max(best, float(np.max(mass_at / radii)))
-        return best
+        return max(float(np.max(cum / np.maximum(d, self.scale)))
+                   for d, cum in self._sorted_rows())
 
     def ad_regularity_bounds(self, r_min: float, r_max: float) -> tuple[float, float]:
-        """Tightest (lower, upper) constants for ``C^-1 r <= mass <= C r``.
+        """Tightest (lower, upper) constants for ``C^-1 r <= mass <= C r``
+        over atom-centered balls with radii in [r_min, r_max].
 
-        Scans atom-centered candidate balls with radii in the pairwise
-        distance set clipped to [r_min, r_max]; open balls give the exact
-        infimum of mass/r, closed balls the exact supremum.
+        Closed balls give the exact supremum of mass/r as in
+        ``linear_growth_constant``, at radii up to r_max.  Open balls give
+        the exact supremum of r/mass: the open ball holding the first k+1
+        sorted weights stays so up to the next distance, or r_max.
         """
         if len(self) == 0:
             raise ValueError("regularity bounds of the empty measure")
+        if not (r_min > 0):
+            raise ValueError(f"r_min must be positive, got {r_min}")
         if not (r_min <= r_max):
             raise ValueError("empty scale range")
-        c_lower = 0.0
-        c_upper = 0.0
-        seen = False
-        for i in range(len(self)):
-            d = self.distances_from(self.points[i])
-            order = np.argsort(d, kind="stable")
-            d_sorted = d[order]
-            cum = np.cumsum(self.weights[order])
-            radii = np.unique(np.concatenate([[r_min, r_max], d_sorted]))
-            radii = radii[(radii >= r_min) & (radii <= r_max)]
-            if radii.size == 0:
-                continue
-            seen = True
-            hi = cum[np.searchsorted(d_sorted, radii, side="right") - 1]
-            pos = np.searchsorted(d_sorted, radii, side="left") - 1
-            lo = np.where(pos >= 0, cum[np.maximum(pos, 0)], 0.0)
-            c_upper = max(c_upper, float(np.max(hi / radii)))
-            with np.errstate(divide="ignore"):
-                c_lower = max(c_lower, float(np.max(radii / lo)))
-        if not seen:
-            raise ValueError("no candidate balls inside the scale range")
+        c_lower = c_upper = 0.0
+        for d, cum in self._sorted_rows():
+            c_upper = max(c_upper, float(np.max(
+                cum / np.maximum(d, r_min), initial=0.0, where=d <= r_max)))
+            reach = np.full_like(d, r_max)
+            reach[:, :-1] = np.minimum(d[:, 1:], r_max)
+            c_lower = max(c_lower, float(np.max(
+                reach / cum, initial=0.0, where=reach >= r_min)))
         return c_lower, c_upper
 
     def to_dict(self) -> dict:
@@ -206,12 +198,17 @@ class DiscreteMeasure:
 _ROWS = 256  # rows per block of the distance matrix
 
 
-def _distance_range(pts: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest distance between two of at least two atoms,
-    _ROWS rows of the distance matrix at a time."""
-    lo, hi = np.inf, 0.0
+def _distance_rows(pts: np.ndarray):
+    """``(start, |pts[start:start + _ROWS, None] - pts|)``: the distance
+    matrix ``_ROWS`` rows at a time, which every pairwise scan reads."""
     for start in range(0, pts.size, _ROWS):
-        d = np.abs(pts[start:start + _ROWS, None] - pts[None, :])
+        yield start, np.abs(pts[start:start + _ROWS, None] - pts[None, :])
+
+
+def _distance_range(pts: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest distance between two of at least two atoms."""
+    lo, hi = np.inf, 0.0
+    for start, d in _distance_rows(pts):
         hi = max(hi, float(d.max()))
         np.fill_diagonal(d[:, start:], np.inf)
         lo = min(lo, float(d.min()))
@@ -268,11 +265,15 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
       perturbed(base, amplitude, ...) seeded jitter applied to a base kind,
                                        which takes the other keys
     """
+    return DiscreteMeasure(*_recipe(kind, seed, params))
+
+
+def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unchecked points, weights and scale, so ``perturbed`` checks only its own."""
     for key in params:
         if key not in _RECIPE_KEYS.get(kind, (key,)):
             raise ValueError(f"{kind} takes no key {key!r}; it takes "
                              f"{', '.join(_RECIPE_KEYS[kind])}")
-    rng = np.random.default_rng(seed)
     if kind == "segment":
         n = int(params.get("n", 100))
         start = complex(params.get("start", 0.0))
@@ -280,12 +281,12 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
         if n < 1:
             raise ValueError("segment needs n >= 1")
         if n == 1:
-            return DiscreteMeasure([start], [abs(end - start) or 1.0], 1.0)
+            return np.array([start]), np.array([abs(end - start) or 1.0]), 1.0
         t = np.linspace(0.0, 1.0, n)
         pts = start + t * (end - start)
         length = abs(end - start)
         w = np.full(n, length / n)
-        return DiscreteMeasure(pts, w, length / (2 * (n - 1)))
+        return pts, w, length / (2 * (n - 1))
     if kind == "lipschitz_graph":
         n = int(params.get("n", 128))
         slope = float(params.get("slope", 0.2))
@@ -296,7 +297,7 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
         y = slope * _triangle_wave(x, teeth)
         pts = x + 1j * y
         w = _arclength_weights(pts)
-        return DiscreteMeasure(pts, w, float(np.min(np.abs(np.diff(pts)))) / 2)
+        return pts, w, float(np.min(np.abs(np.diff(pts)))) / 2
     if kind == "circle":
         n = int(params.get("n", 128))
         radius = float(params.get("radius", 1.0))
@@ -307,7 +308,7 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
         pts = center + radius * np.exp(1j * ang)
         w = np.full(n, 2 * np.pi * radius / n)
         spacing = 2 * radius * np.sin(np.pi / n)
-        return DiscreteMeasure(pts, w, spacing / 2)
+        return pts, w, spacing / 2
     if kind == "cantor4":
         level = int(params.get("level", 1))
         if level < 0:
@@ -322,22 +323,19 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
         pts = pts.ravel()
         w = np.full(pts.size, 4.0 ** (-level))
         # nearest sibling centers sit 3 * 4^-level apart
-        return DiscreteMeasure(pts, w, 4.0 ** (-level)) if level else DiscreteMeasure(
-            pts, w, 1.0
-        )
+        return pts, w, (4.0 ** (-level) if level else 1.0)
     if kind == "perturbed":
         base = dict(params)
         base_kind = base.pop("base", "segment")
         amplitude = float(base.pop("amplitude", 1e-3))
-        mu = generate(base_kind, seed=seed, **base)
-        jitter = amplitude * (
-            rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu))
-        )
-        pts = mu.points + jitter
+        pts, w, scale = _recipe(base_kind, seed, base)
+        rng = np.random.default_rng(seed)
+        pts = pts + amplitude * (rng.uniform(-1, 1, pts.size)
+                                 + 1j * rng.uniform(-1, 1, pts.size))
         dmin = _distance_range(pts)[0] if pts.size > 1 else np.inf
         if dmin == 0.0:
             raise ValueError("perturbation collided atoms; lower the amplitude")
-        return DiscreteMeasure(pts, mu.weights.copy(), min(mu.scale, dmin))
+        return pts, w, min(scale, dmin)
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
@@ -346,13 +344,20 @@ def save_json(mu: DiscreteMeasure, path) -> None:
         json.dump(mu.to_dict(), fh)
 
 
+def _number(record: dict, key: str) -> float:
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"measure JSON key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_json(path) -> DiscreteMeasure:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        pts = np.array([a["x"] + 1j * a["y"] for a in data["atoms"]], dtype=complex)
-        w = np.array([a["w"] for a in data["atoms"]], dtype=float)
-        scale = float(data["scale"])
+        pts = np.array([complex(_number(a, "x"), _number(a, "y")) for a in data["atoms"]])
+        w = np.array([_number(a, "w") for a in data["atoms"]], dtype=float)
+        scale = _number(data, "scale")
     except KeyError as err:
         raise ValueError(f"measure JSON lacks the key {err.args[0]!r}") from None
     except TypeError:

@@ -181,6 +181,64 @@ def growth_constant_scan(points, weights, scale, n_radii: int = 4000) -> float:
     return best
 
 
+def growth_constant_per_atom(points, weights, scale) -> float:
+    """Closed-ball mass over radius, one centre at a time, at the scale and
+    at every distinct distance from the centre at or above it."""
+    pts, w = np.asarray(points), np.asarray(weights)
+    best = 0.0
+    for z in pts:
+        d = np.abs(pts - z)
+        order = np.argsort(d, kind="stable")
+        d_sorted = d[order]
+        cum = np.cumsum(w[order])
+        radii = np.unique(np.concatenate([[scale], d_sorted[d_sorted >= scale]]))
+        mass_at = cum[np.searchsorted(d_sorted, radii, side="right") - 1]
+        best = max(best, float(np.max(mass_at / radii)))
+    return best
+
+
+def ad_regularity_per_atom(points, weights, r_min, r_max) -> tuple[float, float]:
+    """(max r/open mass, max closed mass/r) over atom-centred balls, one
+    centre at a time, at r_min, r_max and every distance between them."""
+    pts, w = np.asarray(points), np.asarray(weights)
+    c_lower = c_upper = 0.0
+    for z in pts:
+        d = np.abs(pts - z)
+        order = np.argsort(d, kind="stable")
+        d_sorted = d[order]
+        cum = np.cumsum(w[order])
+        radii = np.unique(np.concatenate([[r_min, r_max], d_sorted]))
+        radii = radii[(radii >= r_min) & (radii <= r_max)]
+        hi = cum[np.searchsorted(d_sorted, radii, side="right") - 1]
+        pos = np.searchsorted(d_sorted, radii, side="left") - 1
+        lo = np.where(pos >= 0, cum[np.maximum(pos, 0)], 0.0)
+        c_upper = max(c_upper, float(np.max(hi / radii)))
+        with np.errstate(divide="ignore"):
+            c_lower = max(c_lower, float(np.max(radii / lo)))
+    return c_lower, c_upper
+
+
+def growth_constant_exact_sq(points, weights, scale) -> Fraction:
+    """The squared growth constant in exact arithmetic: the largest
+    ``m² / max(q, scale²)`` over atom centres, where q runs over the squared
+    distances from the centre and m is the mass within distance sqrt(q).
+    Exact for atoms, weights and scale that are floats."""
+    xy = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, points)]
+    w = [Fraction(float(v)) for v in weights]
+    s2 = Fraction(float(scale)) ** 2
+    best = Fraction(0)
+    for cx, cy in xy:
+        mass_at: dict[Fraction, Fraction] = {}
+        for (x, y), m in zip(xy, w):
+            q = (x - cx) ** 2 + (y - cy) ** 2
+            mass_at[q] = mass_at.get(q, Fraction(0)) + m
+        cum = Fraction(0)
+        for q in sorted(mass_at):
+            cum += mass_at[q]
+            best = max(best, cum * cum / max(q, s2))
+    return best
+
+
 def best_line_scan(points, weights, radius, n_angles: int = 20000) -> float:
     """Least weighted squared distance over lines through the weighted
     centroid, by dense angle scan; returns the squared beta value."""

@@ -225,6 +225,8 @@ class TestCli:
         "[1, 2]",
         '{"scale": 0.5, "atoms": 3}',
         '{"scale": 0.5, "atoms": [{"x": "a", "y": 0.0, "w": 1.0}]}',
+        '{"scale": 0.5, "atoms": [{"x": true, "y": 0.0, "w": 1.0}]}',
+        '{"scale": 0.5, "atoms": [{"x": 0.0, "y": 0.0, "w": "a"}]}',
     ])
     def test_malformed_measure_file_exits_2(self, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -1,8 +1,12 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from curvperm import measure
+from curvperm.experiments import corpus
 from curvperm.measure import (
     Ball,
     DiscreteMeasure,
@@ -12,11 +16,29 @@ from curvperm.measure import (
     pushforward,
     save_json,
 )
-from oracles import growth_constant_scan
+from oracles import (
+    ad_regularity_per_atom,
+    growth_constant_exact_sq,
+    growth_constant_per_atom,
+    growth_constant_scan,
+)
 
 
 def unit_segment(n=100):
     return generate("segment", n=n)
+
+
+def _scan_inputs():
+    # the corpus, a circle spanning three blocks of rows, the Cantor dust
+    # and two atoms whose growth constant is read at the scale
+    out = dict(corpus())
+    out["two_far_atoms"] = DiscreteMeasure([0, 100 + 0j], [1e-3, 1e-3], 1.0)
+    out["circle_700"] = generate("perturbed", base="circle", n=700, amplitude=1e-3, seed=3)
+    out["cantor4_5"] = generate("cantor4", level=5)
+    return out
+
+
+SCAN_INPUTS = _scan_inputs()
 
 
 class TestBasics:
@@ -135,6 +157,21 @@ class TestGrowth:
         assert got >= ref - 1e-12
         assert got == pytest.approx(ref, rel=5e-3)
 
+    @pytest.mark.parametrize("name", sorted(SCAN_INPUTS))
+    def test_equals_per_atom_loop(self, name):
+        mu = SCAN_INPUTS[name]
+        assert mu.linear_growth_constant() == growth_constant_per_atom(
+            mu.points, mu.weights, mu.scale)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_exact_rational_growth(self, level):
+        # dyadic atoms, weights and scale: the squared constant is rational
+        mu = generate("cantor4", level=level)
+        exact = growth_constant_exact_sq(mu.points, mu.weights, mu.scale)
+        rel = Fraction(1, 10**15)
+        got = Fraction(mu.linear_growth_constant()) ** 2
+        assert (1 - rel) ** 2 * exact <= got <= (1 + rel) ** 2 * exact
+
     def test_isometry_invariance(self):
         mu = unit_segment(40)
         rot = pushforward(mu, lambda z: z * np.exp(0.9j) + (2 - 1j), 1.0)
@@ -164,6 +201,18 @@ class TestAdRegularity:
         mu = unit_segment(10)
         with pytest.raises(ValueError):
             mu.ad_regularity_bounds(1.0, 0.5)
+        for r_min in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="r_min"):
+                mu.ad_regularity_bounds(r_min, 0.5)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_INPUTS))
+    def test_equals_per_atom_loop(self, name):
+        mu = SCAN_INPUTS[name]
+        d, s = mu.diameter, mu.scale
+        for r_min, r_max in [(s, d), (2 * s, 4 * s), (d / 10, d / 2), (d / 4, d / 4),
+                             (s / 3, s / 2), (d, d), (d, 2 * d), (s, math.inf)]:
+            assert mu.ad_regularity_bounds(r_min, r_max) == ad_regularity_per_atom(
+                mu.points, mu.weights, r_min, r_max)
 
     def test_against_dense_scan(self):
         # the candidate-set evaluation matches a dense radius sweep
@@ -239,6 +288,34 @@ class TestGenerate:
         with pytest.raises(ValueError, match=repr(key)):
             generate(kind, **params)
 
+    def test_perturbed_runs_two_distance_passes(self, monkeypatch):
+        calls = []
+        distance_range = measure._distance_range
+
+        def counted(pts):
+            calls.append(pts.size)
+            return distance_range(pts)
+
+        monkeypatch.setattr(measure, "_distance_range", counted)
+        mu = generate("perturbed", base="lipschitz_graph", n=300, amplitude=1e-5, seed=2)
+        assert mu.diameter > 0
+        assert calls == [300, 300]
+
+    def test_perturbed_jitters_its_base(self):
+        mu = generate("perturbed", base="circle", n=40, amplitude=1e-3, seed=4)
+        base = generate("circle", n=40)
+        rng = np.random.default_rng(4)
+        jitter = 1e-3 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
+        assert np.array_equal(mu.points, base.points + jitter)
+        assert np.array_equal(mu.weights, base.weights)
+        d = np.abs(mu.points[:, None] - mu.points[None, :])
+        np.fill_diagonal(d, np.inf)
+        assert mu.scale == min(base.scale, d.min())
+
+    def test_perturbed_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="finite"):
+            generate("perturbed", base="segment", n=8, amplitude=math.nan)
+
     def test_perturbed_passes_keys_to_its_base(self):
         mu = generate("perturbed", base="circle", n=16, radius=2.0, amplitude=1e-4)
         assert len(mu) == 16
@@ -309,6 +386,17 @@ class TestJsonRoundTrip:
         data = json.loads(path.read_text())
         assert set(data) == {"scale", "atoms"}
         assert set(data["atoms"][0]) == {"x", "y", "w"}
+
+    @pytest.mark.parametrize("key, value", [
+        ("x", True), ("y", False), ("w", "a"), ("w", None), ("scale", "0.5"), ("scale", True),
+    ])
+    def test_non_number_names_the_key(self, tmp_path, key, value):
+        data = {"scale": 0.5, "atoms": [{"x": 0.0, "y": 0.0, "w": 1.0}]}
+        (data if key == "scale" else data["atoms"][0])[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"measure JSON key {key!r} must be a number"):
+            load_json(path)
 
     @pytest.mark.parametrize("drop", ["scale", "w"])
     def test_missing_key_names_it(self, tmp_path, drop):
