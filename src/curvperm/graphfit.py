@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import Line
 from .lattice import BIG_BALL_FACTOR, Lattice, first_doubling_ancestor
-from .measure import Ball, DiscreteMeasure
+from .measure import Ball, DiscreteMeasure, _distance_rows
 from .permutations import perm_truncated_window
 
 __all__ = [
@@ -165,9 +165,6 @@ class WhitneyCover:
     def n(self) -> int:
         return self.lo.size
 
-    def lengths(self) -> np.ndarray:
-        return self.hi - self.lo
-
 
 def _select_cube(
     field: DistanceField, proj: ProjectedField, lattice: Lattice, lo: float, hi: float
@@ -274,19 +271,31 @@ def _whitney_cover(
     )
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+def _samples(u) -> np.ndarray:
+    """Sample coordinates as a 1-d float array, all of them finite."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(u))} non-finite sample(s)")
+    return u
 
 
-def _bumps(cover: WhitneyCover, u: np.ndarray) -> np.ndarray:
-    """Raw plateau bumps: 1 on the doubled interval, 0 off the tripled one,
-    C2 transition in between, |derivative| <= 4 / length."""
+def _weights(cover: WhitneyCover, u: np.ndarray):
+    """Each bump on its slice of the sorted samples, as ``(row, col,
+    weight, total)``: bump ``col`` is 1 on the doubled interval, 0 off the
+    tripled one, C2 between with |derivative| <= 4 / length.  The slice is
+    widened past the tripled support, so the formula decides at its ends."""
     c = (cover.lo + cover.hi) / 2
     half = (cover.hi - cover.lo) / 2
-    dist = np.abs(u[:, None] - c[None, :])
-    # half-widths: 2J has 2*half, 3J has 3*half; ramp down across one half
-    return _smoothstep((3.0 * half[None, :] - dist) / half[None, :])
+    order = np.argsort(u)
+    reach = 3.0 * half * (1 + 1e-9)
+    first = np.searchsorted(u[order], c - reach)
+    count = np.searchsorted(u[order], c + reach, side="right") - first
+    col = np.repeat(np.arange(cover.n), count)  # bincount adds in interval order
+    row = order[np.arange(col.size) + np.repeat(first - np.cumsum(count) + count, count)]
+    t = np.clip((3.0 * half[col] - np.abs(u[row] - c[col])) / half[col], 0.0, 1.0)
+    bump = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+    total = np.bincount(row, bump, minlength=u.size).astype(float)
+    return row, col, bump / np.where(total > 0, total, 1.0)[row], total
 
 
 def partition_of_unity(cover: WhitneyCover, u) -> tuple[np.ndarray, np.ndarray]:
@@ -295,12 +304,10 @@ def partition_of_unity(cover: WhitneyCover, u) -> tuple[np.ndarray, np.ndarray]:
     Rows summing to zero are outside every tripled interval and are
     returned as all-zero rows.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    raw = _bumps(cover, u)
-    total = raw.sum(axis=1)
-    safe = np.where(total > 0, total, 1.0)
-    weights = raw / safe[:, None]
-    weights[total == 0] = 0.0
+    u = _samples(u)
+    row, col, weight, total = _weights(cover, u)
+    weights = np.zeros((u.size, cover.n))
+    weights[row, col] = weight
     return weights, total
 
 
@@ -319,28 +326,26 @@ class LipschitzGraph:
     def blend(self, u) -> np.ndarray:
         """The partition-of-unity blend of the affine pieces (no exact
         interpolation overrides)."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = _samples(u)
         if self.cover is None or self.cover.n == 0:
             return np.zeros_like(u)
-        weights, _ = partition_of_unity(self.cover, u)
-        vals = np.zeros_like(u)
-        for i in range(self.cover.n):
-            if not self.cover.in_window[i] or self.cover.coeffs[i] is None:
-                continue
-            a, slope = self.cover.coeffs[i]
-            vals += weights[:, i] * (a + slope * (u - self.cover.lo[i]))
-        return vals
+        row, col, weight, _ = _weights(self.cover, u)
+        # an interval without a piece adds +0, as if it were skipped
+        coef = np.array([cf if on and cf else (0.0, 0.0)
+                         for cf, on in zip(self.cover.coeffs, self.cover.in_window)])
+        piece = coef[col, 0] + coef[col, 1] * (u[row] - self.cover.lo[col])
+        return np.bincount(row, weight * piece, minlength=u.size).astype(float)
 
     def eval(self, u) -> np.ndarray:
-        """Blend plus exact graph values at the projected good atoms."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        """Blend plus exact graph values at the projected good atoms; of
+        atoms at one coordinate, the last one's value is taken."""
+        u = _samples(u)
         vals = self.blend(u)
         if self.interp_u.size:
-            pos = {float(x): float(v) for x, v in zip(self.interp_u, self.interp_v)}
-            for j, x in enumerate(u):
-                hit = pos.get(float(x))
-                if hit is not None:
-                    vals[j] = hit
+            order = np.argsort(self.interp_u, kind="stable")
+            at = np.searchsorted(self.interp_u[order], u, side="right") - 1
+            hit = (at >= 0) & (self.interp_u[order[at]] == u)
+            vals[hit] = self.interp_v[order[at[hit]]]
         return vals
 
 
@@ -371,8 +376,8 @@ def build_lipschitz_F(
     field = _tree_field(lattice, dbtree_ids)
     diam = max(field.diameter(root_id), mu.scale)
     cover = _whitney_cover(field, mu, root_id, line, diam)
-    d_at_members = np.atleast_1d(field.d(member_pts))
-    good = d_at_members == 0.0
+    # d vanishes only at the lone atom of a one-atom family cube
+    good = np.isin(member_pts, field.points[field.offsets == 0])
     interp_u = line.project(member_pts[good])
     interp_v = line.offset(member_pts[good])
     g = LipschitzGraph(line, cover.anchor, diam, cover, interp_u, interp_v)
@@ -500,23 +505,17 @@ def balanced_ball_test(
     ball_r = gamma / 4 * q.radius
     need = gamma * gamma * mass_q
     sep = gamma * BIG_BALL_FACTOR * q.radius
-    dmat = np.abs(pts[:, None] - pts[None, :])
-    in_ball = dmat <= ball_r
-    ball_mass = in_ball @ w
+    ball_mass = np.concatenate([(d <= ball_r) @ w for _, d in _distance_rows(pts)])
     heavy = np.flatnonzero(ball_mass >= need)
     for ii, a in enumerate(heavy):
-        for b in heavy[ii + 1 :]:
-            if dmat[a, b] < sep:
-                continue
-            if dmat[a, b] >= sep + 2 * ball_r:
-                return BalanceVerdict(
-                    True, (complex(pts[a]), complex(pts[b])), (), 0.0
-                )
-            cross = dmat[np.ix_(in_ball[a], in_ball[b])]
-            if cross.size and cross.min() >= sep:
-                return BalanceVerdict(
-                    True, (complex(pts[a]), complex(pts[b])), (), 0.0
-                )
+        da = np.abs(pts[a] - pts)
+        later = heavy[ii + 1 :]
+        for b in later[da[later] >= sep]:
+            if da[b] < sep + 2 * ball_r:
+                cross = pts[da <= ball_r][:, None] - pts[np.abs(pts[b] - pts) <= ball_r]
+                if np.abs(cross).min() < sep:
+                    continue
+            return BalanceVerdict(True, (complex(pts[a]), complex(pts[b])), (), 0.0)
     # unbalanced: report the descendant family with a density gain
     theta_q = lattice.theta_2b(qid)
     family = []

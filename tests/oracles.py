@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from curvperm.kernels import kernel_values
+from curvperm.lattice import BIG_BALL_FACTOR
 
 
 def kernel_t(t, z: complex) -> float:
@@ -361,3 +362,51 @@ def level_5b_pairs(lattice):
                     if qa.parent == qb.parent:
                         sibling.append((a, b))
     return level, sibling
+
+
+def partition_of_unity_dense(cover, u):
+    """The Whitney partition of unity as first written: every bump at every
+    sample in a dense samples × intervals matrix, normalised by row sums."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    c = (cover.lo + cover.hi) / 2
+    half = (cover.hi - cover.lo) / 2
+    dist = np.abs(u[:, None] - c[None, :])
+    t = np.clip((3.0 * half[None, :] - dist) / half[None, :], 0.0, 1.0)
+    raw = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+    total = raw.sum(axis=1)
+    return raw / np.where(total > 0, total, 1.0)[:, None], total
+
+
+def blend_loop(cover, u):
+    """The blend as first written: a loop over the intervals that adds each
+    in-window piece times its column of dense weights."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    weights, _ = partition_of_unity_dense(cover, u)
+    vals = np.zeros_like(u)
+    for i in range(cover.n):
+        if cover.in_window[i] and cover.coeffs[i] is not None:
+            a, slope = cover.coeffs[i]
+            vals += weights[:, i] * (a + slope * (u - cover.lo[i]))
+    return vals
+
+
+def balanced_pair_dense(lattice, mu, qid, gamma):
+    """``balanced_ball_test``'s witness search as first written, over the
+    dense member distance matrix: the first separated pair of heavy balls'
+    centres, or None."""
+    q = lattice.cubes[qid]
+    pts = mu.points[q.members]
+    w = mu.weights[q.members]
+    ball_r = gamma / 4 * q.radius
+    sep = gamma * BIG_BALL_FACTOR * q.radius
+    dmat = np.abs(pts[:, None] - pts[None, :])
+    in_ball = dmat <= ball_r
+    heavy = np.flatnonzero(in_ball @ w >= gamma * gamma * float(w.sum()))
+    for ii, a in enumerate(heavy):
+        for b in heavy[ii + 1:]:
+            if dmat[a, b] < sep:
+                continue
+            if (dmat[a, b] >= sep + 2 * ball_r
+                    or dmat[np.ix_(in_ball[a], in_ball[b])].min() >= sep):
+                return complex(pts[a]), complex(pts[b])
+    return None

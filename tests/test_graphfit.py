@@ -8,6 +8,8 @@ from curvperm import graphfit
 from curvperm.corona import Params, build_top, build_tree
 from curvperm.graphfit import (
     DistanceField,
+    LipschitzGraph,
+    WhitneyCover,
     balanced_ball_test,
     beta2,
     build_lipschitz_F,
@@ -19,7 +21,13 @@ from curvperm.graphfit import (
 from curvperm.kernels import line_from_angle
 from curvperm.lattice import build
 from curvperm.measure import Ball, DiscreteMeasure, generate
-from oracles import finite_difference, golden_section_line
+from oracles import (
+    balanced_pair_dense,
+    blend_loop,
+    finite_difference,
+    golden_section_line,
+    partition_of_unity_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -365,8 +373,6 @@ class TestPartitionOfUnity:
 
     def test_isolated_interval_weight_one(self):
         # hand-built cover with one interval
-        from curvperm.graphfit import WhitneyCover
-
         cover = WhitneyCover(
             anchor=0.0,
             lo=np.array([0.0]),
@@ -395,6 +401,125 @@ class TestPartitionOfUnity:
         for u in np.linspace(c - 2 * length, c + 2 * length, 200):
             worst = max(worst, abs(finite_difference(phi, u, h=length * 1e-6)))
         assert worst <= 8.0 / length
+
+
+def _hand_cover(lo, hi, in_window=None):
+    """A cover of the given intervals; interval i carries the piece
+    ``(i + 1) / 8 + (-1) ** i (u - lo) / 4``, which counts only in the
+    window."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    on = np.ones(lo.size, bool) if in_window is None else np.asarray(in_window)
+    coeffs = [((i + 1) / 8, (-1) ** i / 4) for i in range(lo.size)]
+    return WhitneyCover(0.0, lo, hi, on, [0] * lo.size, coeffs, [], 10.0)
+
+
+HAND_COVERS = {
+    "one": ([0.0], [1.0], None),
+    "neighbours": ([0.0, 1.0], [1.0, 1.0 + 1 / 64], None),
+    "gap": ([0.0, 0.5, 3.0], [0.5, 1.0, 4.0], [True, False, True]),
+    "empty": ([], [], None),
+}
+
+ODD_SAMPLES = {
+    # unsorted, duplicated, beyond every tripled interval, at a support edge
+    "scattered": np.array([0.7, -0.2, 0.7, 5.5, 1.0, 2.0, 100.0, -40.0, 0.7, 3.5, -1.0]),
+    "dense": np.random.default_rng(3).permutation(np.linspace(-3.0, 7.0, 1001)),
+    "empty": np.zeros(0),
+}
+
+
+class TestSparseBumps:
+    """The slice evaluator against the dense partition and looped blend."""
+
+    @staticmethod
+    def _compare(cover, u):
+        weights, total = partition_of_unity(cover, u)
+        ref_w, ref_t = partition_of_unity_dense(cover, u)
+        assert weights.shape == ref_w.shape and total.shape == ref_t.shape
+        assert np.all(np.abs(weights - ref_w) <= 4.5e-16)
+        assert np.all(np.abs(total - ref_t) <= 1e-15 * ref_t)
+        got = LipschitzGraph(None, 0.0, 1.0, cover, np.zeros(0), np.zeros(0)).blend(u)
+        assert got.dtype == np.float64
+        c = (cover.lo + cover.hi) / 2
+        on = np.abs(u[:, None] - c[None, :]) < 3 * (cover.hi - cover.lo)[None, :] / 2
+        pieces = np.zeros(ref_w.shape)
+        for i, cf in enumerate(cover.coeffs):
+            if cover.in_window[i] and cf is not None:
+                pieces[:, i] = np.where(on[:, i], cf[0] + cf[1] * (u - cover.lo[i]), 0.0)
+        scale = np.abs(pieces).max(axis=1, initial=0.0)
+        assert np.all(np.abs(got - blend_loop(cover, u)) <= 1e-15 * scale)
+
+    @pytest.fixture(scope="class")
+    def graphs(self, graph_setup):
+        out = [graph_setup]
+        for slope in (0.18, 0.27):
+            mu = generate("lipschitz_graph", n=256, slope=slope, teeth=1)
+            lat = build(mu)
+            out.append((mu, lat, build_top(lat, mu, Params())))
+        return out
+
+    def test_fitted_covers_match_dense(self, graphs):
+        fits = 0
+        for mu, lat, corona in graphs:
+            for rid, tree in sorted(corona.trees.items()):
+                if lat.cubes[rid].n_members < 2:
+                    continue
+                g = build_lipschitz_F(lat, mu, rid, tree.dbtree_ids)
+                if g.cover is None:
+                    continue
+                self._compare(g.cover, g.sample_u)
+                fits += 1
+        assert fits >= 20
+
+    @pytest.mark.parametrize("samples", ODD_SAMPLES)
+    @pytest.mark.parametrize("cover", HAND_COVERS)
+    def test_hand_covers_match_dense(self, cover, samples):
+        self._compare(_hand_cover(*HAND_COVERS[cover]), ODD_SAMPLES[samples])
+
+    def test_duplicated_interpolation_coordinate_takes_the_last(self):
+        cover = _hand_cover(*HAND_COVERS["one"])
+        g = LipschitzGraph(None, 0.0, 1.0, cover, np.array([0.5, 0.2, 0.5]),
+                           np.array([1.0, 2.0, 3.0]))
+        got = g.eval(np.array([0.5, 0.3, 0.2, 0.5]))
+        assert got[[0, 2, 3]].tolist() == [3.0, 2.0, 3.0]
+        assert got[1] == g.blend(0.3)[0]
+
+    def test_empty_interpolation_is_the_blend(self):
+        cover = _hand_cover(*HAND_COVERS["neighbours"])
+        g = LipschitzGraph(None, 0.0, 1.0, cover, np.zeros(0), np.zeros(0))
+        u = ODD_SAMPLES["dense"]
+        assert np.array_equal(g.eval(u), g.blend(u))
+
+    def test_value_off_every_bump_stays_float(self):
+        # no bump is on at 100, so the blend has no entries to sum
+        cover = _hand_cover(*HAND_COVERS["one"])
+        g = LipschitzGraph(None, 0.0, 1.0, cover, np.array([100.0]), np.array([0.25]))
+        assert g.blend(np.array([100.0])).dtype == np.float64
+        assert g.eval(np.array([100.0, 50.0])).tolist() == [0.25, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        cover = _hand_cover(*HAND_COVERS["neighbours"])
+        u = np.array([0.5, bad, 1.0, bad])
+        for g in (LipschitzGraph(None, 0.0, 1.0, cover, np.array([0.5]), np.array([1.0])),
+                  LipschitzGraph(None, 0.0, 1.0, None, np.zeros(0), np.zeros(0))):
+            with pytest.raises(ValueError, match="2 non-finite"):
+                g.blend(u)
+            with pytest.raises(ValueError, match="2 non-finite"):
+                g.eval(u)
+        with pytest.raises(ValueError, match="2 non-finite"):
+            partition_of_unity(cover, u)
+
+    def test_good_atoms_are_the_zeros_of_d(self, graph_setup):
+        mu, lat, corona = graph_setup
+        for rid, tree in corona.trees.items():
+            if not tree.dbtree_ids or lat.cubes[rid].n_members < 2:
+                continue
+            g = build_lipschitz_F(lat, mu, rid, tree.dbtree_ids)
+            pts = mu.points[lat.cubes[rid].members]
+            zero = np.atleast_1d(DistanceField(lat, tree.dbtree_ids).d(pts)) == 0.0
+            assert np.array_equal(g.interp_u, g.line.project(pts[zero]))
+            assert np.array_equal(g.interp_v, g.line.offset(pts[zero]))
 
 
 class TestLipschitzGraph:
@@ -545,3 +670,24 @@ class TestBalancedBalls:
         v = balanced_ball_test(lat, mu, lat.root.id, gamma=0.5)
         assert isinstance(v.family, tuple)
         assert v.family_strength >= 0.0
+
+    def test_search_matches_dense_oracle(self, graph_setup):
+        # the existing unbalanced cases, two clusters and every doubling
+        # cube of the fixture's graph at three balance constants
+        tiny = DiscreteMeasure((np.arange(8) * 1e-6).astype(complex), np.full(8, 1.0), 4e-7)
+        pts = np.concatenate([np.linspace(0, 0.05, 10),
+                              np.linspace(0.95, 1.0, 10)]).astype(complex)
+        clusters = DiscreteMeasure(pts, np.full(20, 0.05), 0.002)
+        cases = [(tiny, 0.5), (clusters, 1e-3), (graph_setup[0], 1e-3),
+                 (graph_setup[0], 0.1), (graph_setup[0], 0.5)]
+        verdicts = Counter()
+        for mu, gamma in cases:
+            lat = graph_setup[1] if mu is graph_setup[0] else build(mu)
+            for q in lat.cubes:
+                if not q.doubling or q.n_members < 2:
+                    continue
+                v = balanced_ball_test(lat, mu, q.id, gamma)
+                assert v.witnesses == balanced_pair_dense(lat, mu, q.id, gamma)
+                assert v.balanced == (v.witnesses is not None)
+                verdicts[v.balanced] += 1
+        assert verdicts[True] and verdicts[False]
