@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import Line
 from .lattice import BIG_BALL_FACTOR, Lattice, first_doubling_ancestor
-from .measure import Ball, DiscreteMeasure, _distance_rows
+from .measure import _ROWS, Ball, DiscreteMeasure, _distance_rows
 from .permutations import perm_truncated_window
 
 __all__ = [
@@ -103,12 +103,14 @@ class DistanceField:
         self.offsets = np.repeat(self.diameters, sizes)
 
     def d(self, z) -> np.ndarray:
-        """Infimum of dist(z, cube) + diam(cube) over the family."""
+        """Infimum of dist(z, cube) + diam(cube) over the family, ``_ROWS``
+        points at a time."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.min(
-            np.abs(z[:, None] - self.points[None, :]) + self.offsets[None, :], axis=1
-        )
-        return out if out.size > 1 else out[0]
+        out = np.empty(z.size)
+        for s in range(0, z.size, _ROWS):
+            out[s:s + _ROWS] = np.min(np.abs(z[s:s + _ROWS, None] - self.points)
+                                      + self.offsets, axis=1)
+        return out if out.size != 1 else out[0]
 
     def diameter(self, qid: int) -> float:
         """A cube's diameter, from the table when the cube is in the family."""
@@ -129,23 +131,30 @@ class ProjectedField:
         self.starts = starts
 
     def value(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.min(
-            np.abs(u[:, None] - self.coords[None, :]) + self.offsets[None, :], axis=1
-        )
-        return out if out.size > 1 else out[0]
+        """The field at each coordinate: ``inf_on(u, u)``, bit for bit, as
+        ``max(u - c, c - u) == |u - c|`` in floating point."""
+        out = self.inf_on(u, u)
+        return out if out.size != 1 else out[0]
 
-    def _costs(self, lo: float, hi: float) -> np.ndarray:
-        gap = np.maximum(0.0, np.maximum(lo - self.coords, self.coords - hi))
-        return gap + self.offsets
+    def _costs(self, lo, hi) -> np.ndarray:
+        """Each atom's distance of projection to ``[lo, hi]`` plus its cube's
+        diameter; a row per interval for arrays of ends."""
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+        return np.maximum(0.0, np.maximum(lo - self.coords, self.coords - hi)) + self.offsets
 
-    def inf_on(self, lo: float, hi: float) -> float:
-        return float(np.min(self._costs(lo, hi)))
+    def inf_on(self, lo, hi) -> np.ndarray:
+        """The field's infimum on each interval ``[lo, hi]``, ``_ROWS``
+        intervals at a time."""
+        lo, hi = np.atleast_1d(lo, hi)
+        out = np.empty(lo.size)
+        for s in range(0, lo.size, _ROWS):
+            out[s:s + _ROWS] = self._costs(lo[s:s + _ROWS], hi[s:s + _ROWS]).min(axis=1)
+        return out
 
-    def cube_costs(self, lo: float, hi: float) -> np.ndarray:
-        """Each cube's distance of projection to [lo, hi] plus its diameter,
-        in family order."""
-        return np.minimum.reduceat(self._costs(lo, hi), self.starts)
+    def cube_costs(self, lo, hi) -> np.ndarray:
+        """Each cube's distance of projection to ``[lo, hi]`` plus its
+        diameter, in family order; a row per interval for arrays of ends."""
+        return np.minimum.reduceat(self._costs(lo, hi), self.starts, axis=-1)
 
 
 @dataclass
@@ -167,19 +176,25 @@ class WhitneyCover:
 
 
 def _select_cube(
-    field: DistanceField, proj: ProjectedField, lattice: Lattice, lo: float, hi: float
-) -> int:
-    """Cube nearly attaining the interval's distance infimum, promoted to a
-    doubling tree ancestor when its diameter is small next to the interval."""
-    costs = proj.cube_costs(lo, hi)
-    pick = int(np.argmax(costs <= 2.0 * costs.min()))
-    while field.diameters[pick] < hi - lo:
-        parent = lattice.cubes[field.cube_ids[pick]].parent
-        try:  # ValueError: no doubling ancestor; KeyError: it is not in the family
-            pick = field.index[first_doubling_ancestor(lattice, parent)]
-        except (ValueError, KeyError):
-            break
-    return field.cube_ids[pick]
+    field: DistanceField, proj: ProjectedField, lattice: Lattice, lo: np.ndarray, hi: np.ndarray
+) -> list[int]:
+    """For each interval, the cube nearly attaining its distance infimum,
+    promoted to a doubling tree ancestor while its diameter is small next to
+    the interval."""
+    picks = np.empty(lo.size, dtype=int)
+    for s in range(0, lo.size, _ROWS):
+        costs = proj.cube_costs(lo[s:s + _ROWS], hi[s:s + _ROWS])
+        picks[s:s + _ROWS] = np.argmax(costs <= 2.0 * costs.min(axis=1, keepdims=True), axis=1)
+    out = []
+    for pick, length in zip(picks.tolist(), hi - lo):
+        while field.diameters[pick] < length:
+            parent = lattice.cubes[field.cube_ids[pick]].parent
+            try:  # ValueError: no doubling ancestor; KeyError: it is not in the family
+                pick = field.index[first_doubling_ancestor(lattice, parent)]
+            except (ValueError, KeyError):
+                break
+        out.append(field.cube_ids[pick])
+    return out
 
 
 def whitney_cover(
@@ -220,52 +235,34 @@ def _whitney_cover(
     floor = mu.scale / LENGTH_RULE
 
     top_len = 2.0 ** math.ceil(math.log2(4.0 * diam))
-    m_lo = math.floor((-work) / top_len)
-    m_hi = math.ceil(work / top_len)
-    intervals: list[tuple[float, float]] = []
-    unresolved: list[tuple[float, float]] = []
-
-    def recurse(lo: float, hi: float):
+    m = np.arange(math.floor(-work / top_len), math.ceil(work / top_len))
+    lo, hi = u0 + m * top_len, u0 + (m + 1) * top_len
+    ends = []  # (lo, hi, accepted) of the intervals split no further
+    while lo.size:  # the live intervals of one dyadic level
         length = hi - lo
-        if length <= proj.inf_on(lo, hi) / LENGTH_RULE:
-            intervals.append((lo, hi))
-            return
-        if length < floor or length < diam * 2.0**-42:
-            unresolved.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        recurse(lo, mid)
-        recurse(mid, hi)
-
-    for m in range(m_lo, m_hi):
-        recurse(u0 + m * top_len, u0 + (m + 1) * top_len)
-
-    intervals.sort()
-    lo = np.array([a for a, _ in intervals])
-    hi = np.array([b for _, b in intervals])
+        ok = length <= proj.inf_on(lo, hi) / LENGTH_RULE
+        split = ~ok & ~((length < floor) | (length < diam * 2.0**-42))
+        ends.append((lo[~split], hi[~split], ok[~split]))
+        mid = (lo[split] + hi[split]) / 2
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    lo, hi, ok = (np.concatenate(x) for x in zip(*ends))
+    order = np.lexsort((hi, lo))  # the order in which a depth-first split visits them
+    lo, hi, ok = lo[order], hi[order], ok[order]
+    unresolved = list(zip(lo[~ok].tolist(), hi[~ok].tolist()))
+    lo, hi = lo[ok], hi[ok]
     in_window = (hi > u0 - window) & (lo < u0 + window)
-    cube_of: list[int | None] = []
-    coeffs: list[tuple[float, float] | None] = []
-    fits: dict[int, BetaResult] = {}
-    for a, b, flag in zip(lo, hi, in_window):
-        if not flag:
-            cube_of.append(None)
-            coeffs.append(None)
-            continue
-        qid = _select_cube(field, proj, lattice, a, b)
-        cube_of.append(qid)
-        if qid not in fits:
-            fits[qid] = beta2(mu, lattice.big_ball(qid, 2.0))
-        best = fits[qid]
-        du = (best.line.direction * np.conj(line.direction)).real
-        dv = (best.line.direction * np.conj(line.direction)).imag
-        if abs(du) < 1e-9:
-            coeffs.append((0.0, 0.0))
-            continue
-        slope = dv / du
-        ua = float(line.project(best.line.anchor))
-        va = float(line.offset(best.line.anchor))
-        coeffs.append((va + slope * (a - ua), slope))
+    picks = _select_cube(field, proj, lattice, lo[in_window], hi[in_window])
+    pieces = {}  # per cube: its fit's anchor in line coordinates and its slope
+    for qid in dict.fromkeys(picks):
+        best = beta2(mu, lattice.big_ball(qid, 2.0)).line
+        turn = best.direction * np.conj(line.direction)
+        pieces[qid] = None if abs(turn.real) < 1e-9 else (
+            float(line.project(best.anchor)), float(line.offset(best.anchor)),
+            turn.imag / turn.real)
+    cube_of, coeffs = [None] * lo.size, [None] * lo.size
+    for i, qid in zip(np.flatnonzero(in_window).tolist(), picks):
+        cube_of[i], p = qid, pieces[qid]
+        coeffs[i] = (0.0, 0.0) if p is None else (p[1] + p[2] * (lo[i] - p[0]), p[2])
     return WhitneyCover(
         u0, lo, hi, in_window, cube_of, coeffs, unresolved, window
     )

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from curvperm.graphfit import LENGTH_RULE, WhitneyCover, beta2
 from curvperm.kernels import kernel_values
-from curvperm.lattice import BIG_BALL_FACTOR
+from curvperm.lattice import BIG_BALL_FACTOR, first_doubling_ancestor
 
 
 def kernel_t(t, z: complex) -> float:
@@ -410,3 +411,74 @@ def balanced_pair_dense(lattice, mu, qid, gamma):
                     or dmat[np.ix_(in_ball[a], in_ball[b])].min() >= sep):
                 return complex(pts[a]), complex(pts[b])
     return None
+
+
+def whitney_cover_recursive(field, mu, root_id, line, diam):
+    """The Whitney cover as first written: a depth-first recursion that
+    takes one interval's infimum at a time, then a scalar cube pick, fit
+    and affine piece for each in-window interval.  The costs repeat the
+    projected field's formula over its pooled atoms."""
+    lattice = field.lattice
+    proj = field.project(line)
+
+    def costs(lo, hi):
+        gap = np.maximum(0.0, np.maximum(lo - proj.coords, proj.coords - hi))
+        return gap + proj.offsets
+
+    def select(lo, hi):
+        per_cube = np.minimum.reduceat(costs(lo, hi), proj.starts)
+        pick = int(np.argmax(per_cube <= 2.0 * per_cube.min()))
+        while field.diameters[pick] < hi - lo:
+            parent = lattice.cubes[field.cube_ids[pick]].parent
+            try:
+                pick = field.index[first_doubling_ancestor(lattice, parent)]
+            except (ValueError, KeyError):
+                break
+        return field.cube_ids[pick]
+
+    members = lattice.cubes[root_id].members
+    x0 = mu.points[members[int(np.argmin(line.distance(mu.points[members])))]]
+    u0 = float(line.project(x0))
+    window, work, floor = 10.0 * diam, 16.0 * diam, mu.scale / LENGTH_RULE
+    top_len = 2.0 ** math.ceil(math.log2(4.0 * diam))
+    intervals, unresolved = [], []
+
+    def recurse(lo, hi):
+        length = hi - lo
+        if length <= float(np.min(costs(lo, hi))) / LENGTH_RULE:
+            intervals.append((lo, hi))
+        elif length < floor or length < diam * 2.0**-42:
+            unresolved.append((lo, hi))
+        else:
+            mid = (lo + hi) / 2
+            recurse(lo, mid)
+            recurse(mid, hi)
+
+    for m in range(math.floor(-work / top_len), math.ceil(work / top_len)):
+        recurse(u0 + m * top_len, u0 + (m + 1) * top_len)
+
+    intervals.sort()
+    lo = np.array([a for a, _ in intervals])
+    hi = np.array([b for _, b in intervals])
+    in_window = (hi > u0 - window) & (lo < u0 + window)
+    cube_of, coeffs, fits = [], [], {}
+    for a, b, flag in zip(lo, hi, in_window):
+        if not flag:
+            cube_of.append(None)
+            coeffs.append(None)
+            continue
+        qid = select(a, b)
+        cube_of.append(qid)
+        if qid not in fits:
+            fits[qid] = beta2(mu, lattice.big_ball(qid, 2.0))
+        best = fits[qid]
+        du = (best.line.direction * np.conj(line.direction)).real
+        dv = (best.line.direction * np.conj(line.direction)).imag
+        if abs(du) < 1e-9:
+            coeffs.append((0.0, 0.0))
+            continue
+        slope = dv / du
+        ua = float(line.project(best.line.anchor))
+        va = float(line.offset(best.line.anchor))
+        coeffs.append((va + slope * (a - ua), slope))
+    return WhitneyCover(u0, lo, hi, in_window, cube_of, coeffs, unresolved, window)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     finite_difference,
     golden_section_line,
     partition_of_unity_dense,
+    whitney_cover_recursive,
 )
 
 
@@ -215,9 +217,12 @@ class TestCubeTable:
         proj = field.project(line)
         rng = np.random.default_rng(11)
         promoted = 0
+        los, his, picks = [], [], []
         for _ in range(60):
             lo = rng.uniform(-0.2, 1.2)
             hi = lo + 10.0 ** rng.uniform(-3, 0)
+            los.append(lo)
+            his.append(hi)
             costs = self._costs(lat, ids, line, lo, hi)
             first = pick = ids[next(i for i, c in enumerate(costs)
                                     if c <= 2 * min(costs))]
@@ -229,7 +234,8 @@ class TestCubeTable:
                     break
                 pick = anc
             promoted += pick != first
-            assert _select_cube(field, proj, lat, lo, hi) == pick
+            picks.append(pick)
+        assert _select_cube(field, proj, lat, np.array(los), np.array(his)) == picks
         assert promoted
 
     def test_one_fit_and_one_diameter_per_cube(self, graph_setup, monkeypatch):
@@ -272,6 +278,14 @@ class TestCubeTable:
         assert set(diameters) <= set(ids) and set(diameters.values()) == {1}
 
 
+def _gap_measure():
+    """Two clusters on a line, with one isolated gap in the projected support."""
+    left = np.linspace(0, 0.4, 30)
+    right = np.linspace(0.6, 1.0, 30)
+    pts = np.concatenate([left, right]) + 0j
+    return DiscreteMeasure(pts, np.full(60, 1 / 60), 0.4 / 29 / 2)
+
+
 class TestWhitney:
     def test_segment_flat_extension(self):
         mu = generate("segment", n=100)
@@ -295,11 +309,7 @@ class TestWhitney:
         assert np.allclose(ratios, np.round(ratios), atol=1e-9)
 
     def test_gap_tiled_by_intervals(self):
-        # one isolated gap in the projected support
-        left = np.linspace(0, 0.4, 30)
-        right = np.linspace(0.6, 1.0, 30)
-        pts = np.concatenate([left, right]) + 0j
-        mu = DiscreteMeasure(pts, np.full(60, 1 / 60), 0.4 / 29 / 2)
+        mu = _gap_measure()
         lat = build(mu)
         tree = build_tree(lat, mu, lat.root.id, Params())
         g = build_lipschitz_F(lat, mu, lat.root.id, tree.dbtree_ids)
@@ -348,6 +358,121 @@ class TestWhitney:
                 dv = np.atleast_1d(proj.value(us))
                 assert np.all(dv >= 5 * l - 1e-12)
                 assert np.all(dv <= 50 * l + 1e-12)
+
+
+class TestLevelCover:
+    """The cover built one dyadic level at a time against the depth-first
+    recursion it replaced, field for field."""
+
+    @pytest.fixture(scope="class")
+    def measures(self, graph_setup):
+        rng = np.random.default_rng(1)  # the graph-extension graph of seed 1
+        graph = generate("lipschitz_graph", n=256, slope=float(rng.uniform(0.15, 0.3)),
+                         teeth=1)
+        # two atoms 1e-13 apart at scale 1e-14: the diam * 2^-42 guard, not
+        # the scale floor, stops the split there
+        pair = DiscreteMeasure(np.array([0, 1e-13, 0.5, 1.0]) + 0j, np.full(4, 0.25), 1e-14)
+        return [graph_setup, _gap_measure(), graph, pair]
+
+    @pytest.mark.parametrize("params", [Params(), Params(delta=0.05)],
+                             ids=["default", "delta"])
+    def test_matches_recursion(self, measures, params):
+        covers = unresolved = 0
+        for case in measures:
+            mu, lat = case[:2] if isinstance(case, tuple) else (case, build(case))
+            for rid, tree in sorted(build_top(lat, mu, params).trees.items()):
+                if not tree.dbtree_ids:
+                    continue
+                line = beta2(mu, lat.big_ball(rid, 2.0)).line
+                unresolved += len(self._check(lat, mu, rid, tree.dbtree_ids, line).unresolved)
+                covers += 1
+        assert covers > 100 and unresolved
+
+    def test_family_cover_matches_recursion(self, graph_setup):
+        # a corona tree's cover picks its root for every interval; over
+        # every doubling cube the picks, promotions and slopes vary
+        mu, lat, _ = graph_setup
+        ids = TestCubeTable._family(graph_setup)
+        for line in (beta2(mu, lat.big_ball(ids[0], 2.0)).line,
+                     line_from_angle(0j, 0.05), line_from_angle(0.1j, -0.1)):
+            cover = self._check(lat, mu, ids[0], ids, line)
+            assert len(set(cover.cube_of) - {None}) > 10
+            assert len({cf[1] for cf in cover.coeffs if cf is not None}) > 10
+
+    @staticmethod
+    def _check(lat, mu, rid, ids, line) -> WhitneyCover:
+        got = whitney_cover(lat, mu, rid, ids, line)
+        field = graphfit._tree_field(lat, ids)
+        ref = whitney_cover_recursive(field, mu, rid, line, max(field.diameter(rid), mu.scale))
+        assert got.anchor == ref.anchor and got.window_radius == ref.window_radius
+        for name in ("lo", "hi", "in_window"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.cube_of == ref.cube_of
+        assert got.coeffs == ref.coeffs
+        assert got.unresolved == ref.unresolved
+        return got
+
+
+class TestFieldQueries:
+    """Row-blocked field evaluation: empty queries, block boundaries, memory."""
+
+    def test_empty_queries_return_empty_arrays(self, graph_setup):
+        _, lat, _ = graph_setup
+        field = DistanceField(lat, [lat.root.id])
+        proj = field.project(line_from_angle(0j, 0.1))
+        assert field.d(np.zeros(0, complex)).shape == (0,)
+        assert proj.value(np.zeros(0)).shape == (0,)
+        assert proj.inf_on(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    def test_value_is_inf_on_a_point(self, graph_setup):
+        # max(u - c, c - u) == |u - c| in floating point, so the dense
+        # formula, value and inf_on(u, u) agree bit for bit
+        mu, lat, corona = graph_setup
+        rng = np.random.default_rng(12)
+        for tree in corona.trees.values():
+            if not tree.dbtree_ids:
+                continue
+            field = DistanceField(lat, tree.dbtree_ids)
+            proj = field.project(line_from_angle(0.05j, 0.1))
+            u = np.concatenate([proj.coords, rng.uniform(-0.5, 1.5, 700)])
+            dense = np.min(np.abs(u[:, None] - proj.coords) + proj.offsets, axis=1)
+            assert np.array_equal(proj.value(u), dense)
+            assert np.array_equal(proj.inf_on(u, u), dense)
+
+    def test_row_blocks_match_one_pass(self, graph_setup, monkeypatch):
+        mu, lat, _ = graph_setup
+        field = DistanceField(lat, TestCubeTable._family(graph_setup))
+        proj = field.project(line_from_angle(0j, 0.05))
+        rng = np.random.default_rng(13)
+        z = rng.uniform(-0.5, 1.5, 600) + 1j * rng.uniform(-0.3, 0.5, 600)
+        lo = rng.uniform(-0.5, 1.5, 600)
+        hi = lo + 10.0 ** rng.uniform(-4, 0, 600)
+        d_dense = np.min(np.abs(z[:, None] - field.points) + field.offsets, axis=1)
+        inf_dense = np.min(np.maximum(0.0, np.maximum(lo[:, None] - proj.coords,
+                                                      proj.coords - hi[:, None]))
+                           + proj.offsets, axis=1)
+        picks = _select_cube(field, proj, lat, lo, hi)
+        for rows in (graphfit._ROWS, 7, 1):
+            monkeypatch.setattr(graphfit, "_ROWS", rows)
+            assert np.array_equal(field.d(z), d_dense)
+            assert np.array_equal(proj.inf_on(lo, hi), inf_dense)
+            assert _select_cube(field, proj, lat, lo, hi) == picks
+
+    def test_memory_bounded_by_row_block(self, graph_setup):
+        # a dense query would hold n x P differences; a block holds _ROWS x P
+        mu, lat, _ = graph_setup
+        field = DistanceField(lat, TestCubeTable._family(graph_setup))
+        proj = field.project(line_from_angle(0j, 0.05))
+        n, block = 16 * graphfit._ROWS, graphfit._ROWS * field.points.size
+        z = np.linspace(-0.5, 1.5, n) + 0.1j
+        u = z.real.copy()
+        for query, arg in ((field.d, z), (proj.value, u)):
+            tracemalloc.start()
+            query(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 2 * 16 * block + 8 * n
 
 
 class TestPartitionOfUnity:
