@@ -26,11 +26,11 @@ from .experiments import (
 )
 from .graphfit import build_lipschitz_F
 from .kernels import K_INF, kt
-from .measure import Ball, DiscreteMeasure, generate, load_json, save_json
+from .measure import _RECIPE_KEYS, Ball, DiscreteMeasure, generate, load_json, save_json
 from .permutations import curvature_squared, perm_measure, sign_scan
 from .sio import default_grid, l2_norm_T1, mv_identity_report, sup_l2_norm
 
-RECIPE_KINDS = ("segment", "lipschitz_graph", "circle", "cantor4", "perturbed")
+RECIPE_KINDS = tuple(_RECIPE_KEYS)
 
 
 def parse_measure(text: str, seed: int = 0) -> DiscreteMeasure:

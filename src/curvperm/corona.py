@@ -19,10 +19,15 @@ import numpy as np
 
 from .graphfit import balanced_ball_test, beta2
 from .kernels import K_INF, K_ZERO, Line, angle_between, theta_vertical
-from .lattice import Lattice, build as build_lattice, maximal_doubling
+from .lattice import (
+    DEFAULT_DOUBLING_CONSTANT,
+    DEFAULT_SEPARATION,
+    Lattice,
+    build as build_lattice,
+    maximal_doubling,
+)
 from .measure import DiscreteMeasure
 from .permutations import _WindowEngine, _kernel_matrix, curvature_squared, perm_measure
-from .reduction import deterministic_sum
 
 __all__ = [
     "Params",
@@ -64,8 +69,8 @@ class Params:
     a0: float = 8.0
     c_f: float = 1.0
     c2: float | None = None
-    separation: float = 10.0
-    doubling_constant: float = 128.0
+    separation: float = DEFAULT_SEPARATION
+    doubling_constant: float = DEFAULT_DOUBLING_CONSTANT
 
     def __post_init__(self):
         for f in fields(self):
@@ -217,7 +222,7 @@ class _TreeBuilder:
         rows = _engine_rows(self.sub, slot1)
         sums = self.engine.point_sums(rows, q.radius, self.params.delta)
         self.sums[qid] = (slot1, sums)
-        p = deterministic_sum(self.mu.weights[slot1] * sums)
+        p = math.fsum(self.mu.weights[slot1] * sums)
         # the flat kernel is outside the sign-changing parameter range, so
         # its permutation is pointwise nonnegative; negative totals are
         # cancellation roundoff
@@ -435,7 +440,7 @@ def id_classify(lattice: Lattice, tree: TreeDecomposition) -> IdFlags:
     for q in tree.family("UB"):
         ub_repl.update(_replacement(lattice, q))
     ub_mass = sum(lattice.mass(q) for q in ub_repl)
-    next_sum = deterministic_sum(
+    next_sum = math.fsum(
         [lattice.theta_2b(q) ** 2 * lattice.mass(q) for q in tree.next_ids]
     )
     return IdFlags(
@@ -464,7 +469,7 @@ def packing_sum(
     workers: int = 1,
 ) -> PackingReport:
     """Both sides of the packing sandwich for the top cubes."""
-    top_sum = deterministic_sum(
+    top_sum = math.fsum(
         [
             lattice.theta_2b(q) ** 2 * lattice.mass(q)
             for q in corona.top_ids
@@ -502,7 +507,7 @@ def beta_packing_sum(
         b = beta2(mu, ball)
         theta = lattice.theta_2b(q.id)
         terms.append(b.beta**2 * theta * lattice.mass(q.id))
-    beta_sum = deterministic_sum(terms)
+    beta_sum = math.fsum(terms)
     c2 = curvature_squared(mu, workers=workers)
     denom = c2 + mu.total_mass
     return BetaPackingReport(beta_sum, c2, mu.total_mass,
@@ -566,7 +571,7 @@ def stop_mass_report(lattice: Lattice, tree: TreeDecomposition) -> StopMassRepor
     # perm_sq already carries the Theta^2 mass(Q) normalization; undoing the
     # mass factor gives the literal permutation sum over the tree
     lhs = masses["BP"]
-    rhs = deterministic_sum(
+    rhs = math.fsum(
         [tree.perm_sq[q] * lattice.mass(q) for q in tree.tree_ids]
     ) / par.alpha**2
     return StopMassReport(masses, ratios, bounds, flags, rhs, lhs <= rhs * (1 + 1e-9))

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .corona import (
+    LABELS,
     CoronaDecomposition,
     Params,
     beta_packing_sum,
@@ -59,7 +60,6 @@ class ExperimentSpec:
     seed: int = 0
     n_samples: int = 100_000
     workers: int = 1
-    params: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -256,7 +256,7 @@ def _exp_collinear(spec: ExperimentSpec):
 
 
 def _exp_mv_refinement(spec: ExperimentSpec):
-    eps = spec.options.get("eps", 0.05)
+    eps = 0.05
     records = {}
     flags = {}
     for label, maker in (
@@ -370,18 +370,20 @@ def _check_corona_structure(lat, corona: CoronaDecomposition):
 
 
 def _exp_corona_structure(spec: ExperimentSpec):
-    params = Params(**spec.params)
+    params = Params()
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
         lat, corona = _corona_for(mu, params)
         d, n, g, b = _check_corona_structure(lat, corona)
+        labels = [v.label for t in corona.trees.values() for v in t.stop.values()]
         records[name] = {
             "generations": [len(g) for g in corona.generations],
             "n_trees": len(corona.trees),
-            "stop_labels": sorted(
-                {v.label for t in corona.trees.values() for v in t.stop.values()}
-            ),
+            "stop_labels": sorted(set(labels)),
+            "stop_counts": {lab: labels.count(lab) for lab in LABELS},
+            # the share of the top tree's root atoms that are far atoms
+            "r_far_share": len(corona.trees[lat.root.id].r_far) / lat.root.n_members,
         }
         flags[f"{name}_stop_disjoint"] = d
         flags[f"{name}_next_doubling"] = n
@@ -398,7 +400,7 @@ def _exp_corona_structure(spec: ExperimentSpec):
 
 
 def _exp_graph_fit(spec: ExperimentSpec):
-    params = Params(**spec.params)
+    params = Params()
     mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
     lat, corona = _corona_for(mu, params)
     records = {"trees": []}
@@ -449,7 +451,7 @@ def _exp_graph_fit(spec: ExperimentSpec):
 
 
 def _exp_packing(spec: ExperimentSpec):
-    params = Params(**spec.params)
+    params = Params()
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
@@ -485,7 +487,7 @@ def _exp_packing(spec: ExperimentSpec):
 
 
 def _exp_beta_packing(spec: ExperimentSpec):
-    params = Params(**spec.params)
+    params = Params()
     records = {}
     flags = {}
     for name, mu in corona_corpus().items():
@@ -672,11 +674,8 @@ def _exp_identity_suite(spec: ExperimentSpec):
     rng2 = np.random.default_rng(spec.seed + 1)
     z1, z2, z3 = _random_triples(rng2, 2000)
     base = perm_values(K_ZERO, z1, z2, z3)
-    mag = (
-        np.abs(kernel_values(K_ZERO, z1 - z2) * kernel_values(K_ZERO, z1 - z3))
-        + np.abs(kernel_values(K_ZERO, z2 - z1) * kernel_values(K_ZERO, z2 - z3))
-        + np.abs(kernel_values(K_ZERO, z3 - z1) * kernel_values(K_ZERO, z3 - z2))
-    )
+    a, b, c = (kernel_values(K_ZERO, d) for d in (z1 - z2, z1 - z3, z2 - z3))
+    mag = np.abs(a * b) + np.abs(a * c) + np.abs(b * c)
     scale = np.maximum(np.abs(base), mag)
     worst = 0.0
     for order in ((z1, z3, z2), (z2, z1, z3), (z2, z3, z1), (z3, z1, z2), (z3, z2, z1)):

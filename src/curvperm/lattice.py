@@ -11,13 +11,13 @@ lengths are in original units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range, _distance_rows
-from .reduction import deterministic_sum
 
 __all__ = [
     "Cube",
@@ -335,11 +335,12 @@ def density_chain_report(lattice: Lattice, qid: int, pid: int) -> dict:
     mass_q = lattice.mu.mass_in(lattice.ball(qid).scaled(100))
     mass_p = lattice.mu.mass_in(lattice.ball(pid).scaled(100))
     bound_rhs = lattice.a0 ** (-20 * (level_gap - 1)) * mass_p
+    sum_thetas = math.fsum(thetas)
     return {
         "chain": chain,
         "thetas": thetas,
-        "sum_thetas": deterministic_sum(thetas),
-        "ratio": deterministic_sum(thetas) / theta_top if theta_top > 0 else np.inf,
+        "sum_thetas": sum_thetas,
+        "ratio": sum_thetas / theta_top if theta_top > 0 else np.inf,
         "mass_bound_lhs": mass_q,
         "mass_bound_rhs": bound_rhs,
         "mass_bound_holds": mass_q <= bound_rhs,
@@ -396,4 +397,4 @@ def delta_mu(lattice: Lattice, qid: int, tid: int) -> float:
     if not np.any(in_annulus):
         return 0.0
     dist = np.abs(mu.points[in_annulus] - z_q)
-    return deterministic_sum(mu.weights[in_annulus] / dist)
+    return math.fsum(mu.weights[in_annulus] / dist)

@@ -248,8 +248,10 @@ def _triangle_wave(x: np.ndarray, teeth: int) -> np.ndarray:
     return np.minimum(u, p - u)
 
 
+# the keys of each recipe; ``perturbed`` takes base and amplitude, and its
+# base recipe checks the other keys
 _RECIPE_KEYS = {"segment": ("n", "start", "end"), "lipschitz_graph": ("n", "slope", "teeth"),
-                "circle": ("n", "radius", "center"), "cantor4": ("level",)}
+                "circle": ("n", "radius", "center"), "cantor4": ("level",), "perturbed": None}
 
 
 def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
@@ -271,7 +273,7 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
 def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray, float]:
     """Unchecked points, weights and scale, so ``perturbed`` checks only its own."""
     for key in params:
-        if key not in _RECIPE_KEYS.get(kind, (key,)):
+        if key not in (_RECIPE_KEYS.get(kind) or (key,)):
             raise ValueError(f"{kind} takes no key {key!r}; it takes "
                              f"{', '.join(_RECIPE_KEYS[kind])}")
     if kind == "segment":

@@ -10,7 +10,9 @@ coincident positions are always excluded.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -19,7 +21,6 @@ from scipy.spatial import cKDTree
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
 from .measure import Ball, DiscreteMeasure
-from .reduction import DEFAULT_CHUNK, deterministic_sum, parallel_map_chunks
 
 __all__ = [
     "TripleIntegralResult",
@@ -41,12 +42,12 @@ DEGENERACY_FACTOR = 1e-14
 
 def perm_values(k: KernelParam, z1, z2, z3) -> np.ndarray:
     """Pointwise permutation over arrays of triples (broadcast like
-    ``z1 - z2``); a coincident pair contributes through the kernel's 0 fill."""
-    return (
-        kernel_values(k, z1 - z2) * kernel_values(k, z1 - z3)
-        + kernel_values(k, z2 - z1) * kernel_values(k, z2 - z3)
-        + kernel_values(k, z3 - z1) * kernel_values(k, z3 - z2)
-    )
+    ``z1 - z2``); a coincident pair contributes through the kernel's 0 fill.
+
+    The kernel is exactly odd, ``K(-z) == -K(z)``, so the six products of
+    the symmetric sum are ``a b - a c + b c`` over the three legs."""
+    a, b, c = kernel_values(k, z1 - z2), kernel_values(k, z1 - z3), kernel_values(k, z2 - z3)
+    return a * b - a * c + b * c
 
 
 def perm_pointwise(k: KernelParam, z1: complex, z2: complex, z3: complex) -> float:
@@ -86,6 +87,28 @@ class TripleIntegralResult:
 
 _TINY = np.finfo(float).tiny
 _SMALLEST = float(np.nextafter(0.0, 1.0))
+
+# indices per chunk of the per-index values: the grid is fixed, so every
+# worker count assembles the same array
+_CHUNK = 256
+
+
+def _parallel_map_chunks(
+    fn: Callable[[int, int], np.ndarray], n: int, workers: int
+) -> np.ndarray:
+    """``fn(lo, hi)``, the values of the indices ``lo:hi``, over the
+    ``_CHUNK``-index grid of ``range(n)``, assembled in one array."""
+    out = np.empty(n, dtype=float)
+    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    if workers <= 1 or len(bounds) <= 1:
+        for lo, hi in bounds:
+            out[lo:hi] = fn(lo, hi)
+        return out
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [(lo, hi, pool.submit(fn, lo, hi)) for lo, hi in bounds]
+        for lo, hi, fut in futures:
+            out[lo:hi] = fut.result()
+    return out
 
 
 def _near_pairs(pa: np.ndarray, pb: np.ndarray, lo: float) -> csr_array:
@@ -137,7 +160,7 @@ def _vertex_sums(
     pairs are summed directly, so every vertex's error stays relative to
     its own admissible products.
     Cost: O(n^2 + n P) for P near leg pairs, plus O(n^2) per vertex summed
-    directly; memory O(n * chunk + P).
+    directly; memory O(n * _CHUNK + P).
     """
     (pa, wa), (pb, wb) = (mu_a.points, mu_a.weights), (mu_b.points, mu_b.weights)
     pairs = _near_pairs(pa, pb, lo)
@@ -155,9 +178,9 @@ def _vertex_sums(
     def direct(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
         # sum over the admissible leg pairs, in blocks of first legs
         out = np.zeros(len(ka))
-        for s in range(0, len(pa), DEFAULT_CHUNK):
-            adm = np.abs(pa[s : s + DEFAULT_CHUNK, None] - pb[None, :]) >= lo
-            out += (ka[:, s : s + DEFAULT_CHUNK] * (kb @ adm.T)).sum(axis=1)
+        for s in range(0, len(pa), _CHUNK):
+            adm = np.abs(pa[s : s + _CHUNK, None] - pb[None, :]) >= lo
+            out += (ka[:, s : s + _CHUNK] * (kb @ adm.T)).sum(axis=1)
         return out
 
     def chunk_values(a: int, b: int) -> np.ndarray:
@@ -187,7 +210,7 @@ def _vertex_sums(
         counts[a:b] = cnt
         return np.where(cnt > 0, sums, 0.0)
 
-    return parallel_map_chunks(chunk_values, len(pv), workers=workers), counts
+    return _parallel_map_chunks(chunk_values, len(pv), workers=workers), counts
 
 
 def perm_measure(
@@ -226,7 +249,7 @@ def perm_measure(
     for j in range(1 if mu1 is mu2 is mu3 else 3):
         vertex, legs = slots[j], slots[:j] + slots[j + 1 :]
         rows, counts = _vertex_sums(k, vertex.points, *legs, lo, workers)
-        terms.append(deterministic_sum(vertex.weights * rows))
+        terms.append(math.fsum(vertex.weights * rows))
         triples = int(counts.sum())
     value = 3.0 * terms[0] if len(terms) == 1 else math.fsum(terms)
     return TripleIntegralResult(value, triples, trunc)
@@ -421,9 +444,9 @@ def perm_truncated_window(
         counts[a:b] = engine.counts(np.arange(a, b), q_radius, delta)
         return engine.point_sums(np.arange(a, b), q_radius, delta)
 
-    sums = parallel_map_chunks(chunk_values, len(mu1), workers=workers)
+    sums = _parallel_map_chunks(chunk_values, len(mu1), workers=workers)
     return TripleIntegralResult(
-        deterministic_sum(mu1.weights * sums), int(counts.sum()), trunc
+        math.fsum(mu1.weights * sums), int(counts.sum()), trunc
     )
 
 
@@ -507,7 +530,7 @@ def sign_scan(
         m = min(abs(a - b), abs(a - d), abs(b - d))
         if m < 1e-12 * r:
             return np.inf
-        return perm_pointwise(k, a, b, d)
+        return float(perm_values(k, a, b, d))
 
     v0 = np.array(
         [triple[0].real, triple[0].imag, triple[1].real, triple[1].imag,

@@ -16,7 +16,6 @@ import numpy as np
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
 from .measure import _ROWS, DiscreteMeasure
 from .permutations import perm_measure
-from .reduction import deterministic_sum
 
 __all__ = [
     "TruncationGrid",
@@ -82,7 +81,7 @@ def _inverse(dz: np.ndarray) -> np.ndarray:
 
 def _l2(sums: np.ndarray, w: np.ndarray) -> float:
     """Weighted l2 norm of one row of truncated sums, real or complex."""
-    return math.sqrt(deterministic_sum((sums.real**2 + sums.imag**2) * w))
+    return math.sqrt(math.fsum((sums.real**2 + sums.imag**2) * w))
 
 
 def apply_truncated(

@@ -22,7 +22,6 @@ from curvperm.graphfit import beta2
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
 from curvperm.permutations import _WindowEngine, perm_at_point
-from curvperm.reduction import deterministic_sum
 from oracles import DenseEngine
 
 
@@ -429,7 +428,7 @@ class TestDepthCappedLattice:
             )
             sums = engine.point_sums(_engine_rows(sub, slot1),
                                      lat.cubes[qid].radius, params.delta)
-            got = deterministic_sum(mu.weights[slot1] * sums)
+            got = math.fsum(mu.weights[slot1] * sums)
             ref = perm_truncated_window(
                 mu.subset(slot1), slot23, slot23,
                 params.delta, lat.cubes[qid].radius,

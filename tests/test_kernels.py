@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvperm.kernels import (
     K_INF,
@@ -171,6 +172,21 @@ class TestKernelRange:
         k = K_INF if t is None else kt(t)
         assert np.array_equal(kernel_values(k, -z).view(np.uint64),
                               (-kernel_values(k, z)).view(np.uint64))
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.one_of(st.none(), st.sampled_from([0.0, -0.7, 3.1, -1.0]), st.floats(-5, 5)),
+           st.lists(st.tuples(st.floats(-300, 300), st.floats(0, 2 * math.pi)),
+                    min_size=1, max_size=64))
+    def test_odd_bit_for_bit_property(self, t, polar):
+        mod, ang = np.array(polar).T
+        z = 10.0**mod * np.exp(1j * ang)
+        k = K_INF if t is None else kt(t)
+        v, w = kernel_values(k, z), kernel_values(k, -z)
+        assert np.array_equal(w, -v)
+        # on a zero line both values are the +0 of x + (-x); elsewhere the
+        # sign bits agree too
+        on = v != 0
+        assert np.array_equal(w[on].view(np.uint64), (-v[on]).view(np.uint64))
 
 
 class TestCauchy:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.measure import Ball, DiscreteMeasure, generate
@@ -16,9 +16,9 @@ from curvperm.permutations import (
     perm_measure,
     perm_pointwise,
     perm_truncated_window,
+    perm_values,
     sign_scan,
 )
-from curvperm.reduction import deterministic_sum
 from oracles import (
     circumradius,
     exact_perm_triple,
@@ -338,7 +338,7 @@ class TestFactorizedCore:
         sums, counts = row_sums(k, mus[0].points, mus[1], mus[2], ((lo, math.inf),) * 3)
         res = perm_measure(k, *mus, eps=eps)
         assert res.triples_counted == int(counts.sum())
-        dense = deterministic_sum(mus[0].weights * sums)
+        dense = math.fsum(mus[0].weights * sums)
         assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, lo)
 
     @pytest.mark.parametrize("light", [1e-4, 1e-8, 1e-12])
@@ -358,7 +358,7 @@ class TestFactorizedCore:
         sums, counts = row_sums(k, mu.points, mus[1], mus[2], ((eps, math.inf),) * 3)
         res = perm_measure(k, *mus, eps=eps)
         assert res.triples_counted == int(counts.sum())
-        dense = deterministic_sum(mu.weights * sums)
+        dense = math.fsum(mu.weights * sums)
         assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, eps)
 
 
@@ -388,7 +388,7 @@ class TestWindowEngine:
                                 (window, (_TINY, math.inf), (_TINY, math.inf)))
         res = perm_truncated_window(*mus, delta, r, kernel=k)
         assert res.triples_counted == int(counts.sum())
-        dense = deterministic_sum(mus[0].weights * sums)
+        dense = math.fsum(mus[0].weights * sums)
         assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, _TINY, window)
 
     @pytest.mark.parametrize("light", [1e-8, 1e-12])
@@ -409,7 +409,7 @@ class TestWindowEngine:
                                 (window, (_TINY, math.inf), (_TINY, math.inf)))
         res = perm_truncated_window(*mus, delta, r, kernel=k)
         assert res.triples_counted == int(counts.sum())
-        dense = deterministic_sum(mu.weights * sums)
+        dense = math.fsum(mu.weights * sums)
         assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, _TINY, window)
 
     def test_worker_count_invariant(self):
@@ -542,3 +542,60 @@ class TestC1Estimate:
         p0 = perm_pointwise(K_ZERO, *est.witness)
         pinf = perm_pointwise(K_INF, *est.witness)
         assert p0 / pinf == pytest.approx(est.value, rel=1e-9)
+
+
+@st.composite
+def _jittered_measures(draw):
+    """Three jittered circles of 12 to 40 atoms, off any dyadic grid, and a
+    cutoff of a twentieth to a fifth of the first one's diameter."""
+    seed = draw(st.integers(0, 2**31))
+    mus = [generate("perturbed", base="circle", n=draw(st.integers(12, 40)),
+                    amplitude=2e-2, seed=seed + i) for i in range(3)]
+    return mus, draw(st.floats(0.05, 0.2)) * mus[0].diameter
+
+
+def _dilated(mu: DiscreteMeasure, factor: float) -> DiscreteMeasure:
+    return DiscreteMeasure(factor * mu.points, mu.weights, factor * mu.scale)
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(st.one_of(_shared_measures(), _jittered_measures()),
+           st.sampled_from([None, 0.0, -0.5, 1.5]), st.integers(-30, 30))
+    def test_dilation_scales_exactly(self, case, t, j):
+        # distances scale by 2^j and kernels by 2^-j, exactly
+        mus, eps = case
+        k = K_INF if t is None else kt(t)
+        factor = 2.0**j
+        big = [_dilated(mu, factor) for mu in mus]
+        res, res_big = perm_measure(k, *mus, eps=eps), perm_measure(k, *big, eps=factor * eps)
+        assert res_big.value == res.value / factor**2
+        assert res_big.triples_counted == res.triples_counted
+        assert (curvature_squared(big[0], eps=factor * eps)
+                == curvature_squared(mus[0], eps=eps) / factor**2)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=3, max_size=3),
+           st.floats(-5, 5))
+    def test_pointwise_t_quadratic(self, xy, t):
+        # k_t = k_0 + t k_inf, so p_t = p_0 + t m + t^2 p_inf, with m the
+        # cross products of the two kernels' legs
+        z1, z2, z3 = (complex(x, y) for x, y in xy)
+        assume(min(abs(z1 - z2), abs(z1 - z3), abs(z2 - z3)) >= 1e-6)
+        (a0, b0, c0), (ai, bi, ci) = (
+            [float(kernel_values(k, d)) for d in (z1 - z2, z1 - z3, z2 - z3)]
+            for k in (K_ZERO, K_INF))
+        m = a0 * bi + ai * b0 - a0 * ci - ai * c0 + b0 * ci + bi * c0
+        quad = perm_values(K_ZERO, z1, z2, z3) + t * m + t * t * perm_values(K_INF, z1, z2, z3)
+        # each side rounds relative to the legs' pre-cancellation magnitudes
+        la, lb, lc = (abs(x) + abs(t) * abs(y) for x, y in ((a0, ai), (b0, bi), (c0, ci)))
+        mag = la * lb + la * lc + lb * lc
+        assert abs(perm_values(kt(t), z1, z2, z3) - quad) <= 16 * 2.0**-52 * mag
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(st.one_of(_shared_measures(), _jittered_measures()), st.floats(0, 2 * math.pi))
+    def test_curvature_rotation_invariant(self, case, angle):
+        mu = case[0][0]
+        turned = DiscreteMeasure(np.exp(1j * angle) * mu.points, mu.weights, mu.scale)
+        tol = 4e-12 * _total_variation(K_INF, [mu] * 3, np.finfo(float).tiny)
+        assert abs(curvature_squared(turned) - curvature_squared(mu)) <= tol

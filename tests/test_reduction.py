@@ -1,48 +1,49 @@
-import math
+"""Totals and per-index values that do not depend on how the work is split.
+
+A library total is the correctly rounded sum of its terms (``math.fsum``),
+so the order of the terms and the worker count cannot change it.  The
+cases below are ones where rounding 256-term chunks first and then their
+totals gives a different double.
+"""
+
+from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from curvperm.reduction import (
-    deterministic_sum,
-    parallel_map_chunks,
-)
+from curvperm.corona import Params, _flat_engine, _TreeBuilder
+from curvperm.kernels import kt
+from curvperm.lattice import build
+from curvperm.measure import generate
+from curvperm.permutations import _parallel_map_chunks, _WindowEngine, perm_truncated_window
 
 
-class TestSums:
-    def test_empty(self):
-        assert deterministic_sum([]) == 0.0
+def exact_sum(terms: np.ndarray) -> float:
+    """The sum of the doubles ``terms``, rounded once."""
+    return float(sum(map(Fraction, terms.tolist()), Fraction(0)))
 
-    def test_exactness_on_adversarial_input(self):
-        # large cancellations that defeat plain accumulation
-        vals = np.array([1e16, 1.0, -1e16, 1.0] * 500)
-        assert deterministic_sum(vals) == 1000.0
-        assert float(vals.sum()) != 1000.0  # plain reduction loses the ones
 
-    def test_compensated_sum_beats_plain_accumulation(self):
-        # classic pattern: a big head followed by many tiny increments
-        vals = np.concatenate([[1.0], np.full(1_000_000, 1e-16)])
-        plain = 0.0
-        for v in vals:
-            plain += float(v)
-        assert plain == 1.0  # every increment lost
-        assert deterministic_sum(vals) == pytest.approx(1.0 + 1e-10, abs=1e-16)
+class TestCorrectlyRoundedTotals:
+    def test_window_total(self):
+        mu1 = generate("perturbed", base="circle", n=600, amplitude=1e-3, seed=8)
+        mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
+        k, delta, r = kt(-0.5), 0.2, 0.5
+        sums = _WindowEngine(k, mu1.points, mu2, mu3).point_sums(np.arange(len(mu1)), r, delta)
+        for workers in (1, 2):
+            res = perm_truncated_window(mu1, mu2, mu3, delta, r, kernel=k, workers=workers)
+            assert res.value == exact_sum(mu1.weights * sums)
 
-    def test_fixed_chunking_is_reproducible(self):
-        # chunk totals are rounded doubles, so different chunk sizes may
-        # differ in the last ulp; a fixed chunk size is bit-stable
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(10_000) * 10.0 ** rng.integers(-8, 8, 10_000)
-        ref = math.fsum(vals)
-        for chunk in (7, 64, 256, 4096):
-            a = deterministic_sum(vals, chunk=chunk)
-            assert a == deterministic_sum(vals, chunk=chunk)
-            assert a == pytest.approx(ref, rel=1e-15)
-
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(1)
-        vals = rng.standard_normal(5000)
-        assert deterministic_sum(vals) == math.fsum(vals)
+    def test_corona_perm_sq_numerator(self):
+        mu = generate("lipschitz_graph", n=600, slope=0.2, teeth=2)
+        par = Params()
+        lat = build(mu, c0=par.c0, a0=par.a0, separation=par.separation,
+                    doubling_constant=par.doubling_constant)
+        builder = _TreeBuilder(lat, mu, lat.root.id, par)
+        tree = builder.build(lambda sub: _flat_engine(mu, sub))
+        slot1, sums = builder.sums[lat.root.id]
+        assert slot1.size > 256
+        numerator = max(exact_sum(mu.weights[slot1] * sums), 0.0)
+        denom = builder.theta_density**2 * lat.mass(lat.root.id)
+        assert tree.perm_sq[lat.root.id] == numerator / denom
 
 
 class TestParallelChunks:
@@ -51,14 +52,14 @@ class TestParallelChunks:
             idx = np.arange(lo, hi, dtype=float)
             return np.sin(idx) / (idx + 1.0)
 
-        base = parallel_map_chunks(fn, 5000, workers=1)
+        base = _parallel_map_chunks(fn, 5000, workers=1)
         for w in (2, 3, 8):
-            got = parallel_map_chunks(fn, 5000, workers=w)
+            got = _parallel_map_chunks(fn, 5000, workers=w)
             assert np.array_equal(got, base)
 
     def test_covers_every_index(self):
         def fn(lo, hi):
             return np.arange(lo, hi, dtype=float)
 
-        out = parallel_map_chunks(fn, 1003, workers=4, chunk=17)
+        out = _parallel_map_chunks(fn, 1003, workers=4)
         assert np.array_equal(out, np.arange(1003, dtype=float))
