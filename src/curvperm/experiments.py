@@ -34,6 +34,7 @@ from .permutations import (
     menger_curvature,
     perm_measure,
     perm_pointwise,
+    perm_truncated_window,
     perm_values,
     sign_scan,
 )
@@ -157,21 +158,11 @@ def _random_triples(rng, n, min_angle_sine: float = 0.0):
     return z1[ok][:n], z2[ok][:n], z3[ok][:n]
 
 
-def _curvature_arrays(z1, z2, z3):
-    a = np.abs(z1 - z2)
-    b = np.abs(z1 - z3)
-    c = np.abs(z2 - z3)
-    area2 = np.abs(
-        (z2 - z1).real * (z3 - z1).imag - (z2 - z1).imag * (z3 - z1).real
-    )
-    return 2.0 * area2 / (a * b * c)
-
-
 def _exp_curvature_identity(spec: ExperimentSpec):
     rng = np.random.default_rng(spec.seed)
     z1, z2, z3 = _random_triples(rng, spec.n_samples, min_angle_sine=1e-2)
     p = perm_values(K_INF, z1, z2, z3)
-    c = _curvature_arrays(z1, z2, z3)
+    c = menger_curvature(z1, z2, z3)
     ref = 0.25 * c * c
     denom = np.maximum(np.abs(ref), 1e-300)
     rel = np.abs(p - ref) / denom
@@ -294,6 +285,20 @@ def _naive_total_variation(k: KernelParam, mu: DiscreteMeasure) -> float:
     return total
 
 
+def _perm_reference(k: KernelParam, mu: DiscreteMeasure, eps: float = 0.0,
+                    window: tuple[float, float] = (0.0, math.inf)) -> float:
+    """Correctly rounded sum of ``w_x w_y w_z p(x, y, z)`` over the triples of
+    a small measure whose three pairs are distinct and at distance >= ``eps``
+    and whose first pair lies in the closed ``window``; O(n^3) memory."""
+    p, w = mu.points, mu.weights
+    x, y, z = p[:, None, None], p[None, :, None], p[None, None, :]
+    d12 = np.abs(x - y)
+    near = np.minimum(np.minimum(d12, np.abs(x - z)), np.abs(y - z))
+    keep = (near > 0) & (near >= eps) & (d12 >= window[0]) & (d12 <= window[1])
+    wt = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    return math.fsum((wt * perm_values(k, x, y, z))[keep])
+
+
 def _exp_oracle_equivalence(spec: ExperimentSpec):
     records = {}
     flags = {}
@@ -301,34 +306,39 @@ def _exp_oracle_equivalence(spec: ExperimentSpec):
         small = mu if len(mu) <= 30 else mu.subset(
             np.linspace(0, len(mu) - 1, 24).astype(int)
         )
+        eps = max(small.scale * 2, small.diameter / 7)
+        delta, q_radius = 0.25, small.diameter / 8
         for t in (None, 0.0, -1.0):
             k = K_INF if t is None else kt(t)
-            fast = perm_measure(k, small, workers=spec.workers).value
-            slow = perm_measure(k, small, method="ordered").value
             # collinear sums cancel to zero, so agreement is judged against
             # the total variation of the summed terms
             tv = _naive_total_variation(k, small)
-            scalebar = max(abs(slow), 1e-12 * max(tv, 1.0))
-            rel = abs(fast - slow) / scalebar
             key = f"{name}_t_{'inf' if t is None else t}"
-            records[key] = {"fast": fast, "ordered": slow, "rel": rel, "tv": tv}
-            flags[f"perm_{key}"] = bool(abs(fast - slow) <= 1e-10 * max(abs(slow), tv, 1e-12))
+            checks = {
+                key: (perm_measure(k, small, workers=spec.workers).value,
+                      _perm_reference(k, small)),
+                f"{key}_eps": (perm_measure(k, small, eps=eps, workers=spec.workers).value,
+                               _perm_reference(k, small, eps=eps)),
+                f"{key}_window": (
+                    perm_truncated_window(small, small, small, delta, q_radius, k,
+                                          workers=spec.workers).value,
+                    _perm_reference(k, small, window=(delta * q_radius, q_radius / delta))),
+            }
+            for label, (fast, ref) in checks.items():
+                scalebar = max(abs(ref), 1e-12 * max(tv, 1.0))
+                rel = abs(fast - ref) / scalebar
+                records[label] = {"fast": fast, "reference": ref, "rel": rel, "tv": tv}
+                flags[f"perm_{label}"] = bool(abs(fast - ref) <= 1e-10 * max(abs(ref), tv, 1e-12))
         # operator values against a per-point loop
-        eps = max(small.scale * 2, small.diameter / 7)
         fast_norm = l2_norm_T1(K_ZERO, small, eps)
-        acc = 0.0
-        for i in range(len(small)):
-            t1 = 0.0
-            for j in range(len(small)):
-                dz = small.points[i] - small.points[j]
-                if abs(dz) >= eps:
-                    x = dz.real
-                    r2 = x * x + dz.imag * dz.imag
-                    t1 += (x * x * x) / (r2 * r2) * small.weights[j]
-            acc += t1 * t1 * small.weights[i]
-        slow_norm = math.sqrt(acc)
+        rows = []
+        for z in small.points:
+            dz = z - small.points
+            far = np.abs(dz) >= eps
+            rows.append(math.fsum(kernel_values(K_ZERO, dz[far]) * small.weights[far]))
+        slow_norm = math.sqrt(math.fsum(np.square(rows) * small.weights))
         rel = abs(fast_norm - slow_norm) / max(slow_norm, 1e-12)
-        records[f"{name}_l2"] = {"fast": fast_norm, "ordered": slow_norm, "rel": rel}
+        records[f"{name}_l2"] = {"fast": fast_norm, "reference": slow_norm, "rel": rel}
         flags[f"l2_{name}"] = bool(rel <= 1e-10)
     return records, flags
 
@@ -511,6 +521,8 @@ def _exp_beta_packing(spec: ExperimentSpec):
 def cantor_growth(n_max: int = 4, workers: int = 1) -> dict:
     """Limiting-kernel permutations of the corner-Cantor family, with a
     collinear control at each level."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if n_max > 5:
         raise ValueError("resource cap: level 5 is the largest supported")
     values = []

@@ -58,20 +58,22 @@ def perm_pointwise(k: KernelParam, z1: complex, z2: complex, z3: complex) -> flo
     return float(perm_values(k, z1, z2, z3))
 
 
-def menger_curvature(z1: complex, z2: complex, z3: complex) -> float:
-    """Reciprocal circumradius, 0 for (numerically) collinear triples."""
-    z1, z2, z3 = complex(z1), complex(z2), complex(z3)
+def menger_curvature(z1, z2, z3):
+    """Reciprocal circumradius, 0 for (numerically) collinear triples.
+
+    Arrays of triples broadcast like ``perm_values``; scalars give a float."""
+    z1, z2, z3 = (np.asarray(z, dtype=complex) for z in (z1, z2, z3))
     a = z2 - z1
     b = z3 - z1
     c = z3 - z2
-    la, lb, lc = abs(a), abs(b), abs(c)
-    if la == 0.0 or lb == 0.0 or lc == 0.0:
+    la, lb, lc = np.abs(a), np.abs(b), np.abs(c)
+    if np.any((la == 0.0) | (lb == 0.0) | (lc == 0.0)):
         raise ValueError("curvature needs pairwise distinct points")
-    area2 = abs(a.real * b.imag - a.imag * b.real)  # twice the triangle area
-    scale = max(la, lb, lc)
-    if area2 <= DEGENERACY_FACTOR * scale * scale:
-        return 0.0
-    return 2.0 * area2 / (la * lb * lc)
+    area2 = np.abs(a.real * b.imag - a.imag * b.real)  # twice the triangle area
+    scale = np.maximum(np.maximum(la, lb), lc)
+    curv = np.where(area2 <= DEGENERACY_FACTOR * scale * scale, 0.0,
+                    2.0 * area2 / (la * lb * lc))
+    return float(curv) if curv.ndim == 0 else curv
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,6 @@ def perm_measure(
     mu3: DiscreteMeasure | None = None,
     eps: float = 0.0,
     workers: int = 1,
-    method: str = "fast",
 ) -> TripleIntegralResult:
     """Triple integral of the permutation over three measures.
 
@@ -229,18 +230,12 @@ def perm_measure(
     Each of the three permutation terms is summed at its own vertex by
     ``_vertex_sums``, in O(n^2 + n P) time for P near pairs; over one
     measure the three terms are equal and one is computed.
-    ``method="ordered"`` is the reference path: a plain lexicographic
-    triple loop with sequential accumulation.
     """
     if not (eps >= 0):
         raise ValueError("truncation length must be >= 0")
     mu2 = mu1 if mu2 is None else mu2
     mu3 = mu1 if mu3 is None else mu3
     trunc = {"kind": "eps", "eps": float(eps)}
-    if method == "ordered":
-        return _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc)
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
     lo = max(eps, _TINY)
     # term j has its vertex in slot j and its legs in the other two slots;
     # every term counts the same admissible triples
@@ -253,27 +248,6 @@ def perm_measure(
         triples = int(counts.sum())
     value = 3.0 * terms[0] if len(terms) == 1 else math.fsum(terms)
     return TripleIntegralResult(value, triples, trunc)
-
-
-def _perm_measure_ordered(k, mu1, mu2, mu3, eps, trunc) -> TripleIntegralResult:
-    lo = max(eps, _TINY)
-    total = 0.0
-    count = 0
-    p1, w1 = mu1.points, mu1.weights
-    p2, w2 = mu2.points, mu2.weights
-    p3, w3 = mu3.points, mu3.weights
-    for i in range(len(mu1)):
-        for j in range(len(mu2)):
-            if abs(p1[i] - p2[j]) < lo:
-                continue
-            # the terms of one (i, j) row at once; the sum stays sequential
-            terms = perm_values(k, p1[i], p2[j], p3)
-            for l in range(len(mu3)):
-                if abs(p1[i] - p3[l]) < lo or abs(p2[j] - p3[l]) < lo:
-                    continue
-                total = total + w1[i] * w2[j] * w3[l] * terms[l]
-                count += 1
-    return TripleIntegralResult(total, count, trunc)
 
 
 def curvature_squared(
@@ -566,7 +540,7 @@ def estimate_c1(
     """Empirical infimum of p_0 / p_inf over sampled far-from-vertical
     triples.  A scan can only certify an upper bound on the true constant;
     the reported value is that upper bound."""
-    if theta <= 0:
+    if not (theta > 0):
         raise ValueError("theta must be positive")
     rng = np.random.default_rng(seed)
     n_free = n_samples // 2

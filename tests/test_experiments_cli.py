@@ -212,6 +212,9 @@ class TestCli:
         ("curv", "--measure", "segment:n=8", "--workers", "x"),
         ("scan-sign", "--t", "-0.5", "--samples", "x"),
         ("cantor-growth", "--n-max", "x"),
+        ("cantor-growth", "--n-max", "0"),
+        ("cantor-growth", "--n-max", "-3"),
+        ("c1-estimate", "--theta", "nan"),
     ])
     def test_rejected_argument_exits_2(self, args):
         res = self.run_cli(*args)
@@ -250,6 +253,10 @@ class TestCli:
         res = self.run_cli("lattice", "--measure", "segment:n=8",
                            "--params", '{"bogus": 1}')
         assert "keys among" in res.stderr and "tau" in res.stderr
+        assert "theta must be positive" in self.run_cli(
+            "c1-estimate", "--theta", "nan").stderr
+        assert "n_max must be at least 1" in self.run_cli(
+            "cantor-growth", "--n-max", "0").stderr
 
     def test_failed_invariant_exits_1(self, monkeypatch, capsys):
         from curvperm import cli

@@ -362,6 +362,19 @@ class TestPushforward:
         with pytest.raises(ValueError):
             pushforward(mu, lambda z: np.zeros_like(z), 1.0)
 
+    def test_one_distance_pass(self, monkeypatch):
+        mu = generate("lipschitz_graph", n=600, slope=0.2)
+        passes = []
+        rows = measure._distance_rows
+        monkeypatch.setattr(measure, "_distance_rows",
+                            lambda pts: passes.append(pts.size) or rows(pts))
+        img = pushforward(mu, lambda z: z * np.exp(0.4j), 1.0)
+        assert img.diameter == pytest.approx(mu.diameter, rel=1e-12)
+        assert passes == [600]
+        with pytest.raises(ValueError):
+            pushforward(mu, lambda z: np.where(z == z[0], z[1], z), 1.0)
+        assert passes == [600, 600]
+
     def test_restrict_mass_bounded(self):
         mu = generate("cantor4", level=2)
         for r in (0.1, 0.4, 2.0):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curvperm.experiments import _perm_reference
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from curvperm.permutations import (
@@ -124,6 +125,24 @@ class TestMenger:
         with pytest.raises(ValueError):
             menger_curvature(0, 0, 1)
 
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(6)
+        z1, z2, z3 = (rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2, 2, 200)
+                      for _ in range(3))
+        # collinear and nearly collinear triples take the degenerate branch
+        along = np.linspace(0.3, 2.0, 60) + np.where(np.arange(60) < 30, 0.0, 1e-15j)
+        z3[:60] = z1[:60] + along * (z2[:60] - z1[:60])
+        got = menger_curvature(z1, z2, z3)
+        assert got.shape == (200,) and np.all(got[:60] == 0.0) and np.all(got[60:] > 0)
+        for i in range(200):
+            scalar = menger_curvature(complex(z1[i]), complex(z2[i]), complex(z3[i]))
+            assert type(scalar) is float and got[i] == scalar
+        # one point against many broadcasts like perm_values
+        assert np.array_equal(menger_curvature(0j, z2, z3),
+                              [menger_curvature(0j, b, c) for b, c in zip(z2, z3)])
+        with pytest.raises(ValueError):
+            menger_curvature(z1, z2, np.where(np.arange(200) == 7, z1, z3))
+
 
 class TestPermMeasure:
     def test_line_supported_zero(self):
@@ -144,25 +163,13 @@ class TestPermMeasure:
         assert res.value > 0
         assert res.value == pytest.approx(ref, rel=1e-12)
 
-    def test_ordered_matches_naive_bit_for_bit(self):
-        # identical summation order and per-term arithmetic; the loop and
-        # truncation logic of the oracle are coded independently
-        mu = generate("cantor4", level=1)
-        mu2 = generate("perturbed", base="segment", n=9, amplitude=1e-2, seed=2)
-        for m in (mu, mu2):
-            for t in (None, 0.0, -1.0):
-                k = K_INF if t is None else kt(t)
-                got = perm_measure(k, m, method="ordered").value
-                ref = naive_perm_triple(t, [complex(z) for z in m.points],
-                                        [float(w) for w in m.weights])
-                assert got == ref
-
     def test_fast_matches_ordered(self):
         mu = generate("perturbed", base="segment", n=25, amplitude=5e-3, seed=4)
         for t in (None, 0.0, -0.8):
             k = K_INF if t is None else kt(t)
             fast = perm_measure(k, mu).value
-            slow = perm_measure(k, mu, method="ordered").value
+            slow = naive_perm_triple(t, [complex(z) for z in mu.points],
+                                     [float(w) for w in mu.weights])
             assert fast == pytest.approx(slow, rel=1e-10)
 
     def test_worker_count_invariance(self):
@@ -261,6 +268,16 @@ class TestExactOracle:
         res = perm_measure(K_INF if t is None else kt(float(t)), mu, eps=eps)
         assert res.triples_counted == count
         assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
+
+    @pytest.mark.parametrize("t", [None, 0, Fraction(-1, 2)])
+    @pytest.mark.parametrize(
+        "mu, eps", [c[1:] for c in _EXACT_CASES], ids=[f"{c[0]}-{c[2]}" for c in _EXACT_CASES]
+    )
+    def test_dense_reference_forward_error(self, mu, eps, t):
+        # the reference criterion 7 checks the fast cores against
+        exact, total, _ = exact_perm_triple(t, mu.points, mu.weights, eps)
+        ref = _perm_reference(K_INF if t is None else kt(float(t)), mu, eps=eps)
+        assert abs(Fraction(ref) - exact) <= Fraction(1e-13) * total
 
 
 def _total_variation(k, mus, lo, window=(0.0, math.inf)):
