@@ -1,4 +1,4 @@
-"""The parametric odd kernel family, the Cauchy kernel, and planar lines.
+"""The parametric odd kernel family and planar lines.
 
 ``KernelParam`` selects a finite parameter value or the distinguished
 reciprocal-modulus kernel; the latter is a separate kernel, never a large
@@ -19,7 +19,6 @@ __all__ = [
     "kt",
     "kernel_eval",
     "kernel_values",
-    "cauchy_kernel",
     "zero_lines",
     "Line",
     "line_through",
@@ -98,14 +97,6 @@ def kernel_eval(k: KernelParam, z: complex) -> float:
     if z == 0:
         raise ValueError("kernel is singular at the origin")
     return float(kernel_values(k, z))
-
-
-def cauchy_kernel(z: complex) -> complex:
-    """Complex reciprocal."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("Cauchy kernel is singular at the origin")
-    return 1.0 / z
 
 
 def zero_lines(t: float) -> list[float]:
@@ -192,10 +183,18 @@ def angle_between(l1: Line, l2: Line) -> float:
     return math.acos(min(1.0, abs(dot)))
 
 
-def v_far(z1: complex, z2: complex, z3: complex, theta: float) -> bool:
+def v_far(z1, z2, z3, theta: float):
     """Whether the three connecting lines are jointly far from vertical:
-    the sum of their vertical angles is at least ``theta``."""
-    total = 0.0
-    for p, q in ((z1, z2), (z1, z3), (z2, z3)):
-        total += theta_vertical(line_through(p, q))
-    return total >= theta
+    the sum of their vertical angles is at least ``theta``.
+
+    Arrays of triples broadcast like ``z1 - z2``; scalars give a bool."""
+    z1, z2, z3 = (np.asarray(z, dtype=complex) for z in (z1, z2, z3))
+    d12, d13, d23 = z1 - z2, z1 - z3, z2 - z3
+    if np.any((d12 == 0) | (d13 == 0) | (d23 == 0)):
+        raise ValueError("v_far needs pairwise distinct points")
+
+    def vertical_angle(d):
+        return np.arccos(np.clip(np.abs(d.imag) / np.abs(d), 0.0, 1.0))
+
+    far = vertical_angle(d12) + vertical_angle(d13) + vertical_angle(d23) >= theta
+    return bool(far) if far.ndim == 0 else far

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -52,13 +52,18 @@ class Ball:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted atoms: complex positions, positive weights, one scale."""
+    """Weighted atoms: complex positions, positive weights, one scale.
+
+    ``spacing``, when given, is the smallest and largest distance between
+    two of the points, already computed by the caller; validation then
+    reads it instead of scanning the points again."""
 
     points: np.ndarray
     weights: np.ndarray
     scale: float
+    spacing: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, spacing):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=complex).ravel())
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=float).ravel())
         if pts.shape != w.shape:
@@ -72,7 +77,7 @@ class DiscreteMeasure:
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError("discretization scale must be positive")
         if pts.size > 1:
-            dmin, dmax = _distance_range(pts)
+            dmin, dmax = _distance_range(pts) if spacing is None else spacing
             if dmin == 0.0:
                 raise ValueError("atom positions must be pairwise distinct")
             if self.scale > dmin * (1 + 1e-12):
@@ -269,8 +274,11 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
     return DiscreteMeasure(*_recipe(kind, seed, params))
 
 
-def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unchecked points, weights and scale, so ``perturbed`` checks only its own."""
+def _recipe(
+    kind: str, seed: int, params: dict
+) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float] | None]:
+    """Unchecked points, weights and scale, so ``perturbed`` checks only its
+    own, and the spacing of the points where the recipe had to compute it."""
     for key in params:
         if key not in (_RECIPE_KEYS.get(kind) or (key,)):
             raise ValueError(f"{kind} takes no key {key!r}; it takes "
@@ -282,12 +290,12 @@ def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray,
         if n < 1:
             raise ValueError("segment needs n >= 1")
         if n == 1:
-            return np.array([start]), np.array([abs(end - start) or 1.0]), 1.0
+            return np.array([start]), np.array([abs(end - start) or 1.0]), 1.0, None
         t = np.linspace(0.0, 1.0, n)
         pts = start + t * (end - start)
         length = abs(end - start)
         w = np.full(n, length / n)
-        return pts, w, length / (2 * (n - 1))
+        return pts, w, length / (2 * (n - 1)), None
     if kind == "lipschitz_graph":
         n = int(params.get("n", 128))
         slope = float(params.get("slope", 0.2))
@@ -298,7 +306,7 @@ def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray,
         y = slope * _triangle_wave(x, teeth)
         pts = x + 1j * y
         w = _arclength_weights(pts)
-        return pts, w, float(np.min(np.abs(np.diff(pts)))) / 2
+        return pts, w, float(np.min(np.abs(np.diff(pts)))) / 2, None
     if kind == "circle":
         n = int(params.get("n", 128))
         radius = float(params.get("radius", 1.0))
@@ -309,7 +317,7 @@ def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray,
         pts = center + radius * np.exp(1j * ang)
         w = np.full(n, 2 * np.pi * radius / n)
         spacing = 2 * radius * np.sin(np.pi / n)
-        return pts, w, spacing / 2
+        return pts, w, spacing / 2, None
     if kind == "cantor4":
         level = int(params.get("level", 1))
         if level < 0:
@@ -324,19 +332,21 @@ def _recipe(kind: str, seed: int, params: dict) -> tuple[np.ndarray, np.ndarray,
         pts = pts.ravel()
         w = np.full(pts.size, 4.0 ** (-level))
         # nearest sibling centers sit 3 * 4^-level apart
-        return pts, w, (4.0 ** (-level) if level else 1.0)
+        return pts, w, (4.0 ** (-level) if level else 1.0), None
     if kind == "perturbed":
         base = dict(params)
         base_kind = base.pop("base", "segment")
         amplitude = float(base.pop("amplitude", 1e-3))
-        pts, w, scale = _recipe(base_kind, seed, base)
+        pts, w, scale, _ = _recipe(base_kind, seed, base)
         rng = np.random.default_rng(seed)
         pts = pts + amplitude * (rng.uniform(-1, 1, pts.size)
                                  + 1j * rng.uniform(-1, 1, pts.size))
-        dmin = _distance_range(pts)[0] if pts.size > 1 else np.inf
-        if dmin == 0.0:
+        if pts.size < 2:
+            return pts, w, scale, None
+        spacing = _distance_range(pts)
+        if spacing[0] == 0.0:
             raise ValueError("perturbation collided atoms; lower the amplitude")
-        return pts, w, min(scale, dmin)
+        return pts, w, min(scale, spacing[0]), spacing
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

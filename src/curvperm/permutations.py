@@ -10,16 +10,16 @@ coincident positions are always excluded.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse import csr_array, triu
-from scipy.spatial import cKDTree
+# scipy is imported inside _near_pairs, _vertex_sums and sign_scan, not
+# here, so that importing curvperm loads numpy alone
 
-from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
+from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, v_far
 from .measure import Ball, DiscreteMeasure
 
 __all__ = [
@@ -95,6 +95,11 @@ _SMALLEST = float(np.nextafter(0.0, 1.0))
 _CHUNK = 256
 
 
+def _check_workers(workers) -> None:
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _parallel_map_chunks(
     fn: Callable[[int, int], np.ndarray], n: int, workers: int
 ) -> np.ndarray:
@@ -113,13 +118,16 @@ def _parallel_map_chunks(
     return out
 
 
-def _near_pairs(pa: np.ndarray, pb: np.ndarray, lo: float) -> csr_array:
+def _near_pairs(pa: np.ndarray, pb: np.ndarray, lo: float):
     """The pairs of ``pa x pb`` closer than ``lo``, coincident ones
-    included, as a sparse 0/1 matrix.
+    included, as a sparse 0/1 ``csr_array``.
 
     Candidates come from a KD-tree at a slightly inflated radius and are
     then filtered with the admissibility predicate itself, so ties at the
     cutoff fall on the same side as in the dense core."""
+    from scipy.sparse import csr_array
+    from scipy.spatial import cKDTree
+
     ta, tb = (cKDTree(np.column_stack([p.real, p.imag])) for p in (pa, pb))
     found = ta.sparse_distance_matrix(tb, lo * (1.0 + 1e-9), output_type="ndarray")
     near = np.abs(pa[found["i"]] - pb[found["j"]]) < lo
@@ -164,6 +172,8 @@ def _vertex_sums(
     Cost: O(n^2 + n P) for P near leg pairs, plus O(n^2) per vertex summed
     directly; memory O(n * _CHUNK + P).
     """
+    from scipy.sparse import triu
+
     (pa, wa), (pb, wb) = (mu_a.points, mu_a.weights), (mu_b.points, mu_b.weights)
     pairs = _near_pairs(pa, pb, lo)
     shared = mu_a is mu_b
@@ -233,6 +243,7 @@ def perm_measure(
     """
     if not (eps >= 0):
         raise ValueError("truncation length must be >= 0")
+    _check_workers(workers)
     mu2 = mu1 if mu2 is None else mu2
     mu3 = mu1 if mu3 is None else mu3
     trunc = {"kind": "eps", "eps": float(eps)}
@@ -410,6 +421,7 @@ def perm_truncated_window(
     are only required to be distinct.  Summed by ``_WindowEngine`` from
     kernel matrices and one matrix product."""
     _window(delta, q_radius)
+    _check_workers(workers)
     trunc = {"kind": "window", "delta": float(delta), "q_radius": float(q_radius)}
     engine = _WindowEngine(kernel, mu1.points, mu2, mu3)
     counts = np.zeros(len(mu1), dtype=np.int64)
@@ -506,6 +518,8 @@ def sign_scan(
             return np.inf
         return float(perm_values(k, a, b, d))
 
+    from scipy.optimize import minimize
+
     v0 = np.array(
         [triple[0].real, triple[0].imag, triple[1].real, triple[1].imag,
          triple[2].real, triple[2].imag]
@@ -564,14 +578,8 @@ def estimate_c1(
     z2 = np.concatenate([z2, f2])
     z3 = np.concatenate([z3, f3])
 
-    d12, d13, d23 = z1 - z2, z1 - z3, z2 - z3
-    ok = (np.abs(d12) > 1e-12) & (np.abs(d13) > 1e-12) & (np.abs(d23) > 1e-12)
-
-    def vert_angle(d):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.arccos(np.clip(np.abs(d.imag) / np.abs(d), 0.0, 1.0))
-
-    far = vert_angle(d12) + vert_angle(d13) + vert_angle(d23) >= theta
+    ok = (np.abs(z1 - z2) > 1e-12) & (np.abs(z1 - z3) > 1e-12) & (np.abs(z2 - z3) > 1e-12)
+    far = v_far(z1, z2, z3, theta)
     p0 = perm_values(K_ZERO, z1, z2, z3)
     pinf = perm_values(K_INF, z1, z2, z3)
     sel = ok & far & (pinf > _P_INF_FLOOR)

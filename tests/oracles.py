@@ -62,6 +62,12 @@ def naive_perm_triple(t, points, weights, eps: float = 0.0) -> float:
     return total
 
 
+def _exact_kernel(t, dx, r2):
+    """The kernel at a difference with real part ``dx`` and squared modulus
+    ``r2``, in the rationals of its arguments."""
+    return dx / r2 if t is None else dx**3 / r2**2 + t * dx / r2
+
+
 def exact_perm_triple(t, points, weights, eps=0, window=None):
     """Triple sum of the permutation over one measure in exact rationals.
 
@@ -87,7 +93,7 @@ def exact_perm_triple(t, points, weights, eps=0, window=None):
             r2 = dx * dx + dy * dy
             if r2 == 0 or r2 < eps2:
                 continue
-            kern[i][j] = dx / r2 if t is None else dx**3 / r2**2 + t * dx / r2
+            kern[i][j] = _exact_kernel(t, dx, r2)
             in_window[i][j] = hi2 is None or lo2 <= r2 <= hi2
     value = total = Fraction(0)
     count = 0
@@ -105,6 +111,34 @@ def exact_perm_triple(t, points, weights, eps=0, window=None):
                 total += wt * sum(abs(a) for a in terms)
                 count += 1
     return value, total, count
+
+
+def exact_t1(t, points, weights, eps):
+    """The truncated transform of 1 at every atom in exact rationals.
+
+    ``t``, points, weights and ``eps`` convert as in ``exact_perm_triple``;
+    atom y counts at atom x when ``0 < |x - y|`` and ``|x - y| >= eps``.
+    Returns per atom the sum of ``K(x - y) w_y`` and of its absolute
+    values.
+    """
+    xy = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, points)]
+    w = [Fraction(float(v)) for v in weights]
+    t = None if t is None else Fraction(t)
+    eps2 = Fraction(eps) ** 2
+    values, totals = [], []
+    for xi, yi in xy:
+        value = total = Fraction(0)
+        for (xj, yj), wj in zip(xy, w):
+            dx, dy = xi - xj, yi - yj
+            r2 = dx * dx + dy * dy
+            if r2 == 0 or r2 < eps2:
+                continue
+            term = _exact_kernel(t, dx, r2) * wj
+            value += term
+            total += abs(term)
+        values.append(value)
+        totals.append(total)
+    return values, totals
 
 
 def row_sums(k, p1, mu2, mu3, ranges):

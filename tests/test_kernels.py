@@ -11,7 +11,6 @@ from curvperm.kernels import (
     KernelParam,
     Line,
     angle_between,
-    cauchy_kernel,
     kernel_eval,
     kernel_values,
     kt,
@@ -189,21 +188,6 @@ class TestKernelRange:
         assert np.array_equal(w[on].view(np.uint64), (-v[on]).view(np.uint64))
 
 
-class TestCauchy:
-    def test_real(self):
-        assert cauchy_kernel(1 + 0j) == 1 + 0j
-
-    def test_imaginary(self):
-        assert cauchy_kernel(1j) == -1j
-
-    def test_diagonal(self):
-        assert cauchy_kernel(1 + 1j) == pytest.approx(0.5 - 0.5j)
-
-    def test_zero(self):
-        with pytest.raises(ValueError):
-            cauchy_kernel(0j)
-
-
 class TestZeroLines:
     def test_counts_table(self):
         sweep = (-3, -2, -1.5, -1, -0.9, -0.5, -0.1, 0, 1, 5)
@@ -282,3 +266,21 @@ class TestVFar:
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
             v_far(0j, 0j, 1 + 0j, 0.1)
+        with pytest.raises(ValueError):
+            v_far(np.array([0j, 1j]), np.array([1 + 0j, 1j]), 2 + 0j, 0.1)
+
+    def test_arrays_match_scalar_calls_and_lines(self):
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-1, 1, (3, 400)) + 1j * rng.uniform(-1, 1, (3, 400))
+        # the sums of the connecting lines' vertical angles, line by line
+        angles = np.array([
+            sum(theta_vertical(line_through(z[a, i], z[b, i]))
+                for a, b in ((0, 1), (0, 2), (1, 2)))
+            for i in range(400)
+        ])
+        for theta in (0.3, 1.5, 2.5):
+            far = v_far(z[0], z[1], z[2], theta)
+            assert far.dtype == bool
+            assert far.tolist() == [v_far(*z[:, i], theta) for i in range(400)]
+            clear = np.abs(angles - theta) > 1e-12
+            assert np.array_equal(far[clear], (angles >= theta)[clear])

@@ -288,18 +288,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match=repr(key)):
             generate(kind, **params)
 
-    def test_perturbed_runs_two_distance_passes(self, monkeypatch):
-        calls = []
-        distance_range = measure._distance_range
-
-        def counted(pts):
-            calls.append(pts.size)
-            return distance_range(pts)
-
-        monkeypatch.setattr(measure, "_distance_range", counted)
-        mu = generate("perturbed", base="lipschitz_graph", n=300, amplitude=1e-5, seed=2)
+    def test_perturbed_runs_one_distance_pass(self, monkeypatch):
+        passes = []
+        rows = measure._distance_rows
+        monkeypatch.setattr(measure, "_distance_rows",
+                            lambda pts: passes.append(pts.size) or rows(pts))
+        mu = generate("perturbed", base="lipschitz_graph", n=2048, amplitude=1e-5, seed=2)
         assert mu.diameter > 0
-        assert calls == [300, 300]
+        assert passes == [2048]
 
     def test_perturbed_jitters_its_base(self):
         mu = generate("perturbed", base="circle", n=40, amplitude=1e-3, seed=4)
@@ -311,6 +307,8 @@ class TestGenerate:
         d = np.abs(mu.points[:, None] - mu.points[None, :])
         np.fill_diagonal(d, np.inf)
         assert mu.scale == min(base.scale, d.min())
+        np.fill_diagonal(d, 0.0)
+        assert mu.diameter == d.max()
 
     def test_perturbed_rejects_nan_amplitude(self):
         with pytest.raises(ValueError, match="finite"):

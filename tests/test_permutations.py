@@ -178,6 +178,19 @@ class TestPermMeasure:
         for w in (2, 3, 7):
             assert perm_measure(K_ZERO, mu, workers=w).value == base
 
+    @pytest.mark.parametrize("workers", [0, -1, 1.0, 2.5, "2", None])
+    def test_bad_worker_count_rejected(self, workers):
+        mu = generate("cantor4", level=1)
+        with pytest.raises(ValueError, match="workers"):
+            perm_measure(K_INF, mu, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            perm_truncated_window(mu, mu, mu, 0.25, 0.5, workers=workers)
+
+    def test_numpy_integer_worker_count(self):
+        mu = generate("cantor4", level=2)
+        assert (perm_measure(K_INF, mu, workers=np.int64(2)).value
+                == perm_measure(K_INF, mu).value)
+
     @pytest.mark.parametrize("eps_frac", [0.0, 0.05, 0.4])
     def test_worker_invariance_across_chunks(self, eps_frac):
         # 640 atoms span three 256-row chunks; at 0.4 diam the vertices near

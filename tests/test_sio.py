@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from curvperm.sio import (
     t1_values,
     theorem1_ratios,
 )
-from oracles import naive_t1_norm
+from oracles import exact_t1, naive_t1_norm
 
 
 def two_atoms():
@@ -99,6 +100,21 @@ class TestL2Norm:
             for t in (-1.0, 0.5, 2.0):
                 nt = l2_norm_T1(kt(t), mu, eps)
                 assert nt <= n0 + abs(t) * ninf + 1e-12
+
+
+class TestExactT1:
+    @pytest.mark.parametrize("t", [None, 0, Fraction(-1, 2), Fraction(-3, 4)])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_forward_error(self, level, t):
+        mu = generate("cantor4", level=level)
+        # below every distance, the nearest siblings' distance (a tie: the
+        # pair is kept) and a third of the diameter
+        assert np.any(np.abs(mu.points[:, None] - mu.points) == 3 * mu.scale)
+        for eps in (mu.scale / 2, 3 * mu.scale, mu.diameter / 3):
+            values, totals = exact_t1(t, mu.points, mu.weights, eps)
+            got = t1_values(K_INF if t is None else kt(float(t)), mu, eps)
+            for g, v, tv in zip(got, values, totals):
+                assert abs(Fraction(g) - v) <= Fraction(1e-13) * tv
 
 
 class TestSupNorm:
