@@ -10,20 +10,21 @@ interval [-1, 0).
 
 import numpy as np
 
-from curvperm.kernels import K_INF, K_ZERO, kernel_eval, kt, zero_lines
+from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt, zero_lines
 
 print("kernel values at a few points")
 for label, k in [("t=0", K_ZERO), ("t=-1", kt(-1.0)), ("limit", K_INF)]:
-    row = [kernel_eval(k, z) for z in (1 + 0j, 1 + 1j, np.exp(0.3j))]
+    row = kernel_values(k, [1 + 0j, 1 + 1j, np.exp(0.3j)])
     print(f"  {label:6s}", np.round(row, 6))
 
 print("\nthe kernel is odd and (-1)-homogeneous:")
 z = 0.3 + 0.7j
 for k in (K_ZERO, kt(-0.8), K_INF):
-    print(f"  {k}:  k(-z) = {kernel_eval(k, -z):+.6f}"
-          f"   -k(z) = {-kernel_eval(k, z):+.6f}"
-          f"   k(2z) = {kernel_eval(k, 2 * z):+.6f}"
-          f"   k(z)/2 = {kernel_eval(k, z) / 2:+.6f}")
+    minus, plus, double = kernel_values(k, [-z, z, 2 * z])
+    print(f"  {k}:  k(-z) = {minus:+.6f}"
+          f"   -k(z) = {-plus:+.6f}"
+          f"   k(2z) = {double:+.6f}"
+          f"   k(z)/2 = {plus / 2:+.6f}")
 
 print("\nzero-line counts across the parameter sweep")
 for t in (-3, -2, -1.5, -1, -0.9, -0.5, -0.1, 0, 1, 5):

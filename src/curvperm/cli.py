@@ -162,7 +162,7 @@ def _mv_check(args, mu):
 
 def _lattice(args, mu):
     lat = lattice_for(mu, _params(args.params))
-    payload = json.loads(lat.to_json())
+    payload = lat.to_dict()
     payload["report"] = {
         k: (len(v) if isinstance(v, list) else v) for k, v in lat.report.items()
     }

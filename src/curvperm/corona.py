@@ -38,11 +38,9 @@ __all__ = [
     "build_tree",
     "build_top",
     "theta_r_rule",
-    "id_classify",
     "packing_sum",
     "beta_packing_sum",
     "stop_mass_report",
-    "density_band_report",
 ]
 
 LABELS = ("HD", "LD", "UB", "BP", "BS", "F")
@@ -75,8 +73,11 @@ class Params:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ValueError(f"{f.name} must be a finite number")
+            if v is None:
+                continue
+            # bool is a numbers.Real, so True would pass as 1
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
         if not (0 < 1.0 / self.a <= self.tau**2):
@@ -421,40 +422,6 @@ def build_top(
 
 
 @dataclass(frozen=True)
-class IdFlags:
-    id_h: bool
-    id_u: bool
-    hd_mass: float
-    ub_mass: float
-    root_mass: float
-    next_density_sum: float
-    root_density_term: float
-
-
-def id_classify(lattice: Lattice, tree: TreeDecomposition) -> IdFlags:
-    """Increasing-density flags: a quarter of the root mass in high-density
-    stop cubes, or in the unbalanced replacements."""
-    mass_r = lattice.mass(tree.root_id)
-    hd_mass = sum(lattice.mass(q) for q in tree.family("HD"))
-    ub_repl: set[int] = set()
-    for q in tree.family("UB"):
-        ub_repl.update(_replacement(lattice, q))
-    ub_mass = sum(lattice.mass(q) for q in ub_repl)
-    next_sum = math.fsum(
-        [lattice.theta_2b(q) ** 2 * lattice.mass(q) for q in tree.next_ids]
-    )
-    return IdFlags(
-        hd_mass >= mass_r / 4,
-        ub_mass >= mass_r / 4,
-        hd_mass,
-        ub_mass,
-        mass_r,
-        next_sum,
-        tree.theta_density**2 * mass_r,
-    )
-
-
-@dataclass(frozen=True)
 class PackingReport:
     top_sum: float
     p0: float
@@ -512,28 +479,6 @@ def beta_packing_sum(
     denom = c2 + mu.total_mass
     return BetaPackingReport(beta_sum, c2, mu.total_mass,
                              beta_sum / denom if denom > 0 else math.inf)
-
-
-def density_band_report(lattice: Lattice, tree: TreeDecomposition) -> dict:
-    """Density ratios of tree cubes outside the density stopping families:
-    the lower band is exact by the stopping rule, the upper one is reported
-    with its observed constant."""
-    par = tree.params
-    ratios = []
-    for q in tree.tree_ids:
-        theta = lattice.theta_2b(q)
-        ratio = theta / tree.theta_density
-        doubling = lattice.cubes[q].doubling
-        if (doubling and ratio > par.a) or ratio < par.tau:
-            continue  # in a density family
-        ratios.append(ratio)
-    return {
-        "n_cubes": len(ratios),
-        "min_ratio": min(ratios) if ratios else math.inf,
-        "max_ratio": max(ratios) if ratios else 0.0,
-        "lower_ok": all(r >= par.tau for r in ratios),
-        "observed_upper_over_a": (max(ratios) / par.a) if ratios else 0.0,
-    }
 
 
 @dataclass(frozen=True)

@@ -559,6 +559,8 @@ def bilipschitz_experiment(
 ) -> dict:
     """Curvature of shear images against the curvature-plus-mass budget,
     with an isometry control."""
+    if len(mu) == 0:
+        raise ValueError("bilipschitz experiment on the empty measure")
     c2 = curvature_squared(mu, workers=workers)
     budget = c2 + mu.total_mass
     rows = []

@@ -17,12 +17,9 @@ __all__ = [
     "K_INF",
     "K_ZERO",
     "kt",
-    "kernel_eval",
     "kernel_values",
     "zero_lines",
     "Line",
-    "line_through",
-    "line_from_angle",
     "theta_vertical",
     "angle_between",
     "v_far",
@@ -91,14 +88,6 @@ def kernel_values(k: KernelParam, dz: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_eval(k: KernelParam, z: complex) -> float:
-    """Kernel at a single nonzero point."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("kernel is singular at the origin")
-    return float(kernel_values(k, z))
-
-
 def zero_lines(t: float) -> list[float]:
     """Angles in [0, pi) of the lines through 0 on which the kernel vanishes.
 
@@ -129,16 +118,6 @@ class Line:
         if not (abs(n - 1.0) < 1e-12):
             raise ValueError("direction must be a unit vector")
 
-    def canonical(self) -> "Line":
-        """Same line with direction angle in [0, pi) and the anchor at the
-        foot of the perpendicular from the origin."""
-        d = self.direction
-        if d.imag < 0 or (d.imag == 0 and d.real < 0):
-            d = -d
-        a = self.anchor
-        foot = a - (a.real * d.real + a.imag * d.imag) * d
-        return Line(foot, d)
-
     def distance(self, z) -> np.ndarray:
         """Unsigned distance from point(s) to the line."""
         rel = np.asarray(z, dtype=complex) - self.anchor
@@ -158,18 +137,6 @@ class Line:
         """Map (on-line, perpendicular) coordinates back to the plane."""
         u = np.asarray(u, dtype=float)
         return self.anchor + (u + 1j * np.asarray(v, dtype=float)) * self.direction
-
-
-def line_through(p: complex, q: complex) -> Line:
-    p, q = complex(p), complex(q)
-    if p == q:
-        raise ValueError("two distinct points are needed to define a line")
-    d = (q - p) / abs(q - p)
-    return Line(p, d).canonical()
-
-
-def line_from_angle(anchor: complex, theta: float) -> Line:
-    return Line(complex(anchor), complex(math.cos(theta), math.sin(theta)))
 
 
 def theta_vertical(line: Line) -> float:

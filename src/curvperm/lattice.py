@@ -10,7 +10,6 @@ lengths are in original units.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +22,6 @@ __all__ = [
     "Cube",
     "Lattice",
     "build",
-    "doubling_check",
     "maximal_doubling",
     "first_doubling_ancestor",
     "density_chain_report",
@@ -125,10 +123,14 @@ class Lattice:
             stack.extend(self.cubes[cur].children)
         return out
 
-    def to_json(self) -> str:
-        records = []
-        for q in self.cubes:
-            records.append(
+    def to_dict(self) -> dict:
+        return {
+            "c0": self.c0,
+            "a0": self.a0,
+            "separation": self.separation,
+            "doubling_constant": self.doubling_constant,
+            "rescale": self.rescale,
+            "cubes": [
                 {
                     "id": q.id,
                     "level": q.level,
@@ -138,16 +140,9 @@ class Lattice:
                     "doubling": bool(q.doubling),
                     "parent": q.parent,
                 }
-            )
-        payload = {
-            "c0": self.c0,
-            "a0": self.a0,
-            "separation": self.separation,
-            "doubling_constant": self.doubling_constant,
-            "rescale": self.rescale,
-            "cubes": records,
+                for q in self.cubes
+            ],
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _greedy_net(points: np.ndarray, indices: np.ndarray, sep: float) -> list[int]:
@@ -247,13 +242,6 @@ def _doubling_raw(lattice: Lattice, qid: int) -> bool:
     return mu.mass_in(b.scaled(100)) <= lattice.doubling_constant * mu.mass_in(b)
 
 
-def doubling_check(lattice: Lattice, qid: int) -> bool:
-    """Re-evaluate the doubling inequality and refresh the cube flag."""
-    flag = _doubling_raw(lattice, qid)
-    lattice.cubes[qid].doubling = flag
-    return flag
-
-
 def _build_report(lattice: Lattice) -> dict:
     mu = lattice.mu
     report = {
@@ -300,15 +288,6 @@ def maximal_doubling(lattice: Lattice, qid: int) -> list[int]:
         else:
             stack.extend(lattice.cubes[cur].children)
     return sorted(out)
-
-
-def doubling_coverage(lattice: Lattice, qid: int) -> float:
-    """Mass fraction of ``qid`` covered by its maximal doubling cubes."""
-    total = lattice.mass(qid)
-    if total == 0:
-        return 1.0
-    covered = sum(lattice.mass(q) for q in maximal_doubling(lattice, qid))
-    return covered / total
 
 
 def first_doubling_ancestor(lattice: Lattice, qid: int) -> int:

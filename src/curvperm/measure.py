@@ -9,7 +9,6 @@ geometric queries stop being meaningful.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
@@ -19,16 +18,11 @@ import numpy as np
 __all__ = [
     "Ball",
     "DiscreteMeasure",
-    "ResolutionWarning",
     "generate",
     "pushforward",
     "load_json",
     "save_json",
 ]
-
-
-class ResolutionWarning(UserWarning):
-    """A query probed a scale below the discretization scale."""
 
 
 @dataclass(frozen=True)
@@ -129,28 +123,9 @@ class DiscreteMeasure:
         """Mass of the open ball."""
         return float(self.weights[ball.contains(self.points)].sum())
 
-    def density(self, ball: Ball) -> float:
-        """Mass of the open ball divided by its radius."""
-        if ball.radius < self.scale:
-            warnings.warn(
-                f"density queried at radius {ball.radius} below the "
-                f"discretization scale {self.scale}",
-                ResolutionWarning,
-                stacklevel=2,
-            )
-        return self.mass_in(ball) / ball.radius
-
     def subset(self, indices) -> "DiscreteMeasure":
         idx = np.asarray(indices)
         return DiscreteMeasure(self.points[idx], self.weights[idx], self.scale)
-
-    def _sorted_rows(self):
-        """Each atom's distances in increasing order and their cumulative
-        weights, ``_ROWS`` atoms at a time."""
-        for _, d in _distance_rows(self.points):
-            cum = np.cumsum(self.weights[np.argsort(d, axis=1, kind="stable")], axis=1)
-            d.sort(axis=1)
-            yield d, cum
 
     def linear_growth_constant(self) -> float:
         """Smallest C with ``mass(B(z, r)) <= C r`` over the support.
@@ -162,33 +137,12 @@ class DiscreteMeasure:
         """
         if len(self) == 0:
             raise ValueError("growth constant of the empty measure")
-        return max(float(np.max(cum / np.maximum(d, self.scale)))
-                   for d, cum in self._sorted_rows())
-
-    def ad_regularity_bounds(self, r_min: float, r_max: float) -> tuple[float, float]:
-        """Tightest (lower, upper) constants for ``C^-1 r <= mass <= C r``
-        over atom-centered balls with radii in [r_min, r_max].
-
-        Closed balls give the exact supremum of mass/r as in
-        ``linear_growth_constant``, at radii up to r_max.  Open balls give
-        the exact supremum of r/mass: the open ball holding the first k+1
-        sorted weights stays so up to the next distance, or r_max.
-        """
-        if len(self) == 0:
-            raise ValueError("regularity bounds of the empty measure")
-        if not (r_min > 0):
-            raise ValueError(f"r_min must be positive, got {r_min}")
-        if not (r_min <= r_max):
-            raise ValueError("empty scale range")
-        c_lower = c_upper = 0.0
-        for d, cum in self._sorted_rows():
-            c_upper = max(c_upper, float(np.max(
-                cum / np.maximum(d, r_min), initial=0.0, where=d <= r_max)))
-            reach = np.full_like(d, r_max)
-            reach[:, :-1] = np.minimum(d[:, 1:], r_max)
-            c_lower = max(c_lower, float(np.max(
-                reach / cum, initial=0.0, where=reach >= r_min)))
-        return c_lower, c_upper
+        best = 0.0
+        for _, d in _distance_rows(self.points):
+            cum = np.cumsum(self.weights[np.argsort(d, axis=1, kind="stable")], axis=1)
+            d.sort(axis=1)
+            best = max(best, float(np.max(cum / np.maximum(d, self.scale))))
+        return best
 
     def to_dict(self) -> dict:
         return {

@@ -32,7 +32,6 @@ __all__ = [
     "perm_measure",
     "curvature_squared",
     "perm_truncated_window",
-    "perm_at_point",
     "sign_scan",
     "estimate_c1",
 ]
@@ -434,21 +433,6 @@ def perm_truncated_window(
     return TripleIntegralResult(
         math.fsum(mu1.weights * sums), int(counts.sum()), trunc
     )
-
-
-def perm_at_point(
-    x: complex,
-    mu2: DiscreteMeasure,
-    mu3: DiscreteMeasure,
-    delta: float,
-    q_radius: float,
-    kernel: KernelParam = K_ZERO,
-) -> float:
-    """Double integral of the permutation with the first point frozen at
-    ``x`` and the pair (x, y) windowed as in the triple version."""
-    _window(delta, q_radius)
-    engine = _WindowEngine(kernel, np.array([complex(x)]), mu2, mu3)
-    return float(engine.point_sums(np.arange(1), q_radius, delta)[0])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ __all__ = [
     "MvReport",
     "Theorem1Ratios",
     "default_grid",
-    "apply_truncated",
     "t1_values",
     "l2_norm_T1",
     "sup_l2_norm",
@@ -59,17 +58,18 @@ def default_grid(mu: DiscreteMeasure, n: int = 16) -> TruncationGrid:
     return TruncationGrid(tuple(np.geomspace(lo, hi, n)))
 
 
-def _truncated_sums(values, targets, mu: DiscreteMeasure, weights, epsilons):
-    """The sums of ``values(z - x) * weights`` over the atoms ``x`` at distance
-    at least each cutoff from each target ``z``, one row per cutoff.  Targets
-    are taken ``_ROWS`` at a time and each row is reduced on its own, so a
-    target's sum depends neither on the other targets nor on its block."""
+def _truncated_sums(values, targets, mu: DiscreteMeasure, epsilons):
+    """The sums of ``values(z - x) * w_x`` over the atoms ``x`` of ``mu`` at
+    distance at least each cutoff from each target ``z``, one row per
+    cutoff.  Targets are taken ``_ROWS`` at a time and each row is reduced
+    on its own, so a target's sum depends neither on the other targets nor
+    on its block."""
     if not all(e > 0 for e in epsilons):
         raise ValueError("truncation length must be positive")
     blocks = []
     for start in range(0, targets.size, _ROWS):
         dz = targets[start:start + _ROWS, None] - mu.points[None, :]
-        v, d = values(dz) * weights, np.abs(dz)
+        v, d = values(dz) * mu.weights, np.abs(dz)
         blocks.append([np.where(d >= e, v, 0.0).sum(axis=1) for e in epsilons])
     return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(epsilons), 0))
 
@@ -84,18 +84,9 @@ def _l2(sums: np.ndarray, w: np.ndarray) -> float:
     return math.sqrt(math.fsum((sums.real**2 + sums.imag**2) * w))
 
 
-def apply_truncated(
-    k: KernelParam, mu: DiscreteMeasure, f: np.ndarray, eps: float, z: complex
-) -> float:
-    """Truncated operator applied to per-atom values ``f`` at the point ``z``."""
-    w, z = np.asarray(f, dtype=float) * mu.weights, np.array([z], dtype=complex)
-    return float(_truncated_sums(lambda dz: kernel_values(k, dz), z, mu, w, [eps])[0, 0])
-
-
 def t1_values(k: KernelParam, mu: DiscreteMeasure, eps: float) -> np.ndarray:
     """The truncated transform of the constant 1 at every atom."""
-    return _truncated_sums(lambda dz: kernel_values(k, dz), mu.points, mu,
-                           mu.weights, [eps])[0]
+    return _truncated_sums(lambda dz: kernel_values(k, dz), mu.points, mu, [eps])[0]
 
 
 def l2_norm_T1(k: KernelParam, mu: DiscreteMeasure, eps: float) -> float:
@@ -108,7 +99,7 @@ def sup_l2_norm(
 ) -> tuple[float, float]:
     """Max of the truncated norm over the grid and the attaining cutoff."""
     sums = _truncated_sums(lambda dz: kernel_values(k, dz), mu.points, mu,
-                           mu.weights, grid.epsilons)
+                           grid.epsilons)
     norms = [_l2(t1, mu.weights) for t1 in sums]
     best = int(np.argmax(norms))
     return norms[best], grid.epsilons[best]
@@ -116,8 +107,7 @@ def sup_l2_norm(
 
 def cauchy_l2_norm(mu: DiscreteMeasure, eps: float) -> float:
     """Weighted l2 norm of the truncated complex Cauchy transform of 1."""
-    return _l2(_truncated_sums(_inverse, mu.points, mu, mu.weights, [eps])[0],
-               mu.weights)
+    return _l2(_truncated_sums(_inverse, mu.points, mu, [eps])[0], mu.weights)
 
 
 @dataclass(frozen=True)

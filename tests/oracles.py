@@ -233,27 +233,6 @@ def growth_constant_per_atom(points, weights, scale) -> float:
     return best
 
 
-def ad_regularity_per_atom(points, weights, r_min, r_max) -> tuple[float, float]:
-    """(max r/open mass, max closed mass/r) over atom-centred balls, one
-    centre at a time, at r_min, r_max and every distance between them."""
-    pts, w = np.asarray(points), np.asarray(weights)
-    c_lower = c_upper = 0.0
-    for z in pts:
-        d = np.abs(pts - z)
-        order = np.argsort(d, kind="stable")
-        d_sorted = d[order]
-        cum = np.cumsum(w[order])
-        radii = np.unique(np.concatenate([[r_min, r_max], d_sorted]))
-        radii = radii[(radii >= r_min) & (radii <= r_max)]
-        hi = cum[np.searchsorted(d_sorted, radii, side="right") - 1]
-        pos = np.searchsorted(d_sorted, radii, side="left") - 1
-        lo = np.where(pos >= 0, cum[np.maximum(pos, 0)], 0.0)
-        c_upper = max(c_upper, float(np.max(hi / radii)))
-        with np.errstate(divide="ignore"):
-            c_lower = max(c_lower, float(np.max(radii / lo)))
-    return c_lower, c_upper
-
-
 def growth_constant_exact_sq(points, weights, scale) -> Fraction:
     """The squared growth constant in exact arithmetic: the largest
     ``m² / max(q, scale²)`` over atom centres, where q runs over the squared
@@ -273,23 +252,6 @@ def growth_constant_exact_sq(points, weights, scale) -> Fraction:
             cum += mass_at[q]
             best = max(best, cum * cum / max(q, s2))
     return best
-
-
-def best_line_scan(points, weights, radius, n_angles: int = 20000) -> float:
-    """Least weighted squared distance over lines through the weighted
-    centroid, by dense angle scan; returns the squared beta value."""
-    pts = np.asarray(points)
-    w = np.asarray(weights)
-    cx = float((w * pts.real).sum() / w.sum())
-    cy = float((w * pts.imag).sum() / w.sum())
-    dx = pts.real - cx
-    dy = pts.imag - cy
-    best = math.inf
-    for phi in np.linspace(0, math.pi, n_angles, endpoint=False):
-        nx, ny = -math.sin(phi), math.cos(phi)
-        dist2 = (nx * dx + ny * dy) ** 2
-        best = min(best, float((w * dist2).sum()))
-    return best / radius**3
 
 
 def golden_section_line(points, weights, radius, tol: float = 1e-14) -> float:

@@ -12,7 +12,6 @@ from curvperm.corona import (
     beta_packing_sum,
     build_top,
     build_tree,
-    id_classify,
     packing_sum,
     stop_mass_report,
     theta_r_rule,
@@ -21,7 +20,7 @@ from curvperm.experiments import corona_corpus
 from curvperm.graphfit import beta2
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
-from curvperm.permutations import _WindowEngine, perm_at_point
+from curvperm.permutations import _WindowEngine, perm_truncated_window
 from oracles import DenseEngine
 
 
@@ -61,6 +60,11 @@ class TestParams:
     def test_rejects_nan(self, field):
         with pytest.raises(ValueError, match=field):
             Params(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["separation", "c_f", "c2", "tau"])
+    def test_rejects_bool(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number, got True"):
+            Params(**{field: True})
 
     def test_c2_override(self):
         assert Params(c2=0.25).c2_value == 0.25
@@ -124,6 +128,8 @@ class TestConstructedStops:
         hd = [q for q, v in tree.stop.items() if v.label == "HD"]
         for q in hd:
             assert lat.theta_2b(q) > params.a * tree.theta_density
+        # the cluster holds most of the mass: a quarter of the root's
+        assert sum(lat.mass(q) for q in hd) >= lat.mass(lat.root.id) / 4
 
     def test_low_density_outlier(self):
         # far light atoms in an otherwise heavy support
@@ -203,8 +209,8 @@ class TestRFar:
         assert math.isfinite(far_mass / max(mu.total_mass, 1e-12))
 
     def test_matches_public_point_op(self):
-        # r_far against the public pointwise op over the root's doubled
-        # ball: root atoms whose windowed sum reaches c2 Theta^2 at some
+        # r_far against the public windowed triple integral of one atom over
+        # the root's doubled ball: root atoms whose windowed sum reaches c2 Theta^2 at some
         # surviving cube whose doubled ball holds them; with this narrow
         # window the root's sums flag only some atoms, the smaller
         # surviving cubes flag most of the rest
@@ -222,8 +228,9 @@ class TestRFar:
         for q in survivors:
             inside = lat.big_ball(q, 2.0).contains(mu.points[members])
             for x in members[inside].tolist():
-                v = perm_at_point(mu.points[x], nu, nu, params.delta,
-                                  lat.cubes[q].radius)
+                at_x = DiscreteMeasure(mu.points[x:x + 1], [1.0], mu.scale)
+                v = perm_truncated_window(at_x, nu, nu, params.delta,
+                                          lat.cubes[q].radius).value
                 best[x] = max(best[x], v)
         got = set(tree.r_far.tolist())
         assert 0 < len(got) < len(members)
@@ -312,31 +319,6 @@ class TestTreeStructure:
         assert len(corona.generations) >= 2  # recorded behaviour at desk scale
 
 
-class TestIdClassify:
-    def test_empty_stop_both_false(self):
-        mu = generate("segment", n=100)
-        lat, params = make(mu)
-        tree = build_tree(lat, mu, lat.root.id, params)
-        flags = id_classify(lat, tree)
-        assert not flags.id_h and not flags.id_u
-
-    def test_heavy_hd_triggers(self):
-        # the cluster holds most of the mass, so its high-density stop cube
-        # pushes the flag over the quarter threshold
-        line = np.linspace(0, 1, 40)
-        cluster = 0.5013 + 0.002 * np.arange(8) / 8
-        pts = np.unique(np.concatenate([line, cluster])).astype(complex)
-        w = np.where(np.isin(pts.real, cluster), 1.0, 0.02)
-        mu = DiscreteMeasure(pts, w, 1e-4)
-        lat, params = make(mu, Params(a=100.0))
-        tree = build_tree(lat, mu, lat.root.id, params)
-        flags = id_classify(lat, tree)
-        hd_mass = sum(lat.mass(q) for q in tree.family("HD"))
-        assert hd_mass >= lat.mass(lat.root.id) / 4
-        assert flags.id_h
-        assert math.isfinite(flags.next_density_sum)
-
-
 class TestMassReports:
     def test_empty_stop_all_zero(self):
         mu = generate("segment", n=100)
@@ -364,18 +346,6 @@ class TestMassReports:
         rep = stop_mass_report(lat, tree)
         assert rep.ratios["LD"] <= 1.0
         assert "LD" in rep.flags
-
-    def test_density_band(self):
-        from curvperm.corona import density_band_report
-
-        for mu in (generate("segment", n=64),
-                   generate("cantor4", level=2),
-                   generate("lipschitz_graph", n=96, slope=0.2, teeth=1)):
-            lat, params = make(mu)
-            tree = build_tree(lat, mu, lat.root.id, params)
-            rep = density_band_report(lat, tree)
-            assert rep["lower_ok"]  # exact by the stopping rule
-            assert math.isfinite(rep["observed_upper_over_a"])
 
     def test_bp_monotone_in_alpha(self):
         mu = generate("cantor4", level=2)

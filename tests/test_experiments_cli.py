@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -17,7 +18,7 @@ from curvperm.experiments import (
     run,
     t0_bracket,
 )
-from curvperm.measure import generate, load_json
+from curvperm.measure import DiscreteMeasure, generate, load_json
 
 
 class TestHarness:
@@ -66,6 +67,11 @@ class TestHarness:
         ratios = [r["ratio"] for r in rep["rows"]]
         assert all(np.isfinite(ratios))
         assert rep["isometry_rel_err"] <= 1e-12
+
+    def test_bilip_rejects_empty_measure(self):
+        empty = DiscreteMeasure(np.zeros(0, complex), np.zeros(0), 1.0)
+        with pytest.raises(ValueError, match="empty measure"):
+            bilipschitz_experiment(empty)
 
     def test_cantor_growth_cap(self):
         with pytest.raises(ValueError):
@@ -135,6 +141,20 @@ class TestCli:
         assert data["cubes"][0]["level"] == 0
         assert res.returncode == 0
 
+    # SHA-256 of the lattice stdout, pinned byte for byte so that a change in
+    # how the payload is encoded shows
+    LATTICE_STDOUT = {
+        "segment:n=50": "0ba8d23e73104cc1df510dc1fead3404673f3c348e9d56cb6f9859ac03785b2d",
+        "cantor4:level=2": "e2ce269bf7c38514072efb9a2bc229a4c9d3fcd9beb4d22d26573a30b2dc22ff",
+    }
+
+    @pytest.mark.parametrize("measure", sorted(LATTICE_STDOUT))
+    def test_lattice_stdout_is_pinned(self, measure):
+        res = self.run_cli("lattice", "--measure", measure)
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == self.LATTICE_STDOUT[measure]
+
     def test_corona_segment(self):
         res = self.run_cli("corona", "--measure", "segment:n=64")
         data = json.loads(res.stdout)
@@ -198,6 +218,7 @@ class TestCli:
         ("lattice", "--measure", "segment:n=8", "--params", "{bad"),
         ("lattice", "--measure", "segment:n=8", "--params", '{"bogus": 1}'),
         ("corona", "--measure", "segment:n=8", "--params", '{"tau": 2}'),
+        ("corona", "--measure", "segment:n=8", "--params", '{"c2": true}'),
         ("graph-fit", "--measure", "segment:n=8", "--params", "[1]"),
         ("verify", "--criteria", "99"),
         ("verify", "--criteria", "x"),
@@ -241,6 +262,13 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("curvperm perm: measure JSON ")
         assert res.stdout == ""
 
+    def test_bilip_on_an_empty_measure_file_exits_2(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"scale": 1, "atoms": []}')
+        res = self.run_cli("bilip", "--measure", str(path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "curvperm bilip: bilipschitz experiment on the empty measure\n"
+
     def test_out_onto_a_file_is_rejected(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -253,6 +281,8 @@ class TestCli:
         res = self.run_cli("lattice", "--measure", "segment:n=8",
                            "--params", '{"bogus": 1}')
         assert "keys among" in res.stderr and "tau" in res.stderr
+        assert "c2 must be a finite number, got True" in self.run_cli(
+            "corona", "--measure", "segment:n=8", "--params", '{"c2": true}').stderr
         assert "theta must be positive" in self.run_cli(
             "c1-estimate", "--theta", "nan").stderr
         assert "n_max must be at least 1" in self.run_cli(

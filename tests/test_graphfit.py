@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from collections import Counter
@@ -19,7 +20,7 @@ from curvperm.graphfit import (
     _select_cube,
     whitney_cover,
 )
-from curvperm.kernels import line_from_angle
+from curvperm.kernels import Line
 from curvperm.lattice import build
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from oracles import (
@@ -139,7 +140,7 @@ class TestDistanceFunctions:
         mu, lat, corona = graph_setup
         tree = max(corona.trees.values(), key=lambda t: len(t.dbtree_ids))
         assert tree.dbtree_ids
-        line = line_from_angle(0j, 0.1)
+        line = Line(0j, cmath.exp(0.1j))
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 1, 40) + 1j * rng.uniform(-0.2, 0.4, 40)
         field = DistanceField(lat, tree.dbtree_ids)
@@ -152,7 +153,7 @@ class TestDistanceFunctions:
         mu, lat, corona = graph_setup
         tree = corona.trees[lat.root.id]
         ids = tree.dbtree_ids or [lat.root.id]
-        line = line_from_angle(0j, 0.0)
+        line = Line(0j, 1 + 0j)
         proj = DistanceField(lat, ids).project(line)
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -199,7 +200,7 @@ class TestCubeTable:
     def test_cube_costs_match_per_cube_loop(self, graph_setup):
         _, lat, _ = graph_setup
         ids = self._family(graph_setup)
-        line = line_from_angle(0.1j, 0.15)
+        line = Line(0.1j, cmath.exp(0.15j))
         proj = DistanceField(lat, ids).project(line)
         rng = np.random.default_rng(10)
         for _ in range(30):
@@ -212,7 +213,7 @@ class TestCubeTable:
     def test_select_cube_matches_oracle(self, graph_setup):
         _, lat, _ = graph_setup
         ids = self._family(graph_setup)
-        line = line_from_angle(0j, 0.05)
+        line = Line(0j, cmath.exp(0.05j))
         field = DistanceField(lat, ids)
         proj = field.project(line)
         rng = np.random.default_rng(11)
@@ -394,7 +395,7 @@ class TestLevelCover:
         mu, lat, _ = graph_setup
         ids = TestCubeTable._family(graph_setup)
         for line in (beta2(mu, lat.big_ball(ids[0], 2.0)).line,
-                     line_from_angle(0j, 0.05), line_from_angle(0.1j, -0.1)):
+                     Line(0j, cmath.exp(0.05j)), Line(0.1j, cmath.exp(-0.1j))):
             cover = self._check(lat, mu, ids[0], ids, line)
             assert len(set(cover.cube_of) - {None}) > 10
             assert len({cf[1] for cf in cover.coeffs if cf is not None}) > 10
@@ -420,7 +421,7 @@ class TestFieldQueries:
     def test_empty_queries_return_empty_arrays(self, graph_setup):
         _, lat, _ = graph_setup
         field = DistanceField(lat, [lat.root.id])
-        proj = field.project(line_from_angle(0j, 0.1))
+        proj = field.project(Line(0j, cmath.exp(0.1j)))
         assert field.d(np.zeros(0, complex)).shape == (0,)
         assert proj.value(np.zeros(0)).shape == (0,)
         assert proj.inf_on(np.zeros(0), np.zeros(0)).shape == (0,)
@@ -434,7 +435,7 @@ class TestFieldQueries:
             if not tree.dbtree_ids:
                 continue
             field = DistanceField(lat, tree.dbtree_ids)
-            proj = field.project(line_from_angle(0.05j, 0.1))
+            proj = field.project(Line(0.05j, cmath.exp(0.1j)))
             u = np.concatenate([proj.coords, rng.uniform(-0.5, 1.5, 700)])
             dense = np.min(np.abs(u[:, None] - proj.coords) + proj.offsets, axis=1)
             assert np.array_equal(proj.value(u), dense)
@@ -443,7 +444,7 @@ class TestFieldQueries:
     def test_row_blocks_match_one_pass(self, graph_setup, monkeypatch):
         mu, lat, _ = graph_setup
         field = DistanceField(lat, TestCubeTable._family(graph_setup))
-        proj = field.project(line_from_angle(0j, 0.05))
+        proj = field.project(Line(0j, cmath.exp(0.05j)))
         rng = np.random.default_rng(13)
         z = rng.uniform(-0.5, 1.5, 600) + 1j * rng.uniform(-0.3, 0.5, 600)
         lo = rng.uniform(-0.5, 1.5, 600)
@@ -463,7 +464,7 @@ class TestFieldQueries:
         # a dense query would hold n x P differences; a block holds _ROWS x P
         mu, lat, _ = graph_setup
         field = DistanceField(lat, TestCubeTable._family(graph_setup))
-        proj = field.project(line_from_angle(0j, 0.05))
+        proj = field.project(Line(0j, cmath.exp(0.05j)))
         n, block = 16 * graphfit._ROWS, graphfit._ROWS * field.points.size
         z = np.linspace(-0.5, 1.5, n) + 0.1j
         u = z.real.copy()

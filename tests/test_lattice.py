@@ -11,8 +11,6 @@ from curvperm.lattice import (
     build,
     delta_mu,
     density_chain_report,
-    doubling_check,
-    doubling_coverage,
     first_doubling_ancestor,
     maximal_doubling,
     small_boundary_report,
@@ -181,8 +179,8 @@ class TestBuild:
 
     def test_json_dump_stable(self, segment_lattice):
         _, lat = segment_lattice
-        a = lat.to_json()
-        b = lat.to_json()
+        a = json.dumps(lat.to_dict(), sort_keys=True)
+        b = json.dumps(lat.to_dict(), sort_keys=True)
         assert a == b
         payload = json.loads(a)
         assert {"id", "level", "center", "r", "members", "doubling", "parent"} <= set(
@@ -193,13 +191,13 @@ class TestBuild:
 class TestDoubling:
     def test_root_doubling(self, segment_lattice):
         _, lat = segment_lattice
-        assert doubling_check(lat, lat.root.id)
+        assert lat.root.doubling
 
     def test_isolated_cluster(self):
         pts = [0j, 0.001 + 0j]
         mu = DiscreteMeasure(pts, [1.0, 1.0], 0.0005)
         lat = build(mu)
-        assert doubling_check(lat, lat.root.id)
+        assert lat.root.doubling
 
     def test_heavy_mass_outside_fails_small_constant(self):
         # one light atom with heavy mass just outside 99 radii
@@ -212,7 +210,7 @@ class TestDoubling:
                 if 100 * q.radius > 0.5 and q.radius < 0.5:
                     target = q.id
         assert target is not None
-        assert not doubling_check(lat, target)
+        assert not lat.cubes[target].doubling
 
     def test_maximal_doubling_self(self, segment_lattice):
         _, lat = segment_lattice
@@ -228,10 +226,6 @@ class TestDoubling:
                 for b in fam:
                     if a != b:
                         assert not lat.is_ancestor(a, b)
-
-    def test_coverage_fraction(self, cantor_lattice):
-        _, lat = cantor_lattice
-        assert doubling_coverage(lat, lat.root.id) == pytest.approx(1.0)
 
     def test_first_doubling_ancestor_self(self, segment_lattice):
         _, lat = segment_lattice

@@ -10,14 +10,12 @@ from curvperm.experiments import corpus
 from curvperm.measure import (
     Ball,
     DiscreteMeasure,
-    ResolutionWarning,
     generate,
     load_json,
     pushforward,
     save_json,
 )
 from oracles import (
-    ad_regularity_per_atom,
     growth_constant_exact_sq,
     growth_constant_per_atom,
     growth_constant_scan,
@@ -106,31 +104,11 @@ class TestRestrictDensity:
             for arr in (sub.points, sub.weights):
                 assert arr.flags.c_contiguous and not arr.flags.writeable
 
-    def test_density_three_atoms(self):
+    def test_mass_in_open_ball(self):
         mu = DiscreteMeasure([0, 0.5, 1 + 0j], [1.0, 1.0, 1.0], 0.25)
-        assert mu.density(Ball(0j, 2.0)) == pytest.approx(1.5)
-
-    def test_density_empty_ball(self):
-        mu = unit_segment(10)
-        assert mu.density(Ball(5 + 5j, 0.5)) == 0.0
-
-    def test_density_segment_midpoint(self):
-        assert unit_segment(100).density(Ball(0.5 + 0j, 0.25)) == pytest.approx(2.0)
-
-    def test_density_warns_below_scale(self):
-        mu = unit_segment(10)
-        with pytest.warns(ResolutionWarning):
-            mu.density(Ball(0j, mu.scale / 2))
-
-    def test_density_scaling_homogeneity(self):
-        # scaling positions and ball by lam and weights by lam keeps density
-        mu = unit_segment(50)
-        lam = 3.7
-        scaled = DiscreteMeasure(mu.points * lam, mu.weights * lam, mu.scale * lam)
-        b = Ball(0.3 + 0j, 0.2)
-        d1 = mu.density(b)
-        d2 = scaled.density(Ball(b.center * lam, b.radius * lam))
-        assert d2 == pytest.approx(d1, rel=1e-12)
+        assert mu.mass_in(Ball(0j, 2.0)) == 3.0
+        assert mu.mass_in(Ball(0j, 1.0)) == 2.0  # the atom on the circle is out
+        assert mu.mass_in(Ball(5 + 5j, 0.5)) == 0.0
 
 
 class TestGrowth:
@@ -178,59 +156,6 @@ class TestGrowth:
         assert rot.linear_growth_constant() == pytest.approx(
             mu.linear_growth_constant(), rel=1e-12
         )
-
-
-class TestAdRegularity:
-    def test_segment_scan(self):
-        mu = unit_segment(100)
-        lo, hi = mu.ad_regularity_bounds(0.05, 0.5)
-        assert max(lo, hi) <= 4.0
-        assert lo >= 1.0 and hi >= 1.0
-
-    def test_two_far_atoms_blow_up(self):
-        mu = DiscreteMeasure([0, 100 + 0j], [1e-3, 1e-3], 1.0)
-        lo, hi = mu.ad_regularity_bounds(1.0, 100.0)
-        assert lo > 1e3  # reported, not clamped
-
-    def test_circle_mid_scales(self):
-        mu = generate("circle", n=128)
-        lo, hi = mu.ad_regularity_bounds(0.1, 1.0)
-        assert max(lo, hi) <= 4.0
-
-    def test_empty_range_errors(self):
-        mu = unit_segment(10)
-        with pytest.raises(ValueError):
-            mu.ad_regularity_bounds(1.0, 0.5)
-        for r_min in (0.0, -0.1, math.nan):
-            with pytest.raises(ValueError, match="r_min"):
-                mu.ad_regularity_bounds(r_min, 0.5)
-
-    @pytest.mark.parametrize("name", sorted(SCAN_INPUTS))
-    def test_equals_per_atom_loop(self, name):
-        mu = SCAN_INPUTS[name]
-        d, s = mu.diameter, mu.scale
-        for r_min, r_max in [(s, d), (2 * s, 4 * s), (d / 10, d / 2), (d / 4, d / 4),
-                             (s / 3, s / 2), (d, d), (d, 2 * d), (s, math.inf)]:
-            assert mu.ad_regularity_bounds(r_min, r_max) == ad_regularity_per_atom(
-                mu.points, mu.weights, r_min, r_max)
-
-    def test_against_dense_scan(self):
-        # the candidate-set evaluation matches a dense radius sweep
-        mu = generate("perturbed", base="segment", n=24, amplitude=2e-3, seed=7)
-        r_lo, r_hi = 0.08, 0.6
-        lo, hi = mu.ad_regularity_bounds(r_lo, r_hi)
-        radii = np.linspace(r_lo, r_hi, 4000)
-        worst_lo, worst_hi = 0.0, 0.0
-        for z in mu.points:
-            d = np.abs(mu.points - z)
-            for r in radii:
-                m = float(mu.weights[d < r].sum())
-                worst_hi = max(worst_hi, m / r)
-                worst_lo = max(worst_lo, r / m)
-        assert hi >= worst_hi - 1e-12
-        assert lo >= worst_lo - 1e-12
-        assert hi == pytest.approx(worst_hi, rel=2e-2)
-        assert lo == pytest.approx(worst_lo, rel=2e-2)
 
 
 class TestGenerate:

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curvperm.corona import Params, _flat_engine, _TreeBuilder
 from curvperm.experiments import _perm_reference
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
+from curvperm.lattice import build
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from curvperm.permutations import (
+    _parallel_map_chunks,
+    _WindowEngine,
     curvature_squared,
     estimate_c1,
     menger_curvature,
-    perm_at_point,
     perm_measure,
     perm_pointwise,
     perm_truncated_window,
@@ -465,6 +468,12 @@ class TestWindowEngine:
         assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
 
 
+def one_atom_window(z, mu2, mu3, delta, q_radius):
+    """The windowed triple integral whose first measure is one unit atom at z."""
+    at_z = DiscreteMeasure([complex(z)], [1.0], mu2.scale)
+    return perm_truncated_window(at_z, mu2, mu3, delta, q_radius).value
+
+
 class TestWindowed:
     def test_window_excluding_everything(self):
         mu = generate("cantor4", level=1)
@@ -489,14 +498,14 @@ class TestWindowed:
 
     def test_point_sum_far_outside(self):
         mu = generate("cantor4", level=1)
-        assert perm_at_point(100 + 100j, mu, mu, 0.4, 1e-3) == 0.0
+        assert one_atom_window(100 + 100j, mu, mu, 0.4, 1e-3) == 0.0
 
     def test_fubini_consistency(self):
         mu = generate("cantor4", level=1)
         delta, r = 0.05, 0.7
         total = perm_truncated_window(mu, mu, mu, delta, r).value
         split = sum(
-            w * perm_at_point(z, mu, mu, delta, r)
+            w * one_atom_window(z, mu, mu, delta, r)
             for z, w in zip(mu.points, mu.weights)
         )
         assert split == pytest.approx(total, rel=1e-12)
@@ -505,7 +514,7 @@ class TestWindowed:
     def test_point_sum_rejects_bad_radius(self, q_radius):
         mu = generate("cantor4", level=1)
         with pytest.raises(ValueError):
-            perm_at_point(0j, mu, mu, 0.5, q_radius)
+            one_atom_window(0j, mu, mu, 0.5, q_radius)
 
     def test_window_rejects_nan_radius(self):
         mu = generate("cantor4", level=1)
@@ -517,7 +526,7 @@ class TestWindowed:
         mu2 = DiscreteMeasure([1 + 0j], [0.7], 0.5)
         mu3 = DiscreteMeasure([0.5 + 1j], [0.3], 0.5)
         x = 0j
-        got = perm_at_point(x, mu2, mu3, delta=0.9, q_radius=1.0)
+        got = one_atom_window(x, mu2, mu3, delta=0.9, q_radius=1.0)
         expect = 0.7 * 0.3 * perm_term(0.0, 0j, 1 + 0j, 0.5 + 1j)
         assert got == pytest.approx(expect, rel=1e-14)
 
@@ -629,3 +638,59 @@ class TestProperties:
         turned = DiscreteMeasure(np.exp(1j * angle) * mu.points, mu.weights, mu.scale)
         tol = 4e-12 * _total_variation(K_INF, [mu] * 3, np.finfo(float).tiny)
         assert abs(curvature_squared(turned) - curvature_squared(mu)) <= tol
+
+
+# Totals and per-index values that do not depend on how the work is split.
+#
+# A library total is the correctly rounded sum of its terms (``math.fsum``),
+# so the order of the terms and the worker count cannot change it.  The
+# cases below are ones where rounding 256-term chunks first and then their
+# totals gives a different double.
+
+
+def exact_sum(terms: np.ndarray) -> float:
+    """The sum of the doubles ``terms``, rounded once."""
+    return float(sum(map(Fraction, terms.tolist()), Fraction(0)))
+
+
+class TestCorrectlyRoundedTotals:
+    def test_window_total(self):
+        mu1 = generate("perturbed", base="circle", n=600, amplitude=1e-3, seed=8)
+        mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
+        k, delta, r = kt(-0.5), 0.2, 0.5
+        sums = _WindowEngine(k, mu1.points, mu2, mu3).point_sums(np.arange(len(mu1)), r, delta)
+        for workers in (1, 2):
+            res = perm_truncated_window(mu1, mu2, mu3, delta, r, kernel=k, workers=workers)
+            assert res.value == exact_sum(mu1.weights * sums)
+
+    def test_corona_perm_sq_numerator(self):
+        mu = generate("lipschitz_graph", n=600, slope=0.2, teeth=2)
+        par = Params()
+        lat = build(mu, c0=par.c0, a0=par.a0, separation=par.separation,
+                    doubling_constant=par.doubling_constant)
+        builder = _TreeBuilder(lat, mu, lat.root.id, par)
+        tree = builder.build(lambda sub: _flat_engine(mu, sub))
+        slot1, sums = builder.sums[lat.root.id]
+        assert slot1.size > 256
+        numerator = max(exact_sum(mu.weights[slot1] * sums), 0.0)
+        denom = builder.theta_density**2 * lat.mass(lat.root.id)
+        assert tree.perm_sq[lat.root.id] == numerator / denom
+
+
+class TestParallelChunks:
+    def test_worker_invariance_bit_for_bit(self):
+        def fn(lo, hi):
+            idx = np.arange(lo, hi, dtype=float)
+            return np.sin(idx) / (idx + 1.0)
+
+        base = _parallel_map_chunks(fn, 5000, workers=1)
+        for w in (2, 3, 8):
+            got = _parallel_map_chunks(fn, 5000, workers=w)
+            assert np.array_equal(got, base)
+
+    def test_covers_every_index(self):
+        def fn(lo, hi):
+            return np.arange(lo, hi, dtype=float)
+
+        out = _parallel_map_chunks(fn, 1003, workers=4)
+        assert np.array_equal(out, np.arange(1003, dtype=float))
