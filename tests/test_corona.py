@@ -128,8 +128,6 @@ class TestConstructedStops:
         hd = [q for q, v in tree.stop.items() if v.label == "HD"]
         for q in hd:
             assert lat.theta_2b(q) > params.a * tree.theta_density
-        # the cluster holds most of the mass: a quarter of the root's
-        assert sum(lat.mass(q) for q in hd) >= lat.mass(lat.root.id) / 4
 
     def test_low_density_outlier(self):
         # far light atoms in an otherwise heavy support
@@ -317,6 +315,21 @@ class TestTreeStructure:
     def test_cantor_multiple_generations(self, cantor_corona):
         _, _, corona = cantor_corona
         assert len(corona.generations) >= 2  # recorded behaviour at desk scale
+
+
+class TestIdClassify:
+    def test_heavy_hd_triggers(self):
+        # the cluster holds most of the mass, so its high-density stop cubes
+        # hold at least a quarter of the root's mass (the ID_H condition)
+        line = np.linspace(0, 1, 40)
+        cluster = 0.5013 + 0.002 * np.arange(8) / 8
+        pts = np.unique(np.concatenate([line, cluster])).astype(complex)
+        w = np.where(np.isin(pts.real, cluster), 1.0, 0.02)
+        mu = DiscreteMeasure(pts, w, 1e-4)
+        lat, params = make(mu, Params(a=100.0))
+        tree = build_tree(lat, mu, lat.root.id, params)
+        hd_mass = sum(lat.mass(q) for q in tree.family("HD"))
+        assert hd_mass >= lat.mass(lat.root.id) / 4
 
 
 class TestMassReports:

@@ -104,10 +104,14 @@ class TestRestrictDensity:
             for arr in (sub.points, sub.weights):
                 assert arr.flags.c_contiguous and not arr.flags.writeable
 
-    def test_mass_in_open_ball(self):
+    def test_density_three_atoms(self):
+        # mu(B)/r(B) over mass_in; the ball is open, so an atom on the circle is out
         mu = DiscreteMeasure([0, 0.5, 1 + 0j], [1.0, 1.0, 1.0], 0.25)
-        assert mu.mass_in(Ball(0j, 2.0)) == 3.0
-        assert mu.mass_in(Ball(0j, 1.0)) == 2.0  # the atom on the circle is out
+        assert mu.mass_in(Ball(0j, 2.0)) / 2.0 == pytest.approx(1.5)
+        assert mu.mass_in(Ball(0j, 1.0)) == 2.0
+
+    def test_density_empty_ball(self):
+        mu = unit_segment(10)
         assert mu.mass_in(Ball(5 + 5j, 0.5)) == 0.0
 
 
