@@ -387,7 +387,11 @@ def build_top(
     The K_0 matrix of the whole measure is evaluated once; each engine
     takes its root's block of it.  Consecutive trees whose roots' 2B hold
     the same atoms share one engine, and only one engine is alive at a
-    time.
+    time.  An atom whose window ``[delta r, r / delta]`` holds every other
+    atom of the root's 2B reads its point sum from the engine's whole-row
+    totals, unless the guard on the subtracted self term sends it to its
+    window; an engine forms the O(m^3) product ``D W K(z - x)`` only once
+    some atom's window leaves another atom out.
     """
     root = lattice.root
     if not root.doubling:

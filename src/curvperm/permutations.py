@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -325,16 +326,33 @@ class _WindowEngine:
     and ``-sum_y w_y (D W Bt)[y, x]`` on the window.  When the three slots
     are one point set the four matrices are one, which ``kmat`` may pass in.
 
+    A row whose window holds every slot-two atom distinct from x needs no
+    ``D W Bt``: its sum is the whole-row total
+    ``(A w2)(B w3) - (A∘A)(w2 yw3) - A(w2 D w3) - xw3 (A∘A) w2
+    + B(w3 (w2ᵀ D)) - xw2 (B∘B) w3``, where ``yw3``, ``xw3`` and ``xw2``
+    are the weights of ``mu3`` and ``mu2`` at the slot-two and slot-one
+    points, and matrix-vector products give it for every row at once.  Its
+    last term removes the atom at x itself, which no window holds; a row
+    where that term leaves less than ``1 / _CANCELLATION`` of the products
+    ``|B|(w3 (w2ᵀ|D|))`` is summed on its window instead.  Set-up bounds
+    each row's nearest and farthest distinct slot-two atom in O(m log m).
+    The first call with a row those bounds do not rule out makes one
+    row-blocked pass for the exact nearest and farthest atoms, the totals
+    and the guard; the first call with a row that needs its window forms
+    the O(m^3) product ``D W Bt``.  Each is built once, whichever thread
+    asks first.
+
     Only coincident terms are subtracted.  When one atom may carry more
     than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
-    checked, and one whose subtracted products exceed its kept ones
-    ``_CANCELLATION``-fold is summed directly.
+    checked, one whose subtracted products exceed its kept ones
+    ``_CANCELLATION``-fold is summed directly, and no row uses its
+    whole-row total.
     """
 
     def __init__(self, k: KernelParam, p1: np.ndarray, mu2: DiscreteMeasure,
                  mu3: DiscreteMeasure, kmat: np.ndarray | None = None):
         p2, w2, p3, w3 = mu2.points, mu2.weights, mu3.points, mu3.weights
-        self.p1, self.p2, self.w2, self.p3, self.w3 = p1, p2, w2, p3, w3
+        self.k, self.p1, self.p2, self.w2, self.p3, self.w3 = k, p1, p2, w2, p3, w3
         # one matrix per pair of point arrays, so shared slots share it
         mats = {} if kmat is None else {(id(p1), id(p1)): kmat}
 
@@ -344,17 +362,32 @@ class _WindowEngine:
             return mats[id(pa), id(pb)]
 
         self.a, self.b, self.d = matrix(p1, p2), matrix(p1, p3), matrix(p2, p3)
+        # Bt when a slot pair already has it; otherwise evaluated for D W Bt
+        self.bt = mats.get((id(p3), id(p1)))
         self.dw = self.d @ w3
-        wbt = w3[:, None] * matrix(p3, p1)
-        g = self.d @ wbt
-        del wbt, mats  # freed before the transposed copy, g after it
-        self.g_t = np.ascontiguousarray(g.T)
-        # weights of the slot-three atoms at the slot-one and slot-two points
-        self.xw3, self.yw3 = _weights_at(p1, mu3), _weights_at(p2, mu3)
+        # weights of mu2 and mu3 at the slot-one points, of mu3 at slot two
+        self.xw2, self.xw3 = _weights_at(p1, mu2), _weights_at(p1, mu3)
+        self.yw3 = _weights_at(p2, mu3)
         share = _max_share(self.b, w3)
         if self.d is not self.b:
             share = max(share, _max_share(self.d, w3))
         self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
+        # per row, distances to a few slot-two atoms: an upper bound on the
+        # nearest distinct one (its neighbours in lexicographic order) and a
+        # lower bound on the farthest (the first and the last); 0 rules every
+        # row out
+        self.near_ub = self.far_lb = np.zeros(p1.size)
+        if self.dabs is None and p2.size:
+            s2 = np.sort(p2)
+            nb = (np.searchsorted(s2, p1)[:, None] + (-1, 0, 1)) % p2.size
+            gap = np.abs(p1[:, None] - s2[nb])
+            gap[gap == 0.0] = np.inf
+            self.near_ub = gap.min(axis=1)
+            self.far_lb = np.maximum(np.abs(p1 - s2[0]), np.abs(p1 - s2[-1]))
+        # the whole-row pass and D W Bt, built on first use
+        self._lock = threading.Lock()
+        self._whole: tuple[np.ndarray, ...] | None = None
+        self._g_t: np.ndarray | None = None
 
     def _in_window(self, j: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
         """Which pairs (x, y) of the slot-one points ``j`` are in the window."""
@@ -372,8 +405,75 @@ class _WindowEngine:
     def point_sums(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
         """The sums of the slot-one points ``rows`` with the window
         ``[delta q_radius, q_radius / delta]``."""
+        lo, hi = _window(delta, q_radius)
+        lo = max(lo, _SMALLEST)
+        whole = (self.near_ub[rows] >= lo) & (self.far_lb[rows] <= hi)
+        if whole.any():
+            near, far, totals, exact = self._once("_whole", self._whole_rows)
+            whole &= (near[rows] >= lo) & (far[rows] <= hi) & exact[rows]
+        if not whole.any():
+            return self._windowed(rows, q_radius, delta)
+        sums = np.empty(rows.size)
+        sums[whole] = totals[rows[whole]]
+        sums[~whole] = self._windowed(rows[~whole], q_radius, delta)
+        return sums
+
+    def _once(self, name: str, build: Callable[[], object]):
+        """The attribute ``name``, built by ``build`` on first use; the lock
+        makes concurrent first calls build it once."""
+        with self._lock:
+            if getattr(self, name) is None:
+                setattr(self, name, build())
+        return getattr(self, name)
+
+    def _whole_rows(self) -> tuple[np.ndarray, ...]:
+        """Per slot-one point, its nearest and farthest distinct slot-two
+        atom, the sum over every slot-two atom distinct from it, and whether
+        that total passes the cancellation guard."""
+        p1, p2, w2, w3, d = self.p1, self.p2, self.w2, self.w3, self.d
+        w2d, w2dabs = w2 @ d, np.zeros(d.shape[1])
+        for start in range(0, d.shape[0], _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            w2dabs += w2[rows] @ np.abs(d[rows])
+        # the vectors the rows of A, A∘A and B multiply
+        on_a = np.column_stack([w2, w2 * self.dw])
+        on_aa = np.column_stack([w2, w2 * self.yw3])
+        on_b = np.column_stack([w3, w3 * w2d])
+        near, far, totals = (np.empty(p1.size) for _ in range(3))
+        exact = np.empty(p1.size, dtype=bool)
+        for start in range(0, p1.size, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            d12 = np.abs(p1[rows, None] - p2[None, :])
+            far[rows] = d12.max(axis=1)
+            d12[d12 == 0.0] = np.inf
+            near[rows] = d12.min(axis=1)
+            del d12
+            a, b = self.a[rows], self.b[rows]
+            aa = a * a
+            bb = aa if self.b is self.a else b * b
+            (a_w2, a_dw), (aa_w2, aa_yw3), (b_w3, b_d) = (
+                (m @ v).T for m, v in ((a, on_a), (aa, on_aa), (b, on_b)))
+            self_term = self.xw2[rows] * (bb @ w3)
+            totals[rows] = (a_w2 * b_w3 - aa_yw3 - a_dw - self.xw3[rows] * aa_w2
+                            + b_d - self_term)
+            h_abs = np.abs(b) @ (w3 * w2dabs)
+            exact[rows] = _CANCELLATION * (h_abs - self_term) >= h_abs
+        return near, far, totals, exact
+
+    def _product(self) -> np.ndarray:
+        """``(D W Bt)^T``, the one O(m^3) product."""
+        bt = self.bt if self.bt is not None else _kernel_matrix(self.k, self.p3, self.p1)
+        wbt = self.w3[:, None] * bt
+        del bt
+        g = self.d @ wbt
+        del wbt  # freed before the transposed copy, g after it
+        return np.ascontiguousarray(g.T)
+
+    def _windowed(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+        """The sums of the slot-one points ``rows`` summed on their windows."""
         w2, w3 = self.w2, self.w3
         sums = np.empty(rows.size)
+        g_t = self._once("_g_t", self._product) if rows.size else None
         for start in range(0, rows.size, _ROW_BLOCK):
             j = rows[start:start + _ROW_BLOCK]
             win = self._in_window(j, q_radius, delta)
@@ -387,7 +487,7 @@ class _WindowEngine:
             b = wb if self.p2 is self.p3 else a_row * self.yw3
             t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * b).sum(axis=1)
             t2 = -(alpha * u).sum(axis=1)
-            t3 = -(np.where(win, w2, 0.0) * self.g_t[j]).sum(axis=1)
+            t3 = -(np.where(win, w2, 0.0) * g_t[j]).sum(axis=1)
             out = t1 + t2 + t3
             if self.dabs is not None:
                 aa = np.abs(alpha)
@@ -418,7 +518,8 @@ def perm_truncated_window(
     """Triple integral with the first pair windowed to
     ``delta * q_radius <= |z1 - z2| <= q_radius / delta``; the other pairs
     are only required to be distinct.  Summed by ``_WindowEngine`` from
-    kernel matrices and one matrix product."""
+    kernel matrices: whole-row totals where the window holds every atom of
+    ``mu2`` distinct from z1, and one matrix product for the other rows."""
     _window(delta, q_radius)
     _check_workers(workers)
     trunc = {"kind": "window", "delta": float(delta), "q_radius": float(q_radius)}

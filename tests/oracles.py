@@ -309,7 +309,9 @@ def finite_difference(f, x, h=1e-6):
 class DenseEngine:
     """The corona's windowed point sums as first written: a fresh K_0
     matrix of the root's 2B atoms, and the columns of ``C`` and ``C W C``
-    gathered as strided copies."""
+    gathered as strided copies.  Each row also gets the sum of its
+    products in absolute value, from ``|C|`` and ``|C| W |C|``, and
+    whether its window holds every other atom."""
 
     def __init__(self, points, weights, sub):
         self.sub = sub
@@ -323,12 +325,17 @@ class DenseEngine:
         self.c = np.where(r2 == 0.0, 0.0, c)
         self.cw = self.c @ self.w
         self.g = self.c @ (self.w[:, None] * self.c)
+        self.abs_cw = np.abs(self.c) @ self.w
+        self.abs_g = np.abs(self.c) @ (self.w[:, None] * np.abs(self.c))
 
     def point_sums(self, atoms, q_radius, delta, block=64):
+        """Per atom: the windowed sum, its absolute products, and whether
+        the window holds every atom at a positive distance."""
         rows = np.searchsorted(self.sub, atoms)
         lo, hi = delta * q_radius, q_radius / delta
         w = self.w
-        out = np.empty(rows.size)
+        out, mag = np.empty(rows.size), np.empty(rows.size)
+        whole = np.empty(rows.size, dtype=bool)
         for start in range(0, rows.size, block):
             j = rows[start:start + block]
             dist = np.abs(self.pts[j, None] - self.pts[None, :])
@@ -343,7 +350,13 @@ class DenseEngine:
             t2 = -(alpha * u).sum(axis=1)
             t3 = (np.where(win, w, 0.0) * -g_col).sum(axis=1)
             out[start:start + j.size] = t1 + t2 + t3
-        return out
+            aa, win_w = np.abs(alpha), np.where(win, w, 0.0)
+            mag[start:start + j.size] = (
+                aa.sum(axis=1) * np.abs(wb).sum(axis=1)
+                + (aa * (self.abs_cw + np.abs(c_col) * w[j, None])).sum(axis=1)
+                + (win_w * self.abs_g[:, j].T).sum(axis=1))
+            whole[start:start + j.size] = win.sum(axis=1) == (dist > 0).sum(axis=1)
+        return out, mag, whole
 
 
 def level_5b_pairs(lattice):

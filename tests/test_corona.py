@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from curvperm.corona import (
 )
 from curvperm.experiments import corona_corpus
 from curvperm.graphfit import beta2
+from curvperm.kernels import K_ZERO
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
 from curvperm.permutations import _WindowEngine, perm_truncated_window
@@ -453,7 +455,7 @@ class TestEngine:
         monkeypatch.setattr(corona, "_engine_rows", rows_of)
         monkeypatch.setattr(_WindowEngine, "point_sums", record)
         params = Params(delta=delta)
-        n_cubes = 0
+        n_cubes = n_rows = n_whole = 0
         for mu in corona_corpus().values():
             lat, _ = make(mu, params)
             calls.clear()
@@ -465,11 +467,18 @@ class TestEngine:
                 key = sub.tobytes()
                 if key not in dense:
                     dense[key] = DenseEngine(mu.points, mu.weights, sub)
-                ref = dense[key].point_sums(atoms, q_radius, delta)
-                assert np.array_equal(out, ref)
+                ref, mag, whole = dense[key].point_sums(atoms, q_radius, delta)
+                # a row whose window leaves out some atom is summed on its
+                # window as the oracle sums it; the others may be read
+                # from the engine's whole-row totals
+                assert np.array_equal(out[~whole], ref[~whole])
+                assert np.all(np.abs(out[whole] - ref[whole]) <= 1e-12 * mag[whole])
+                n_rows, n_whole = n_rows + whole.size, n_whole + whole.sum()
             n_cubes -= len(calls)
         # one call per tree cube of every multi-atom tree
         assert n_cubes == 0
+        # both kinds of row occur under either delta
+        assert 0 < n_whole < n_rows
 
     def test_one_kernel_pass_and_one_engine_per_run(self, monkeypatch):
         mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
@@ -498,6 +507,29 @@ class TestEngine:
         assert len(runs) < len(sets)  # some consecutive roots share atoms
         assert len(engines) == len(runs)
         assert all(np.array_equal(a, b) for a, b in zip(engines, runs))
+
+    def test_engine_set_up_allocates_no_square_matrix(self):
+        mu = generate("cantor4", level=5)
+        kmat = permutations._kernel_matrix(K_ZERO, mu.points, mu.points)
+        sub = np.arange(len(mu))
+        tracemalloc.start()
+        try:
+            _flat_engine(mu, sub, kmat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kmat.nbytes / 4
+
+    def test_whole_windows_skip_the_product(self, engine_calls):
+        # under Params() the window of nearly every cube holds its whole
+        # root ball, so no engine needs D W K(z - x)
+        mu = generate("cantor4", level=5)
+        lat, params = make(mu)
+        rows, windowed = engine_calls("point_sums"), engine_calls("_windowed")
+        products = engine_calls("_product")
+        build_top(lat, mu, params)
+        assert products == []
+        assert sum(windowed) <= 0.1 * sum(rows)
 
     def test_build_tree_evaluates_only_its_root_block(self, monkeypatch):
         mu = generate("cantor4", level=3)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -396,14 +397,23 @@ class TestFactorizedCore:
 
 
 _TINY = np.finfo(float).tiny
-# windows [delta r, r / delta] with dyadic ends that tie with distances
+# windows [delta r, r / delta] with dyadic ends that tie with distances; the
+# last holds every distinct pair, so its rows read the whole-row totals
 _EXACT_WINDOWS = [
     ("cantor1", generate("cantor4", level=1), 0.5, 1.5),
     ("cantor2", generate("cantor4", level=2), 0.5, 0.375),
     ("cantor2", generate("cantor4", level=2), 0.25, 0.75),
     ("grid", _GRID, 0.5, 0.5),
     ("grid", _GRID, 0.25, 0.25),
+    ("grid", _GRID, 0.25, 1.0),
 ]
+
+
+def _row_variation(k, mus, window):
+    """Per slot-one atom, its triples' products in absolute value."""
+    return np.array([_total_variation(k, (DiscreteMeasure([z], [1.0], mus[0].scale),)
+                                      + tuple(mus[1:]), _TINY, window)
+                     for z in mus[0].points])
 
 
 class TestWindowEngine:
@@ -436,21 +446,64 @@ class TestWindowEngine:
         w[0] = 1.0
         mu = DiscreteMeasure(pts, w, 1e-3)
         mus = (mu,) * 3 if one_measure else (mu, DiscreteMeasure(pts, w, 1e-3), mu)
-        delta, r = 0.1, 0.3
-        window = (delta * r, r / delta)
-        sums, counts = row_sums(k, mu.points, mus[1], mus[2],
-                                (window, (_TINY, math.inf), (_TINY, math.inf)))
-        res = perm_truncated_window(*mus, delta, r, kernel=k)
-        assert res.triples_counted == int(counts.sum())
-        dense = math.fsum(mu.weights * sums)
-        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, _TINY, window)
+        # the second window holds every distinct pair, but the heavy atom
+        # keeps every row from its whole-row total
+        for delta, r in ((0.1, 0.3), (0.01, 0.3)):
+            window = (delta * r, r / delta)
+            sums, counts = row_sums(k, mu.points, mus[1], mus[2],
+                                    (window, (_TINY, math.inf), (_TINY, math.inf)))
+            res = perm_truncated_window(*mus, delta, r, kernel=k)
+            assert res.triples_counted == int(counts.sum())
+            dense = math.fsum(mu.weights * sums)
+            assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, _TINY, window)
 
-    def test_worker_count_invariant(self):
-        # three row chunks
+    @pytest.mark.parametrize("light", [1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=["inf", "0", "-0.5"])
+    def test_self_term_guard(self, light, k, engine_calls):
+        # the heavy atom in slots one and two, slot three flat: no atom
+        # dominates a row of |K| w3, but at the heavy atom the subtracted
+        # self term carries all but about `light` of the whole-row products,
+        # and that row alone is summed on its window
+        rng = np.random.default_rng(1)
+        pts = np.concatenate([[0.1 + 0.05j], np.exp(2j * np.pi * (np.arange(39) + 0.5) / 39)])
+        w = light * (1 + rng.random(40))
+        w[0] = 1.0
+        mus = (DiscreteMeasure(pts, w, 1e-3),) * 2 + (DiscreteMeasure(pts, 1 + rng.random(40), 1e-3),)
+        delta, r = 0.01, 0.3
+        window = (delta * r, r / delta)
+        windowed = engine_calls("_windowed")
+        got = _WindowEngine(k, pts, *mus[1:]).point_sums(np.arange(40), r, delta)
+        assert windowed == [1]
+        sums, _ = row_sums(k, pts, mus[1], mus[2], (window, (_TINY, math.inf), (_TINY, math.inf)))
+        assert np.all(np.abs(got - sums) <= 1e-12 * _row_variation(k, mus, window))
+
+    def test_whole_window_forms_no_product(self, engine_calls):
+        products = engine_calls("_product")
+        for delta, r, formed in ((0.25, 1.0, []), (0.25, 0.25, [0])):
+            res = perm_truncated_window(_GRID, _GRID, _GRID, delta, r)
+            assert res.triples_counted > 0 and products == formed
+
+    def test_worker_count_invariant(self, engine_calls, monkeypatch):
+        # three row chunks; the window holds every atom of mu2 for most
+        # rows of mu1, not for all
         mu1 = generate("perturbed", base="circle", n=600, amplitude=1e-3, seed=4)
         mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
-        res = [perm_truncated_window(mu1, mu2, mu3, 0.2, 0.5, kernel=kt(-0.5), workers=w)
-               for w in (1, 2, 4)]
+        res = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for w in (1, 2, 4):
+                windowed = engine_calls("_windowed")
+                products = engine_calls("_product")
+                totals = engine_calls("_whole_rows")
+                res.append(perm_truncated_window(mu1, mu2, mu3, 0.2, 0.5,
+                                                 kernel=kt(-0.5), workers=w))
+                monkeypatch.undo()
+                # the threads share one product and one whole-row pass
+                assert products == [0] and totals == [0]
+                assert 0 < sum(windowed) < len(mu1) / 2
+        finally:
+            sys.setswitchinterval(interval)
         assert res[0].triples_counted > 0
         assert res[1] == res[0] and res[2] == res[0]
 
