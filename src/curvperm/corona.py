@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -45,6 +46,18 @@ __all__ = [
 
 LABELS = ("HD", "LD", "UB", "BP", "BS", "F")
 K_MAX = 64  # generations of trees build_top grows at most
+# build_top's peak memory in units of one n x n array of doubles: the whole
+# measure's K_0, and the product and its transpose of an engine over every
+# atom (3.3 units were measured at 4096 and 10^4 atoms)
+N2_ARRAYS = 4
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -150,11 +163,14 @@ def _root_atoms(lattice: Lattice, mu: DiscreteMeasure, root_id: int) -> np.ndarr
 
 
 def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
-                 kmat: np.ndarray | None = None) -> _WindowEngine:
+                 kmat: np.ndarray | None = None,
+                 nearest: np.ndarray | None = None) -> _WindowEngine:
     """K_0 with the atoms ``sub`` of a root's 2B in all three slots;
-    ``kmat`` is their K_0 matrix if the caller has it."""
+    ``kmat`` is their K_0 matrix and ``nearest`` the distance from each
+    atom of ``mu`` to its nearest other atom, if the caller has them."""
     nu = mu._view(sub)
-    return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat)
+    return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat,
+                         None if nearest is None else nearest[sub])
 
 
 def _engine_rows(sub: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -166,12 +182,6 @@ def _engine_rows(sub: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     if not (np.all(rows < sub.size) and np.array_equal(sub[rows], atoms)):
         raise ValueError("slot-one atoms must lie in the root's doubled ball")
     return rows
-
-
-def _ball_contains(lattice: Lattice, outer: int, inner: int) -> bool:
-    bo = lattice.big_ball(outer, 2.0)
-    bi = lattice.big_ball(inner, 2.0)
-    return abs(bo.center - bi.center) <= bo.radius - bi.radius
 
 
 def _replacement(lattice: Lattice, qid: int) -> list[int]:
@@ -287,12 +297,22 @@ class _TreeBuilder:
         fitted = [q for q in open_ids
                   if lat.cubes[q].doubling and self.cube_line(q) is not None]
         tol = 5 * math.sqrt(par.eps0)
-        for qid in open_ids:
+        # the 2B of the cubes and of the fitted ones; candidate pairs come
+        # from one broadcast at a margin numpy's complex abs cannot cross,
+        # and each is confirmed with Python's abs, as the scalar test rounds
+        (c_open, r_open), (c_fit, r_fit) = (
+            (np.array([lat.cubes[q].center for q in ids], dtype=complex),
+             np.array([lat.big_ball(q, 2.0).radius for q in ids]))
+            for ids in (open_ids, fitted))
+        maybe = (np.abs(c_open[:, None] - c_fit[None, :]) * (1 - 1e-12)
+                 <= r_fit[None, :] - r_open[:, None])
+        for i, qid in enumerate(open_ids):
             members = lat.cubes[qid].members
             pts = mu.points[members]
             far = np.zeros(members.size, dtype=bool)
-            for tid in fitted:
-                if _ball_contains(lat, tid, qid):
+            for j in np.flatnonzero(maybe[i]):
+                tid = fitted[j]
+                if abs(complex(c_fit[j] - c_open[i])) <= r_fit[j] - r_open[i]:
                     lim = tol * lat.big_ball(tid).radius
                     far |= np.atleast_1d(self.cube_line(tid).distance(pts)) > lim
             far_mass = float(mu.weights[members[far]].sum())
@@ -362,7 +382,7 @@ def build_tree(
 ) -> TreeDecomposition:
     """Grow and stop one tree, then derive its replacement generation."""
     return _TreeBuilder(lattice, mu, root_id, params).build(
-        lambda sub: _flat_engine(mu, sub))
+        lambda sub: _flat_engine(mu, sub, nearest=lattice.nearest))
 
 
 @dataclass
@@ -392,7 +412,16 @@ def build_top(
     totals, unless the guard on the subtracted self term sends it to its
     window; an engine forms the O(m^3) product ``D W K(z - x)`` only once
     some atom's window leaves another atom out.
+
+    A measure whose ``N2_ARRAYS`` n x n arrays would not fit in physical
+    memory is rejected before anything is allocated.
     """
+    n = len(mu)
+    need, have = N2_ARRAYS * 8 * n * n, _physical_memory()
+    if need > have:
+        raise ValueError(f"build_top on {n} atoms needs about {need} bytes "
+                         f"({N2_ARRAYS} n x n arrays of doubles); physical "
+                         f"memory is {have} bytes")
     root = lattice.root
     if not root.doubling:
         raise ValueError("the support cube is not doubling")
@@ -404,7 +433,7 @@ def build_top(
         if last is None or not np.array_equal(last[0], sub):
             last = None  # free the old engine before building the next
             c = kmat if sub.size == len(mu) else kmat[np.ix_(sub, sub)]
-            last = sub, _flat_engine(mu, sub, c)
+            last = sub, _flat_engine(mu, sub, c, lattice.nearest)
         return last[1]
 
     generations = [[root.id]]

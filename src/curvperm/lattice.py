@@ -60,6 +60,10 @@ class Lattice:
     rescale: float
     cubes: list[Cube]
     levels: list[list[int]]
+    # per atom, the distance to its nearest other atom (inf for a lone atom)
+    nearest: np.ndarray = field(repr=False)
+    # per cube id, the density theta(2B) of its doubled companion ball
+    theta2b: np.ndarray = field(repr=False)
 
     @property
     def root(self) -> Cube:
@@ -86,7 +90,8 @@ class Lattice:
         return self.mu.mass_in(ball) / ball.radius
 
     def theta_2b(self, qid: int) -> float:
-        return self.theta(self.big_ball(qid, 2.0))
+        """``theta(big_ball(qid, 2.0))``, read from the build's table."""
+        return float(self.theta2b[qid])
 
     def set_diameter(self, qid: int) -> float:
         q = self.cubes[qid]
@@ -184,12 +189,19 @@ def build(
 
     pts = mu.points
     n = len(mu)
-    # root: center minimizing the maximal member distance, ties lowest index
+    # root: center minimizing the maximal member distance, ties lowest index;
+    # the same pass gives each atom's nearest other atom
     if n == 1:
         root_center_idx = 0
         max_dist = 0.0
+        nearest = np.full(1, np.inf)
     else:
-        worst = np.concatenate([d.max(axis=1) for _, d in _distance_rows(pts)])
+        worst, near = [], []
+        for start, d in _distance_rows(pts):
+            worst.append(d.max(axis=1))
+            np.fill_diagonal(d[:, start:], np.inf)
+            near.append(d.min(axis=1))
+        worst, nearest = np.concatenate(worst), np.concatenate(near)
         root_center_idx = int(np.argmin(worst))
         max_dist = float(worst[root_center_idx])
     r_root = min(c0, max(1.0, (max_dist / rescale) * (1 + 1e-9)))
@@ -228,18 +240,43 @@ def build(
                 new_level.append(cid)
         levels.append(new_level)
 
-    lattice = Lattice(
-        mu, c0, a0, separation, doubling_constant, rescale, cubes, levels
-    )
-    for q in cubes:
-        q.doubling = _doubling_raw(lattice, q.id)
-    return lattice
+    theta2b = _ball_masses(mu, cubes, levels, doubling_constant)
+    return Lattice(mu, c0, a0, separation, doubling_constant, rescale, cubes,
+                   levels, nearest, theta2b)
 
 
-def _doubling_raw(lattice: Lattice, qid: int) -> bool:
-    mu = lattice.mu
-    b = lattice.ball(qid)
-    return mu.mass_in(b.scaled(100)) <= lattice.doubling_constant * mu.mass_in(b)
+def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]],
+                 doubling_constant: float) -> np.ndarray:
+    """Set each cube's doubling flag, ``mass(100B) <= C mass(B)``, and return
+    its ``theta(2B)``, from one distance row per cube.
+
+    The balls B, 2B = 56 r and 100B share their centre, so the row needs
+    only the atoms of 100B.  A cube reads the atoms of its parent's 100B
+    when that ball holds its own with room for rounding, and all atoms
+    otherwise; either way each mass sums the same atoms, in index order,
+    as ``mu.mass_in`` of the ball.
+    """
+    pts, w = mu.points, mu.weights
+    theta2b = np.empty(len(cubes))
+    in_100b: dict[int, np.ndarray] = {}
+    every = np.arange(len(mu))
+    for lvl in levels:
+        prev, in_100b = in_100b, {}
+        for qid in lvl:
+            q = cubes[qid]
+            idx = every
+            if q.parent is not None:
+                p = cubes[q.parent]
+                if abs(q.center - p.center) + 100 * q.radius <= 100 * p.radius * (1 - 1e-9):
+                    idx = prev[q.parent]
+            d = np.abs(pts[idx] - q.center)
+            near = d < 100 * q.radius
+            idx, d = idx[near], d[near]
+            in_100b[qid] = idx
+            q.doubling = bool(w[idx].sum() <= doubling_constant * w[idx[d < q.radius]].sum())
+            big = 2.0 * BIG_BALL_FACTOR * q.radius
+            theta2b[qid] = float(w[idx[d < big]].sum()) / big
+    return theta2b
 
 
 def _build_report(lattice: Lattice) -> dict:

@@ -9,6 +9,7 @@ geometric queries stop being meaningful.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
@@ -228,6 +229,17 @@ def generate(kind: str, seed: int = 0, **params) -> DiscreteMeasure:
     return DiscreteMeasure(*_recipe(kind, seed, params))
 
 
+def _count(params: dict, key: str, default: int) -> int:
+    """The whole number ``params[key]``; a bool or a fraction is rejected
+    by name rather than truncated."""
+    value = params.get(key, default)
+    # bool is a numbers.Real, so True would pass as 1
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _recipe(
     kind: str, seed: int, params: dict
 ) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float] | None]:
@@ -238,7 +250,7 @@ def _recipe(
             raise ValueError(f"{kind} takes no key {key!r}; it takes "
                              f"{', '.join(_RECIPE_KEYS[kind])}")
     if kind == "segment":
-        n = int(params.get("n", 100))
+        n = _count(params, "n", 100)
         start = complex(params.get("start", 0.0))
         end = complex(params.get("end", 1.0))
         if n < 1:
@@ -251,9 +263,9 @@ def _recipe(
         w = np.full(n, length / n)
         return pts, w, length / (2 * (n - 1)), None
     if kind == "lipschitz_graph":
-        n = int(params.get("n", 128))
+        n = _count(params, "n", 128)
         slope = float(params.get("slope", 0.2))
-        teeth = int(params.get("teeth", 2))
+        teeth = _count(params, "teeth", 2)
         if n < 2 or teeth < 1 or slope < 0:
             raise ValueError("invalid lipschitz_graph parameters")
         x = np.linspace(0.0, 1.0, n)
@@ -262,7 +274,7 @@ def _recipe(
         w = _arclength_weights(pts)
         return pts, w, float(np.min(np.abs(np.diff(pts)))) / 2, None
     if kind == "circle":
-        n = int(params.get("n", 128))
+        n = _count(params, "n", 128)
         radius = float(params.get("radius", 1.0))
         center = complex(params.get("center", 0.0))
         if n < 3 or radius <= 0:
@@ -273,7 +285,7 @@ def _recipe(
         spacing = 2 * radius * np.sin(np.pi / n)
         return pts, w, spacing / 2, None
     if kind == "cantor4":
-        level = int(params.get("level", 1))
+        level = _count(params, "level", 1)
         if level < 0:
             raise ValueError("cantor4 level must be >= 0")
         corners = np.array([0.0])

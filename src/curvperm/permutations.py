@@ -335,12 +335,16 @@ class _WindowEngine:
     last term removes the atom at x itself, which no window holds; a row
     where that term leaves less than ``1 / _CANCELLATION`` of the products
     ``|B|(w3 (w2ᵀ|D|))`` is summed on its window instead.  Set-up bounds
-    each row's nearest and farthest distinct slot-two atom in O(m log m).
-    The first call with a row those bounds do not rule out makes one
-    row-blocked pass for the exact nearest and farthest atoms, the totals
-    and the guard; the first call with a row that needs its window forms
-    the O(m^3) product ``D W Bt``.  Each is built once, whichever thread
-    asks first.
+    each row's nearest and farthest distinct slot-two atom from both sides
+    in O(m log m): ``near_lb``, a lower bound on the nearest passed in by
+    the caller (0 when none is), a few atoms for the upper bound on the
+    nearest and the lower bound on the farthest, and the circle about the
+    slot-two bounding box for the upper bound on the farthest.  A row the
+    bounds leave open is decided by its exact distances, scanned for that
+    row alone.  The first call with a whole row makes one row-blocked pass
+    for the totals and the guard; the first call with a row that needs its
+    window forms the O(m^3) product ``D W Bt``.  Each is built once,
+    whichever thread asks first.
 
     Only coincident terms are subtracted.  When one atom may carry more
     than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
@@ -350,7 +354,8 @@ class _WindowEngine:
     """
 
     def __init__(self, k: KernelParam, p1: np.ndarray, mu2: DiscreteMeasure,
-                 mu3: DiscreteMeasure, kmat: np.ndarray | None = None):
+                 mu3: DiscreteMeasure, kmat: np.ndarray | None = None,
+                 near_lb: np.ndarray | None = None):
         p2, w2, p3, w3 = mu2.points, mu2.weights, mu3.points, mu3.weights
         self.k, self.p1, self.p2, self.w2, self.p3, self.w3 = k, p1, p2, w2, p3, w3
         # one matrix per pair of point arrays, so shared slots share it
@@ -372,11 +377,14 @@ class _WindowEngine:
         if self.d is not self.b:
             share = max(share, _max_share(self.d, w3))
         self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
-        # per row, distances to a few slot-two atoms: an upper bound on the
-        # nearest distinct one (its neighbours in lexicographic order) and a
-        # lower bound on the farthest (the first and the last); 0 rules every
-        # row out
-        self.near_ub = self.far_lb = np.zeros(p1.size)
+        # per row, bounds on the nearest distinct slot-two atom and on the
+        # farthest.  Upper on the nearest: its neighbours in lexicographic
+        # order; lower on the farthest: the first and the last.  Lower on the
+        # nearest: the caller's, shrunk so that |x - y| rounded by another
+        # code path stays above it; upper on the farthest: |x - c| + max
+        # |y - c| about the bounding-box centre c, grown likewise.  Zeros
+        # rule every row out
+        self.near_ub = self.far_lb = self.near_lb = self.far_ub = np.zeros(p1.size)
         if self.dabs is None and p2.size:
             s2 = np.sort(p2)
             nb = (np.searchsorted(s2, p1)[:, None] + (-1, 0, 1)) % p2.size
@@ -384,6 +392,11 @@ class _WindowEngine:
             gap[gap == 0.0] = np.inf
             self.near_ub = gap.min(axis=1)
             self.far_lb = np.maximum(np.abs(p1 - s2[0]), np.abs(p1 - s2[-1]))
+            if near_lb is not None:
+                self.near_lb = near_lb * (1 - 1e-12)
+            re, im = p2.real, p2.imag
+            c = complex((re.min() + re.max()) / 2, (im.min() + im.max()) / 2)
+            self.far_ub = (np.abs(p1 - c) + np.abs(p2 - c).max()) * (1 + 1e-12)
         # the whole-row pass and D W Bt, built on first use
         self._lock = threading.Lock()
         self._whole: tuple[np.ndarray, ...] | None = None
@@ -407,10 +420,13 @@ class _WindowEngine:
         ``[delta q_radius, q_radius / delta]``."""
         lo, hi = _window(delta, q_radius)
         lo = max(lo, _SMALLEST)
-        whole = (self.near_ub[rows] >= lo) & (self.far_lb[rows] <= hi)
+        whole = (self.near_lb[rows] >= lo) & (self.far_ub[rows] <= hi)
+        left = np.flatnonzero(~whole & (self.near_ub[rows] >= lo) & (self.far_lb[rows] <= hi))
+        if left.size:
+            whole[left] = self._scan(rows[left], lo, hi)
         if whole.any():
-            near, far, totals, exact = self._once("_whole", self._whole_rows)
-            whole &= (near[rows] >= lo) & (far[rows] <= hi) & exact[rows]
+            totals, exact = self._once("_whole", self._whole_rows)
+            whole &= exact[rows]
         if not whole.any():
             return self._windowed(rows, q_radius, delta)
         sums = np.empty(rows.size)
@@ -426,11 +442,22 @@ class _WindowEngine:
                 setattr(self, name, build())
         return getattr(self, name)
 
-    def _whole_rows(self) -> tuple[np.ndarray, ...]:
-        """Per slot-one point, its nearest and farthest distinct slot-two
-        atom, the sum over every slot-two atom distinct from it, and whether
-        that total passes the cancellation guard."""
-        p1, p2, w2, w3, d = self.p1, self.p2, self.w2, self.w3, self.d
+    def _scan(self, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """Whether every slot-two atom distinct from each of the slot-one
+        points ``rows`` lies in ``[lo, hi]``, from the exact distances."""
+        out = np.empty(rows.size, dtype=bool)
+        for start in range(0, rows.size, _ROW_BLOCK):
+            j = rows[start:start + _ROW_BLOCK]
+            d12 = np.abs(self.p1[j, None] - self.p2[None, :])
+            far = d12.max(axis=1)
+            d12[d12 == 0.0] = np.inf
+            out[start:start + j.size] = (d12.min(axis=1) >= lo) & (far <= hi)
+        return out
+
+    def _whole_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot-one point, the sum over every slot-two atom distinct from
+        it, and whether that total passes the cancellation guard."""
+        p1, w2, w3, d = self.p1, self.w2, self.w3, self.d
         w2d, w2dabs = w2 @ d, np.zeros(d.shape[1])
         for start in range(0, d.shape[0], _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
@@ -439,15 +466,10 @@ class _WindowEngine:
         on_a = np.column_stack([w2, w2 * self.dw])
         on_aa = np.column_stack([w2, w2 * self.yw3])
         on_b = np.column_stack([w3, w3 * w2d])
-        near, far, totals = (np.empty(p1.size) for _ in range(3))
+        totals = np.empty(p1.size)
         exact = np.empty(p1.size, dtype=bool)
         for start in range(0, p1.size, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            d12 = np.abs(p1[rows, None] - p2[None, :])
-            far[rows] = d12.max(axis=1)
-            d12[d12 == 0.0] = np.inf
-            near[rows] = d12.min(axis=1)
-            del d12
             a, b = self.a[rows], self.b[rows]
             aa = a * a
             bb = aa if self.b is self.a else b * b
@@ -458,7 +480,7 @@ class _WindowEngine:
                             + b_d - self_term)
             h_abs = np.abs(b) @ (w3 * w2dabs)
             exact[rows] = _CANCELLATION * (h_abs - self_term) >= h_abs
-        return near, far, totals, exact
+        return totals, exact
 
     def _product(self) -> np.ndarray:
         """``(D W Bt)^T``, the one O(m^3) product."""

@@ -302,6 +302,14 @@ def greedy_net_1d(coords, sep):
     return len(chosen)
 
 
+def doubling_raw(lattice, qid) -> bool:
+    """A cube's doubling flag from its own balls, ``mass(100B) <= C
+    mass(B)``, each mass a scan of every atom."""
+    mu = lattice.mu
+    b = lattice.ball(qid)
+    return mu.mass_in(b.scaled(100)) <= lattice.doubling_constant * mu.mass_in(b)
+
+
 def finite_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)
 

@@ -490,9 +490,9 @@ class TestEngine:
             matrices.append(np.shape(dz))
             return real_kv(k, dz)
 
-        def new_engine(nu, sub, c=None):
+        def new_engine(nu, sub, *args):
             engines.append(sub)
-            return real_make(nu, sub, c)
+            return real_make(nu, sub, *args)
 
         monkeypatch.setattr(permutations, "kernel_values", kv)
         monkeypatch.setattr(corona, "_flat_engine", new_engine)
@@ -507,6 +507,49 @@ class TestEngine:
         assert len(runs) < len(sets)  # some consecutive roots share atoms
         assert len(engines) == len(runs)
         assert all(np.array_equal(a, b) for a, b in zip(engines, runs))
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.05])
+    def test_row_bounds_hold(self, delta, monkeypatch):
+        # every engine row's bounds on its nearest and farthest distinct
+        # atom against the exact distances
+        real, checked = corona._flat_engine, []
+
+        def checked_engine(*args):
+            e = real(*args)
+            d = np.abs(e.p1[:, None] - e.p2[None, :])
+            far = d.max(axis=1)
+            d[d == 0.0] = np.inf
+            assert np.all(e.near_lb <= d.min(axis=1)) and np.all(e.near_lb > 0)
+            assert np.all(e.far_ub >= far)
+            checked.append(e.p1.size)
+            return e
+
+        monkeypatch.setattr(corona, "_flat_engine", checked_engine)
+        for mu in corona_corpus().values():
+            lat, params = make(mu, Params(delta=delta))
+            build_top(lat, mu, params)
+        assert sum(checked) > 1000
+
+    def test_bounds_decide_every_row(self, engine_calls):
+        # under Params() no engine row needs its exact distances
+        rows, scans = engine_calls("point_sums"), engine_calls("_scan")
+        for mu in corona_corpus().values():
+            lat, params = make(mu)
+            build_top(lat, mu, params)
+        assert sum(rows) > 0 and scans == []
+
+    def test_too_large_for_memory_is_rejected(self, monkeypatch):
+        mu = generate("segment", n=400)
+        lat, params = make(mu)
+        monkeypatch.setattr(corona, "_physical_memory", lambda: 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^build_top on 400 atoms needs about 5120000 bytes"):
+                build_top(lat, mu, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
     def test_engine_set_up_allocates_no_square_matrix(self):
         mu = generate("cantor4", level=5)

@@ -228,6 +228,9 @@ class TestCli:
         ("perm", "--measure", "segment:n"),
         ("curv", "--measure", "segment:n=8", "--workers", "0"),
         ("perm", "--measure", "segment:bogus=1,n=4"),
+        ("corona", "--measure", "cantor4:level=2.5"),
+        ("corona", "--measure", "cantor4:level=True"),
+        ("perm", "--measure", "segment:n=100.7"),
         ("scan-sign", "--t", "abc"),
         ("scan-sign",),
         ("curv", "--measure", "segment:n=8", "--workers", "x"),

@@ -16,7 +16,7 @@ from curvperm.lattice import (
     small_boundary_report,
 )
 from curvperm.measure import DiscreteMeasure, generate
-from oracles import greedy_net_1d, level_5b_pairs
+from oracles import doubling_raw, greedy_net_1d, level_5b_pairs
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,29 @@ class TestDoubling:
                     target = q.id
         assert target is not None
         assert not lat.cubes[target].doubling
+
+    @pytest.mark.parametrize("c0, a0", [(2.0, 8.0), (1.05, 1.1)])
+    def test_ball_mass_table_equals_oracle(self, c0, a0):
+        # at a0 = 1.1 a child's 100B can stick out of its parent's, and the
+        # table then reads every atom for it
+        outside = 0
+        for mu in corona_corpus().values():
+            lat = build(mu, c0=c0, a0=a0)
+            for q in lat.cubes:
+                assert q.doubling == doubling_raw(lat, q.id)
+                assert lat.theta_2b(q.id) == lat.theta(lat.big_ball(q.id, 2.0))
+                if q.parent is not None:
+                    p = lat.cubes[q.parent]
+                    outside += (abs(q.center - p.center) + 100 * q.radius
+                                > 100 * p.radius * (1 - 1e-9))
+        assert (outside > 0) == (a0 < 2)
+
+    def test_nearest_other_atom(self):
+        for mu in corona_corpus().values():
+            d = np.abs(mu.points[:, None] - mu.points[None, :])
+            np.fill_diagonal(d, np.inf)
+            assert np.array_equal(build(mu).nearest, d.min(axis=1))
+        assert build(DiscreteMeasure([1j], [1.0], 1.0)).nearest.tolist() == [np.inf]
 
     def test_maximal_doubling_self(self, segment_lattice):
         _, lat = segment_lattice

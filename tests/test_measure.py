@@ -217,6 +217,21 @@ class TestGenerate:
         with pytest.raises(ValueError, match=repr(key)):
             generate(kind, **params)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("cantor4", {"level": 2.5}, "level"),
+        ("cantor4", {"level": True}, "level"),
+        ("segment", {"n": 100.7}, "n"),
+        ("lipschitz_graph", {"n": 64, "teeth": 1.5}, "teeth"),
+        ("perturbed", {"base": "circle", "n": "16"}, "n"),
+    ])
+    def test_fractional_count_is_named(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number"):
+            generate(kind, **params)
+
+    def test_integral_float_count_is_kept(self):
+        assert len(generate("segment", n=100.0)) == 100
+        assert len(generate("cantor4", level=np.int64(2))) == 16
+
     def test_perturbed_runs_one_distance_pass(self, monkeypatch):
         passes = []
         rows = measure._distance_rows
