@@ -423,7 +423,7 @@ class _WindowEngine:
         whole = (self.near_lb[rows] >= lo) & (self.far_ub[rows] <= hi)
         left = np.flatnonzero(~whole & (self.near_ub[rows] >= lo) & (self.far_lb[rows] <= hi))
         if left.size:
-            whole[left] = self._scan(rows[left], lo, hi)
+            whole[left] = self._scan(rows[left], q_radius, delta)
         if whole.any():
             totals, exact = self._once("_whole", self._whole_rows)
             whole &= exact[rows]
@@ -442,16 +442,14 @@ class _WindowEngine:
                 setattr(self, name, build())
         return getattr(self, name)
 
-    def _scan(self, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        """Whether every slot-two atom distinct from each of the slot-one
-        points ``rows`` lies in ``[lo, hi]``, from the exact distances."""
+    def _scan(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+        """Whether the window of each of the slot-one points ``rows`` holds
+        every slot-two atom distinct from it, from the exact distances."""
         out = np.empty(rows.size, dtype=bool)
         for start in range(0, rows.size, _ROW_BLOCK):
             j = rows[start:start + _ROW_BLOCK]
-            d12 = np.abs(self.p1[j, None] - self.p2[None, :])
-            far = d12.max(axis=1)
-            d12[d12 == 0.0] = np.inf
-            out[start:start + j.size] = (d12.min(axis=1) >= lo) & (far <= hi)
+            same = self.p1[j, None] == self.p2[None, :]
+            out[start:start + j.size] = (self._in_window(j, q_radius, delta) | same).all(axis=1)
         return out
 
     def _whole_rows(self) -> tuple[np.ndarray, np.ndarray]:
