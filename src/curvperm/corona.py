@@ -217,19 +217,18 @@ class _TreeBuilder:
         )
 
     def cube_line(self, qid: int) -> Line | None:
-        """Best line of the doubled companion ball; None when the ball holds
-        fewer than two atoms and every line is a minimizer."""
-        if qid in self.lines:
-            return self.lines[qid]
-        ball = self.lattice.big_ball(qid, 2.0)
-        n_atoms = np.count_nonzero(ball.contains(self.mu.points))
-        line = beta2(self.mu, ball).line if n_atoms >= 2 else None
-        self.lines[qid] = line
-        return line
+        """Best line of the doubled companion ball of the tree cube ``qid``;
+        None when the ball holds fewer than two atoms and every line is a
+        minimizer.  ``perm_sq`` has already found the ball's atoms."""
+        if qid not in self.lines:
+            ball = self.lattice.big_ball(qid, 2.0)
+            self.lines[qid] = beta2(self.mu, ball).line if self.sums[qid][0].size >= 2 else None
+        return self.lines[qid]
 
     def perm_sq(self, qid: int) -> float:
         q = self.lattice.cubes[qid]
-        slot1 = np.flatnonzero(self.lattice.big_ball(qid, 2.0).contains(self.mu.points))
+        slot1 = self.sub if qid == self.root_id else np.flatnonzero(
+            self.lattice.big_ball(qid, 2.0).contains(self.mu.points))
         rows = _engine_rows(self.sub, slot1)
         sums = self.engine.point_sums(rows, q.radius, self.params.delta)
         self.sums[qid] = (slot1, sums)
@@ -410,8 +409,10 @@ def build_top(
     time.  An atom whose window ``[delta r, r / delta]`` holds every other
     atom of the root's 2B reads its point sum from the engine's whole-row
     totals, unless the guard on the subtracted self term sends it to its
-    window; an engine forms the O(m^3) product ``D W K(z - x)`` only once
-    some atom's window leaves another atom out.
+    window.  The bounds from ``lattice.nearest`` and the root ball's
+    bounding box certify most such atoms; each other atom is decided by
+    the window mask that would sum it.  An engine forms the O(m^3) product
+    ``D W K(z - x)`` only once some atom's window leaves another atom out.
 
     A measure whose ``N2_ARRAYS`` n x n arrays would not fit in physical
     memory is rejected before anything is allocated.

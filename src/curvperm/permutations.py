@@ -272,8 +272,8 @@ def _window(delta: float, q_radius: float) -> tuple[float, float]:
     """The window ``[delta * q_radius, q_radius / delta]`` of the first pair."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    if not (q_radius > 0):
-        raise ValueError("q_radius must be positive")
+    if not (0 < q_radius < math.inf):
+        raise ValueError("q_radius must be positive and finite")
     return delta * q_radius, q_radius / delta
 
 
@@ -335,16 +335,15 @@ class _WindowEngine:
     last term removes the atom at x itself, which no window holds; a row
     where that term leaves less than ``1 / _CANCELLATION`` of the products
     ``|B|(w3 (w2ᵀ|D|))`` is summed on its window instead.  Set-up bounds
-    each row's nearest and farthest distinct slot-two atom from both sides
-    in O(m log m): ``near_lb``, a lower bound on the nearest passed in by
-    the caller (0 when none is), a few atoms for the upper bound on the
-    nearest and the lower bound on the farthest, and the circle about the
-    slot-two bounding box for the upper bound on the farthest.  A row the
-    bounds leave open is decided by its exact distances, scanned for that
-    row alone.  The first call with a whole row makes one row-blocked pass
-    for the totals and the guard; the first call with a row that needs its
-    window forms the O(m^3) product ``D W Bt``.  Each is built once,
-    whichever thread asks first.
+    in O(m) each row's nearest distinct slot-two atom from below, by
+    ``near_lb`` passed in by the caller (0 when none is), and its farthest
+    from above, by the circle about the slot-two bounding box.  A row
+    these bounds certify whole reads its total; every other row is
+    decided, 64 at a time, from the window mask the window pass builds
+    for it anyway.  The first call with a whole row makes one row-blocked
+    pass for the totals and the guard; the first call with a row that
+    needs its window forms the O(m^3) product ``D W Bt``.  Each is built
+    once, whichever thread asks first.
 
     Only coincident terms are subtracted.  When one atom may carry more
     than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
@@ -377,21 +376,13 @@ class _WindowEngine:
         if self.d is not self.b:
             share = max(share, _max_share(self.d, w3))
         self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
-        # per row, bounds on the nearest distinct slot-two atom and on the
-        # farthest.  Upper on the nearest: its neighbours in lexicographic
-        # order; lower on the farthest: the first and the last.  Lower on the
-        # nearest: the caller's, shrunk so that |x - y| rounded by another
-        # code path stays above it; upper on the farthest: |x - c| + max
-        # |y - c| about the bounding-box centre c, grown likewise.  Zeros
-        # rule every row out
-        self.near_ub = self.far_lb = self.near_lb = self.far_ub = np.zeros(p1.size)
-        if self.dabs is None and p2.size:
-            s2 = np.sort(p2)
-            nb = (np.searchsorted(s2, p1)[:, None] + (-1, 0, 1)) % p2.size
-            gap = np.abs(p1[:, None] - s2[nb])
-            gap[gap == 0.0] = np.inf
-            self.near_ub = gap.min(axis=1)
-            self.far_lb = np.maximum(np.abs(p1 - s2[0]), np.abs(p1 - s2[-1]))
+        # per row, a lower bound on the nearest distinct slot-two atom and an
+        # upper bound on the farthest: the caller's nearest, shrunk so that
+        # |x - y| rounded by another code path stays above it, and |x - c| +
+        # max |y - c| about the bounding-box centre c, grown likewise.  Zeros
+        # certify no row
+        self.near_lb = self.far_ub = np.zeros(p1.size)
+        if p2.size:
             if near_lb is not None:
                 self.near_lb = near_lb * (1 - 1e-12)
             re, im = p2.real, p2.imag
@@ -419,19 +410,30 @@ class _WindowEngine:
         """The sums of the slot-one points ``rows`` with the window
         ``[delta q_radius, q_radius / delta]``."""
         lo, hi = _window(delta, q_radius)
-        lo = max(lo, _SMALLEST)
-        whole = (self.near_lb[rows] >= lo) & (self.far_ub[rows] <= hi)
-        left = np.flatnonzero(~whole & (self.near_ub[rows] >= lo) & (self.far_lb[rows] <= hi))
-        if left.size:
-            whole[left] = self._scan(rows[left], q_radius, delta)
-        if whole.any():
-            totals, exact = self._once("_whole", self._whole_rows)
-            whole &= exact[rows]
-        if not whole.any():
-            return self._windowed(rows, q_radius, delta)
         sums = np.empty(rows.size)
-        sums[whole] = totals[rows[whole]]
-        sums[~whole] = self._windowed(rows[~whole], q_radius, delta)
+
+        def read_totals(i: np.ndarray, whole: np.ndarray) -> np.ndarray:
+            # the rows rows[i] that are whole and pass the guard read their
+            # totals; an engine where one atom may dominate a row reads none
+            whole = whole & (self.dabs is None)
+            if whole.any():
+                totals, exact = self._once("_whole", self._whole_rows)
+                whole &= exact[rows[i]]
+                sums[i[whole]] = totals[rows[i[whole]]]
+            return whole
+
+        done = read_totals(np.arange(rows.size), (self.near_lb[rows] >= max(lo, _SMALLEST))
+                           & (self.far_ub[rows] <= hi))
+        left = np.flatnonzero(~done)
+        for start in range(0, left.size, _ROW_BLOCK):
+            i = left[start:start + _ROW_BLOCK]
+            j = rows[i]
+            win = self._in_window(j, q_radius, delta)
+            # whole when the window holds every slot-two atom but the one
+            # at x, if any: atoms are distinct and weights positive
+            done = read_totals(i, win.sum(axis=1) == self.p2.size - (self.xw2[j] > 0))
+            if not done.all():
+                sums[i[~done]] = self._window_sums(j[~done], win[~done])
         return sums
 
     def _once(self, name: str, build: Callable[[], object]):
@@ -441,16 +443,6 @@ class _WindowEngine:
             if getattr(self, name) is None:
                 setattr(self, name, build())
         return getattr(self, name)
-
-    def _scan(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
-        """Whether the window of each of the slot-one points ``rows`` holds
-        every slot-two atom distinct from it, from the exact distances."""
-        out = np.empty(rows.size, dtype=bool)
-        for start in range(0, rows.size, _ROW_BLOCK):
-            j = rows[start:start + _ROW_BLOCK]
-            same = self.p1[j, None] == self.p2[None, :]
-            out[start:start + j.size] = (self._in_window(j, q_radius, delta) | same).all(axis=1)
-        return out
 
     def _whole_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per slot-one point, the sum over every slot-two atom distinct from
@@ -489,34 +481,30 @@ class _WindowEngine:
         del wbt  # freed before the transposed copy, g after it
         return np.ascontiguousarray(g.T)
 
-    def _windowed(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
-        """The sums of the slot-one points ``rows`` summed on their windows."""
+    def _window_sums(self, j: np.ndarray, win: np.ndarray) -> np.ndarray:
+        """The sums of at most ``_ROW_BLOCK`` slot-one points ``j`` summed
+        on their windows ``win``."""
         w2, w3 = self.w2, self.w3
-        sums = np.empty(rows.size)
-        g_t = self._once("_g_t", self._product) if rows.size else None
-        for start in range(0, rows.size, _ROW_BLOCK):
-            j = rows[start:start + _ROW_BLOCK]
-            win = self._in_window(j, q_radius, delta)
-            a_row = self.a[j]
-            u = self.dw + a_row * self.xw3[j, None]
-            wa = w2 * a_row
-            alpha = np.where(win, wa, 0.0)
-            # K(0) = 0, so the z = x term is zero
-            wb = wa if self.b is self.a else w3 * self.b[j]
-            # the z = y term B[x, y] w_y, with B[x, y] = A[x, y]
-            b = wb if self.p2 is self.p3 else a_row * self.yw3
-            t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * b).sum(axis=1)
-            t2 = -(alpha * u).sum(axis=1)
-            t3 = -(np.where(win, w2, 0.0) * g_t[j]).sum(axis=1)
-            out = t1 + t2 + t3
-            if self.dabs is not None:
-                aa = np.abs(alpha)
-                full = aa.sum(axis=1) * np.abs(wb).sum(axis=1) + aa @ self.dabs
-                cut = (aa * np.abs(a_row) * (self.yw3 + self.xw3[j, None])).sum(axis=1)
-                for i in np.flatnonzero(_CANCELLATION * (full - cut) < full):
-                    out[i] = self._direct(j[i], alpha[i], wb[i]) + t3[i]
-            sums[start:start + j.size] = out
-        return sums
+        g_t = self._once("_g_t", self._product)
+        a_row = self.a[j]
+        u = self.dw + a_row * self.xw3[j, None]
+        wa = w2 * a_row
+        alpha = np.where(win, wa, 0.0)
+        # K(0) = 0, so the z = x term is zero
+        wb = wa if self.b is self.a else w3 * self.b[j]
+        # the z = y term B[x, y] w_y, with B[x, y] = A[x, y]
+        b = wb if self.p2 is self.p3 else a_row * self.yw3
+        t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * b).sum(axis=1)
+        t2 = -(alpha * u).sum(axis=1)
+        t3 = -(np.where(win, w2, 0.0) * g_t[j]).sum(axis=1)
+        out = t1 + t2 + t3
+        if self.dabs is not None:
+            aa = np.abs(alpha)
+            full = aa.sum(axis=1) * np.abs(wb).sum(axis=1) + aa @ self.dabs
+            cut = (aa * np.abs(a_row) * (self.yw3 + self.xw3[j, None])).sum(axis=1)
+            for i in np.flatnonzero(_CANCELLATION * (full - cut) < full):
+                out[i] = self._direct(j[i], alpha[i], wb[i]) + t3[i]
+        return out
 
     def _direct(self, x: int, alpha: np.ndarray, wb: np.ndarray) -> float:
         """Terms 1 and 2 of row x summed triple by triple."""

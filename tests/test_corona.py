@@ -21,7 +21,7 @@ from curvperm.experiments import corona_corpus
 from curvperm.graphfit import beta2
 from curvperm.kernels import K_ZERO
 from curvperm.lattice import build
-from curvperm.measure import DiscreteMeasure, generate
+from curvperm.measure import Ball, DiscreteMeasure, generate
 from curvperm.permutations import _WindowEngine, perm_truncated_window
 from oracles import DenseEngine
 
@@ -531,12 +531,73 @@ class TestEngine:
         assert sum(checked) > 1000
 
     def test_bounds_decide_every_row(self, engine_calls):
-        # under Params() no engine row needs its exact distances
-        rows, scans = engine_calls("point_sums"), engine_calls("_scan")
+        # under Params() every row the bounds leave to the window pass is
+        # summed on its window: none of them reads the whole-row totals
+        rows, seen = engine_calls("point_sums"), engine_calls("_in_window")
+        windowed = engine_calls("_window_sums")
         for mu in corona_corpus().values():
             lat, params = make(mu)
             build_top(lat, mu, params)
-        assert sum(rows) > 0 and scans == []
+        assert sum(rows) > sum(seen) > 0 and sum(windowed) == sum(seen)
+
+    def test_window_pass_sees_each_open_row_once(self, monkeypatch):
+        # the rows the bounds leave open are decided from the window mask
+        # that sums them, not from a second scan of their distances
+        real_sums, real_win = _WindowEngine.point_sums, _WindowEngine._in_window
+        seen, n_open = [], 0
+
+        def point_sums(engine, rows, q_radius, delta):
+            nonlocal n_open
+            lo, hi = delta * q_radius, q_radius / delta
+            sure = (engine.near_lb[rows] >= lo) & (engine.far_ub[rows] <= hi)
+            seen.clear()
+            out = real_sums(engine, rows, q_radius, delta)
+            got = np.concatenate(seen) if seen else np.array([], dtype=int)
+            assert got.size == np.unique(got).size
+            assert np.isin(rows[~sure], got).all()
+            n_open += np.count_nonzero(~sure)
+            return out
+
+        monkeypatch.setattr(_WindowEngine, "point_sums", point_sums)
+        monkeypatch.setattr(_WindowEngine, "_in_window",
+                            lambda e, j, *a: seen.append(j) or real_win(e, j, *a))
+        params = Params(delta=0.05)
+        for mu in corona_corpus().values():
+            lat, _ = make(mu, params)
+            build_top(lat, mu, params)
+        assert n_open > 0
+
+    def test_cube_line_reads_the_ball_atoms_of_perm_sq(self, monkeypatch):
+        # cube_line counts 2B(Q) from the atoms perm_sq found; only beta2
+        # scans the ball
+        mu = corona_corpus()["graph_0.2"]
+        lat, params = make(mu)
+        depth = {"line": 0, "beta2": 0}
+        lines, stray = [], []
+
+        def nested(key, fn):
+            def call(*args):
+                depth[key] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[key] -= 1
+            return call
+
+        real_contains = Ball.contains
+
+        def contains(ball, z):
+            if depth["line"] and not depth["beta2"]:
+                stray.append(ball)
+            return real_contains(ball, z)
+
+        real_line = corona._TreeBuilder.cube_line
+        monkeypatch.setattr(corona._TreeBuilder, "cube_line",
+                            nested("line", lambda b, q: lines.append(q) or real_line(b, q)))
+        monkeypatch.setattr(corona, "beta2", nested("beta2", corona.beta2))
+        monkeypatch.setattr(Ball, "contains", contains)
+        build_top(lat, mu, params)
+        assert lines and stray == []
 
     def test_too_large_for_memory_is_rejected(self, monkeypatch):
         mu = generate("segment", n=400)
@@ -568,7 +629,7 @@ class TestEngine:
         # root ball, so no engine needs D W K(z - x)
         mu = generate("cantor4", level=5)
         lat, params = make(mu)
-        rows, windowed = engine_calls("point_sums"), engine_calls("_windowed")
+        rows, windowed = engine_calls("point_sums"), engine_calls("_window_sums")
         products = engine_calls("_product")
         build_top(lat, mu, params)
         assert products == []

@@ -471,7 +471,7 @@ class TestWindowEngine:
         mus = (DiscreteMeasure(pts, w, 1e-3),) * 2 + (DiscreteMeasure(pts, 1 + rng.random(40), 1e-3),)
         delta, r = 0.01, 0.3
         window = (delta * r, r / delta)
-        windowed = engine_calls("_windowed")
+        windowed = engine_calls("_window_sums")
         got = _WindowEngine(k, pts, *mus[1:]).point_sums(np.arange(40), r, delta)
         assert windowed == [1]
         sums, _ = row_sums(k, pts, mus[1], mus[2], (window, (_TINY, math.inf), (_TINY, math.inf)))
@@ -493,7 +493,7 @@ class TestWindowEngine:
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for w in (1, 2, 4):
-                windowed = engine_calls("_windowed")
+                windowed = engine_calls("_window_sums")
                 products = engine_calls("_product")
                 totals = engine_calls("_whole_rows")
                 res.append(perm_truncated_window(mu1, mu2, mu3, 0.2, 0.5,
@@ -563,7 +563,7 @@ class TestWindowed:
         )
         assert split == pytest.approx(total, rel=1e-12)
 
-    @pytest.mark.parametrize("q_radius", [-1.0, math.nan])
+    @pytest.mark.parametrize("q_radius", [-1.0, math.nan, math.inf])
     def test_point_sum_rejects_bad_radius(self, q_radius):
         mu = generate("cantor4", level=1)
         with pytest.raises(ValueError):
@@ -571,8 +571,9 @@ class TestWindowed:
 
     def test_window_rejects_nan_radius(self):
         mu = generate("cantor4", level=1)
-        with pytest.raises(ValueError):
-            perm_truncated_window(mu, mu, mu, 0.5, math.nan)
+        for q_radius in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                perm_truncated_window(mu, mu, mu, 0.5, q_radius)
 
     def test_single_admissible_pair(self):
         pts = [0j, 1 + 0j, 0.5 + 1j]
