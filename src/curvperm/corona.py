@@ -163,14 +163,12 @@ def _root_atoms(lattice: Lattice, mu: DiscreteMeasure, root_id: int) -> np.ndarr
 
 
 def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
-                 kmat: np.ndarray | None = None,
-                 nearest: np.ndarray | None = None) -> _WindowEngine:
-    """K_0 with the atoms ``sub`` of a root's 2B in all three slots;
-    ``kmat`` is their K_0 matrix and ``nearest`` the distance from each
-    atom of ``mu`` to its nearest other atom, if the caller has them."""
+                 kmat: np.ndarray | None = None) -> _WindowEngine:
+    """K_0 with the atoms ``sub`` of a root's 2B in all three slots, one
+    point array, so the engine bounds its rows by ``mu.scale``; ``kmat``
+    is their K_0 matrix, if the caller has it."""
     nu = mu._view(sub)
-    return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat,
-                         None if nearest is None else nearest[sub])
+    return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat)
 
 
 def _engine_rows(sub: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -381,7 +379,7 @@ def build_tree(
 ) -> TreeDecomposition:
     """Grow and stop one tree, then derive its replacement generation."""
     return _TreeBuilder(lattice, mu, root_id, params).build(
-        lambda sub: _flat_engine(mu, sub, nearest=lattice.nearest))
+        lambda sub: _flat_engine(mu, sub))
 
 
 @dataclass
@@ -409,7 +407,7 @@ def build_top(
     time.  An atom whose window ``[delta r, r / delta]`` holds every other
     atom of the root's 2B reads its point sum from the engine's whole-row
     totals, unless the guard on the subtracted self term sends it to its
-    window.  The bounds from ``lattice.nearest`` and the root ball's
+    window.  The bounds from the spacing ``mu.scale`` and the root ball's
     bounding box certify most such atoms; each other atom is decided by
     the window mask that would sum it.  An engine forms the O(m^3) product
     ``D W K(z - x)`` only once some atom's window leaves another atom out.
@@ -434,7 +432,7 @@ def build_top(
         if last is None or not np.array_equal(last[0], sub):
             last = None  # free the old engine before building the next
             c = kmat if sub.size == len(mu) else kmat[np.ix_(sub, sub)]
-            last = sub, _flat_engine(mu, sub, c, lattice.nearest)
+            last = sub, _flat_engine(mu, sub, c)
         return last[1]
 
     generations = [[root.id]]

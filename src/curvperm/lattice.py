@@ -60,8 +60,6 @@ class Lattice:
     rescale: float
     cubes: list[Cube]
     levels: list[list[int]]
-    # per atom, the distance to its nearest other atom (inf for a lone atom)
-    nearest: np.ndarray = field(repr=False)
     # per cube id, the density theta(2B) of its doubled companion ball
     theta2b: np.ndarray = field(repr=False)
 
@@ -180,6 +178,10 @@ def build(
     """Build the cube hierarchy down to single-atom cells (or ``k_max``)."""
     if len(mu) == 0:
         raise ValueError("cannot build a lattice on the empty measure")
+    for name, value in (("c0", c0), ("a0", a0), ("separation", separation)):
+        # a zero level separation would grow a net forever
+        if not (0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not (a0 > c0 > 1):
         raise ValueError("need a0 > c0 > 1")
     rescale = mu.diameter if mu.diameter > 0 else 1.0
@@ -189,19 +191,12 @@ def build(
 
     pts = mu.points
     n = len(mu)
-    # root: center minimizing the maximal member distance, ties lowest index;
-    # the same pass gives each atom's nearest other atom
+    # root: center minimizing the maximal member distance, ties lowest index
     if n == 1:
         root_center_idx = 0
         max_dist = 0.0
-        nearest = np.full(1, np.inf)
     else:
-        worst, near = [], []
-        for start, d in _distance_rows(pts):
-            worst.append(d.max(axis=1))
-            np.fill_diagonal(d[:, start:], np.inf)
-            near.append(d.min(axis=1))
-        worst, nearest = np.concatenate(worst), np.concatenate(near)
+        worst = np.concatenate([d.max(axis=1) for _, d in _distance_rows(pts)])
         root_center_idx = int(np.argmin(worst))
         max_dist = float(worst[root_center_idx])
     r_root = min(c0, max(1.0, (max_dist / rescale) * (1 + 1e-9)))
@@ -221,6 +216,9 @@ def build(
         k += 1
         sep = separation * a0 ** (-k) * rescale
         radius = a0 ** (-k) * rescale
+        if not sep > 0:
+            raise ValueError(f"the level-{k} separation underflows to 0; a0 = {a0} "
+                             "is too large for this measure")
         new_level: list[int] = []
         for pid in prev:
             parent = cubes[pid]
@@ -242,7 +240,7 @@ def build(
 
     theta2b = _ball_masses(mu, cubes, levels, doubling_constant)
     return Lattice(mu, c0, a0, separation, doubling_constant, rescale, cubes,
-                   levels, nearest, theta2b)
+                   levels, theta2b)
 
 
 def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]],

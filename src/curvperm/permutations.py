@@ -241,8 +241,8 @@ def perm_measure(
     ``_vertex_sums``, in O(n^2 + n P) time for P near pairs; over one
     measure the three terms are equal and one is computed.
     """
-    if not (eps >= 0):
-        raise ValueError("truncation length must be >= 0")
+    if not (0 <= eps < math.inf):
+        raise ValueError(f"truncation length must be >= 0 and finite, got {eps!r}")
     _check_workers(workers)
     mu2 = mu1 if mu2 is None else mu2
     mu3 = mu1 if mu3 is None else mu3
@@ -335,15 +335,15 @@ class _WindowEngine:
     last term removes the atom at x itself, which no window holds; a row
     where that term leaves less than ``1 / _CANCELLATION`` of the products
     ``|B|(w3 (w2ᵀ|D|))`` is summed on its window instead.  Set-up bounds
-    in O(m) each row's nearest distinct slot-two atom from below, by
-    ``near_lb`` passed in by the caller (0 when none is), and its farthest
-    from above, by the circle about the slot-two bounding box.  A row
-    these bounds certify whole reads its total; every other row is
-    decided, 64 at a time, from the window mask the window pass builds
-    for it anyway.  The first call with a whole row makes one row-blocked
-    pass for the totals and the guard; the first call with a row that
-    needs its window forms the O(m^3) product ``D W Bt``.  Each is built
-    once, whichever thread asks first.
+    in O(m) each row's nearest distinct slot-two atom from below, by the
+    spacing ``mu2.scale`` when slot one is slot two's point array (0
+    otherwise), and its farthest from above, by the circle about the
+    slot-two bounding box.  A row these bounds certify whole reads its
+    total; every other row is decided, 64 at a time, from the window mask
+    the window pass builds for it anyway.  The first call with a whole row
+    makes one row-blocked pass for the totals and the guard; the first call
+    with a row that needs its window forms the O(m^3) product ``D W Bt``,
+    with ``Bt = -Bᵀ``.  Each is built once, whichever thread asks first.
 
     Only coincident terms are subtracted.  When one atom may carry more
     than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
@@ -353,10 +353,9 @@ class _WindowEngine:
     """
 
     def __init__(self, k: KernelParam, p1: np.ndarray, mu2: DiscreteMeasure,
-                 mu3: DiscreteMeasure, kmat: np.ndarray | None = None,
-                 near_lb: np.ndarray | None = None):
+                 mu3: DiscreteMeasure, kmat: np.ndarray | None = None):
         p2, w2, p3, w3 = mu2.points, mu2.weights, mu3.points, mu3.weights
-        self.k, self.p1, self.p2, self.w2, self.p3, self.w3 = k, p1, p2, w2, p3, w3
+        self.p1, self.p2, self.w2, self.p3, self.w3 = p1, p2, w2, p3, w3
         # one matrix per pair of point arrays, so shared slots share it
         mats = {} if kmat is None else {(id(p1), id(p1)): kmat}
 
@@ -366,8 +365,6 @@ class _WindowEngine:
             return mats[id(pa), id(pb)]
 
         self.a, self.b, self.d = matrix(p1, p2), matrix(p1, p3), matrix(p2, p3)
-        # Bt when a slot pair already has it; otherwise evaluated for D W Bt
-        self.bt = mats.get((id(p3), id(p1)))
         self.dw = self.d @ w3
         # weights of mu2 and mu3 at the slot-one points, of mu3 at slot two
         self.xw2, self.xw3 = _weights_at(p1, mu2), _weights_at(p1, mu3)
@@ -377,14 +374,14 @@ class _WindowEngine:
             share = max(share, _max_share(self.d, w3))
         self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
         # per row, a lower bound on the nearest distinct slot-two atom and an
-        # upper bound on the farthest: the caller's nearest, shrunk so that
-        # |x - y| rounded by another code path stays above it, and |x - c| +
-        # max |y - c| about the bounding-box centre c, grown likewise.  Zeros
-        # certify no row
+        # upper bound on the farthest: the spacing a measure's atoms keep,
+        # scale / (1 + 1e-12), shrunk so that |x - y| rounded by another code
+        # path stays above it, and |x - c| + max |y - c| about the
+        # bounding-box centre c, grown likewise.  Zeros certify no row
         self.near_lb = self.far_ub = np.zeros(p1.size)
         if p2.size:
-            if near_lb is not None:
-                self.near_lb = near_lb * (1 - 1e-12)
+            if p1 is p2:
+                self.near_lb = np.full(p1.size, mu2.scale * (1 - 2e-12))
             re, im = p2.real, p2.imag
             c = complex((re.min() + re.max()) / 2, (im.min() + im.max()) / 2)
             self.far_ub = (np.abs(p1 - c) + np.abs(p2 - c).max()) * (1 + 1e-12)
@@ -474,7 +471,9 @@ class _WindowEngine:
 
     def _product(self) -> np.ndarray:
         """``(D W Bt)^T``, the one O(m^3) product."""
-        bt = self.bt if self.bt is not None else _kernel_matrix(self.k, self.p3, self.p1)
+        # Bt = -Bᵀ bit for bit (K is odd), B itself when slots one and three
+        # are one point array; row-major, as an F-ordered operand rounds differently
+        bt = self.b if self.p1 is self.p3 else np.negative(self.b.T, order="C")
         wbt = self.w3[:, None] * bt
         del bt
         g = self.d @ wbt

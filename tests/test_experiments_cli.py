@@ -97,7 +97,8 @@ class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "curvperm.cli", *args],
-            capture_output=True, text=True,
+            # a hung command fails its test instead of stalling the suite
+            capture_output=True, text=True, timeout=300,
         )
 
     def test_gen_round_trip(self, tmp_path):
@@ -239,6 +240,8 @@ class TestCli:
         ("cantor-growth", "--n-max", "0"),
         ("cantor-growth", "--n-max", "-3"),
         ("c1-estimate", "--theta", "nan"),
+        ("lattice", "--measure", "segment:n=5", "--params", '{"separation": 0}'),
+        ("perm", "--measure", "segment:n=8", "--eps", "inf"),
     ])
     def test_rejected_argument_exits_2(self, args):
         res = self.run_cli(*args)

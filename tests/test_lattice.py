@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(mu, c0=8.0, a0=2.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("separation", 0.0), ("separation", -1.0), ("separation", math.nan),
+        ("separation", math.inf), ("a0", math.inf), ("c0", math.inf),
+    ])
+    def test_constant_that_would_never_finish_is_named(self, name, value):
+        # a zero separation or an infinite a0 makes every atom a net point
+        # at every level, so the build would never end
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            build(generate("segment", n=5), **{name: value})
+
+    def test_underflowing_separation_is_rejected(self):
+        mu = DiscreteMeasure([0, 1e-30, 3e-30], [1.0] * 3, 1e-31)
+        with pytest.raises(ValueError, match="level-1 separation underflows"):
+            build(mu, a0=1e300)
+
     def test_k_max_truncates_depth(self):
         mu = generate("segment", n=64)
         lat = build(mu, k_max=2)
@@ -227,13 +243,6 @@ class TestDoubling:
                     outside += (abs(q.center - p.center) + 100 * q.radius
                                 > 100 * p.radius * (1 - 1e-9))
         assert (outside > 0) == (a0 < 2)
-
-    def test_nearest_other_atom(self):
-        for mu in corona_corpus().values():
-            d = np.abs(mu.points[:, None] - mu.points[None, :])
-            np.fill_diagonal(d, np.inf)
-            assert np.array_equal(build(mu).nearest, d.min(axis=1))
-        assert build(DiscreteMeasure([1j], [1.0], 1.0)).nearest.tolist() == [np.inf]
 
     def test_maximal_doubling_self(self, segment_lattice):
         _, lat = segment_lattice

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curvperm import permutations
 from curvperm.corona import Params, _flat_engine, _TreeBuilder
 from curvperm.experiments import _perm_reference
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
@@ -226,6 +227,13 @@ class TestPermMeasure:
         with pytest.raises(ValueError):
             perm_measure(K_INF, mu, eps=math.nan)
 
+    def test_infinite_eps_rejected(self):
+        # an infinite cutoff admits no triple, but would ask the KD-tree
+        # for every pair first
+        mu = generate("cantor4", level=1)
+        with pytest.raises(ValueError, match="finite, got inf"):
+            perm_measure(K_INF, mu, eps=math.inf)
+
     def test_eps_truncation_against_naive(self):
         mu = generate("cantor4", level=2)
         for e in (0.1, 0.3):
@@ -416,6 +424,15 @@ def _row_variation(k, mus, window):
                      for z in mus[0].points])
 
 
+# windows whose lower end lies below the spacing of the measure; some rows'
+# windows hold every other atom and some do not
+_SPACED_WINDOWS = [
+    ("segment", generate("segment", n=64), 0.005, 0.004),
+    ("grid", _GRID, 0.2, 0.2),
+    ("graph", generate("lipschitz_graph", n=48, slope=0.3), 0.01, 0.008),
+]
+
+
 class TestWindowEngine:
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(_shared_measures(), st.sampled_from([None, 0.0, -0.5, 1.5]),
@@ -519,6 +536,71 @@ class TestWindowEngine:
                                     kernel=K_INF if t is None else kt(float(t)))
         assert count > 0 and res.triples_counted == count
         assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
+
+    @pytest.mark.parametrize("mu, delta, r", [c[1:] for c in _SPACED_WINDOWS],
+                             ids=[c[0] for c in _SPACED_WINDOWS])
+    def test_shared_slots_certify_rows(self, mu, delta, r, engine_calls):
+        # with one point array in slots one and two, the spacing mu.scale
+        # bounds each row's nearest atom: some rows skip the window mask.
+        # counts builds one mask per row as well
+        received, counted = engine_calls("point_sums"), engine_calls("counts")
+        masked = engine_calls("_in_window")
+        perm_truncated_window(mu, mu, mu, delta, r)
+        assert 0 < sum(masked) - sum(counted) < sum(received)
+
+    @pytest.mark.parametrize("mu, delta, r", [c[1:] for c in _SPACED_WINDOWS],
+                             ids=[c[0] for c in _SPACED_WINDOWS])
+    def test_certified_rows_equal_the_mask_path(self, mu, delta, r, engine_calls):
+        # equal copies of mu share no point array, so every row of theirs
+        # is decided by its window mask
+        copies = [DiscreteMeasure(mu.points.copy(), mu.weights, mu.scale) for _ in range(3)]
+        counted, masked = engine_calls("counts"), engine_calls("_in_window")
+        shared = perm_truncated_window(mu, mu, mu, delta, r)
+        n_shared = sum(masked) - sum(counted)
+        assert perm_truncated_window(*copies, delta, r) == shared
+        assert n_shared < sum(masked) - sum(counted) - n_shared == len(mu)
+
+    def test_spacing_bound_stays_below_the_spacing(self, monkeypatch):
+        # the nearest pair sits at the smallest spacing a measure of this
+        # scale may have; a window that starts just above it must send every
+        # row with that pair to its mask
+        dmin = 0.3  # scale * (1 - 1e-12) rounds one ulp above it
+        mu = DiscreteMeasure(dmin * np.array([0, 1, 3, 1 + 2j, 4 + 3j]), [1.0] * 5,
+                             dmin * (1 + 1e-12))
+        engine = _WindowEngine(K_ZERO, mu.points, mu, mu)
+        rows = np.arange(len(mu))
+        d = np.abs(mu.points[:, None] - mu.points[None, :])
+        real, masked = _WindowEngine._in_window, []
+        monkeypatch.setattr(_WindowEngine, "_in_window",
+                            lambda e, j, *a: masked.append(j) or real(e, j, *a))
+        delta, certified = 0.125, 0
+        for lo in (dmin / 2, *dmin + np.arange(4) * np.spacing(dmin), dmin * (1 + 1e-12)):
+            masked.clear()
+            engine.point_sums(rows, lo / delta, delta)
+            sure = np.setdiff1d(rows, np.concatenate(masked or [rows[:0]]))
+            # a certified row's window holds every other atom
+            near = np.where(d[sure] > 0, d[sure], np.inf)
+            assert np.all(near.min(axis=1) >= lo)
+            certified += sure.size
+        assert certified > 0
+
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=["inf", "0", "-0.5"])
+    @pytest.mark.parametrize("one_measure", [False, True])
+    def test_product_evaluates_no_kernel(self, k, one_measure, monkeypatch):
+        # K(z - x) is -B transposed: K is odd bit for bit
+        mu1 = generate("perturbed", base="circle", n=70, amplitude=1e-3, seed=4)
+        mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
+        if one_measure:
+            mu2 = mu3 = mu1
+        engine = _WindowEngine(k, mu1.points, mu2, mu3)
+        calls = []
+        monkeypatch.setattr(permutations, "kernel_values",
+                            lambda *a: calls.append(a) or kernel_values(*a))
+        g_t = engine._product()
+        assert calls == []
+        monkeypatch.undo()
+        bt = permutations._kernel_matrix(k, mu3.points, mu1.points)
+        assert np.array_equal(g_t, np.ascontiguousarray((engine.d @ (mu3.weights[:, None] * bt)).T))
 
 
 def one_atom_window(z, mu2, mu3, delta, q_radius):
