@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphfit import balanced_ball_test, beta2
+from .graphfit import _fit_lines, balanced_ball_test, beta2
 from .kernels import K_INF, K_ZERO, Line, angle_between, theta_vertical
 from .lattice import (
     DEFAULT_DOUBLING_CONSTANT,
@@ -157,16 +157,29 @@ class TreeDecomposition:
         return sorted(q for q, v in self.stop.items() if v.label == label)
 
 
-def _root_atoms(lattice: Lattice, mu: DiscreteMeasure, root_id: int) -> np.ndarray:
-    """Indices of the atoms in the root's doubled companion ball."""
-    return np.flatnonzero(lattice.big_ball(root_id, 2.0).contains(mu.points))
+def _own_measure(lattice: Lattice, mu: DiscreteMeasure) -> None:
+    """Reject a measure other than the one the lattice was built on: the
+    lattice's densities, masses and atom tables are those of ``lattice.mu``."""
+    if mu is not lattice.mu and not (np.array_equal(mu.points, lattice.mu.points)
+                                     and np.array_equal(mu.weights, lattice.mu.weights)):
+        raise ValueError("mu must be the lattice's own measure, lattice.mu")
+
+
+def _doubling_lines(lattice: Lattice, ids) -> dict[int, Line]:
+    """The best line of the 2B of each doubling cube among ``ids``, all
+    fitted in one batch from the lattice's table of 2B atoms."""
+    ids = [q for q in ids if lattice.cubes[q].doubling]
+    atoms = [lattice.atoms_2b(q) for q in ids]
+    start = np.cumsum([0] + [a.size for a in atoms])
+    lines, _, _ = _fit_lines(lattice.mu, np.concatenate(atoms), start)
+    return dict(zip(ids, lines))
 
 
 def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
                  kmat: np.ndarray | None = None) -> _WindowEngine:
     """K_0 with the atoms ``sub`` of a root's 2B in all three slots, one
-    point array, so the engine bounds its rows by ``mu.scale``; ``kmat``
-    is their K_0 matrix, if the caller has it."""
+    point array, so the engine bounds its rows by ``mu.min_spacing``;
+    ``kmat`` is their K_0 matrix, if the caller has it."""
     nu = mu._view(sub)
     return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat)
 
@@ -196,7 +209,10 @@ def _replacement(lattice: Lattice, qid: int) -> list[int]:
 
 class _TreeBuilder:
     def __init__(self, lattice: Lattice, mu: DiscreteMeasure, root_id: int,
-                 params: Params):
+                 params: Params, lines: dict[int, Line] | None = None):
+        """``lines`` holds the best line of each doubling cube's 2B, as
+        ``_doubling_lines`` fits them; by default those of the root's
+        descendants are fitted."""
         if not lattice.cubes[root_id].doubling:
             raise ValueError("tree roots must be doubling cubes")
         self.lattice = lattice
@@ -208,25 +224,22 @@ class _TreeBuilder:
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.perm: dict[int, float] = {}
         self.theta_density = lattice.theta_2b(root_id)
-        self.lines: dict[int, Line | None] = {}
-        self.line = beta2(mu, lattice.big_ball(root_id, 2.0)).line
+        self.lines = (_doubling_lines(lattice, lattice.descendants(root_id))
+                      if lines is None else lines)
+        self.line = self.lines[root_id]
         self.in_t_vf, self.theta_r = theta_r_rule(
             theta_vertical(self.line), params
         )
 
     def cube_line(self, qid: int) -> Line | None:
-        """Best line of the doubled companion ball of the tree cube ``qid``;
-        None when the ball holds fewer than two atoms and every line is a
-        minimizer.  ``perm_sq`` has already found the ball's atoms."""
-        if qid not in self.lines:
-            ball = self.lattice.big_ball(qid, 2.0)
-            self.lines[qid] = beta2(self.mu, ball).line if self.sums[qid][0].size >= 2 else None
-        return self.lines[qid]
+        """Best line of the doubled companion ball of the doubling cube
+        ``qid``; None when the ball holds fewer than two atoms and every
+        line is a minimizer."""
+        return self.lines[qid] if self.lattice.atoms_2b(qid).size >= 2 else None
 
     def perm_sq(self, qid: int) -> float:
         q = self.lattice.cubes[qid]
-        slot1 = self.sub if qid == self.root_id else np.flatnonzero(
-            self.lattice.big_ball(qid, 2.0).contains(self.mu.points))
+        slot1 = self.lattice.atoms_2b(qid)
         rows = _engine_rows(self.sub, slot1)
         sums = self.engine.point_sums(rows, q.radius, self.params.delta)
         self.sums[qid] = (slot1, sums)
@@ -276,7 +289,7 @@ class _TreeBuilder:
         if lat.cubes[self.root_id].n_members < 2:
             # a point mass has no sub-structure to stop on
             return self._decomposition(dict.fromkeys(order))
-        self.sub = _root_atoms(lat, mu, self.root_id)
+        self.sub = lat.atoms_2b(self.root_id)
         self.engine = engine_for(self.sub)
         # top down: a cube is in the tree when its parent is and did not stop
         chain: dict[int, float] = {}
@@ -330,29 +343,34 @@ class _TreeBuilder:
         lat, mu, par = self.lattice, self.mu, self.params
         stop = {q: v for q, v in kept.items() if v is not None}
         members_r = lat.cubes[self.root_id].members
-        stopped_atoms = np.zeros(len(mu), dtype=bool)
-        for q in stop:
-            stopped_atoms[lat.cubes[q].members] = True
-
         next_ids: set[int] = set()
-        for qid, v in stop.items():
-            if v.label in ("HD", "BS"):
-                next_ids.add(qid)
-            else:
-                next_ids.update(_replacement(lat, qid))
-        next_ids.discard(self.root_id)
-        next_atoms = np.zeros(len(mu), dtype=bool)
-        for q in next_ids:
-            next_atoms[lat.cubes[q].members] = True
-        dropped = members_r[stopped_atoms[members_r] & ~next_atoms[members_r]]
+        if not self.sums:
+            # a point-mass root: nothing stops and no atom has a point sum
+            g_r, r_far, dropped = members_r.copy(), members_r[:0], members_r[:0]
+        else:
+            stopped_atoms = np.zeros(len(mu), dtype=bool)
+            for q in stop:
+                stopped_atoms[lat.cubes[q].members] = True
+            for qid, v in stop.items():
+                if v.label in ("HD", "BS"):
+                    next_ids.add(qid)
+                else:
+                    next_ids.update(_replacement(lat, qid))
+            next_ids.discard(self.root_id)
+            next_atoms = np.zeros(len(mu), dtype=bool)
+            for q in next_ids:
+                next_atoms[lat.cubes[q].members] = True
+            dropped = members_r[stopped_atoms[members_r] & ~next_atoms[members_r]]
 
-        # far atoms: a large windowed point sum at some surviving cube (the
-        # root always counts) whose doubled ball holds the atom
-        cut = par.c2_value * self.theta_density**2
-        far = np.zeros(len(mu), dtype=bool)
-        for qid, (atoms, sums) in self.sums.items():
-            if qid == self.root_id or (qid in kept and kept[qid] is None):
-                far[atoms[sums >= cut]] = True
+            # far atoms: a large windowed point sum at some surviving cube
+            # (the root always counts) whose doubled ball holds the atom
+            cut = par.c2_value * self.theta_density**2
+            far = np.zeros(len(mu), dtype=bool)
+            for qid, (atoms, sums) in self.sums.items():
+                if qid == self.root_id or (qid in kept and kept[qid] is None):
+                    far[atoms[sums >= cut]] = True
+            g_r = members_r[~stopped_atoms[members_r]]
+            r_far = members_r[far[members_r]]
 
         return TreeDecomposition(
             root_id=self.root_id,
@@ -365,8 +383,8 @@ class _TreeBuilder:
             stop=stop,
             dbtree_ids=[q for q, v in kept.items()
                         if v is None and lat.cubes[q].doubling],
-            g_r=members_r[~stopped_atoms[members_r]],
-            r_far=members_r[far[members_r]],
+            g_r=g_r,
+            r_far=r_far,
             next_ids=sorted(next_ids),
             # a single-atom root computes no point sums: its cubes carry 0
             perm_sq={q: self.perm.get(q, 0.0) for q in kept},
@@ -377,7 +395,9 @@ class _TreeBuilder:
 def build_tree(
     lattice: Lattice, mu: DiscreteMeasure, root_id: int, params: Params
 ) -> TreeDecomposition:
-    """Grow and stop one tree, then derive its replacement generation."""
+    """Grow and stop one tree, then derive its replacement generation.
+    ``mu`` must be ``lattice.mu``, or have its points and weights."""
+    _own_measure(lattice, mu)
     return _TreeBuilder(lattice, mu, root_id, params).build(
         lambda sub: _flat_engine(mu, sub))
 
@@ -402,19 +422,28 @@ def build_top(
     for at most ``K_MAX`` generations.
 
     The K_0 matrix of the whole measure is evaluated once; each engine
-    takes its root's block of it.  Consecutive trees whose roots' 2B hold
+    takes its root's block of it, a slice when the root's 2B atoms are
+    consecutive.  Consecutive trees whose roots' 2B hold
     the same atoms share one engine, and only one engine is alive at a
     time.  An atom whose window ``[delta r, r / delta]`` holds every other
     atom of the root's 2B reads its point sum from the engine's whole-row
     totals, unless the guard on the subtracted self term sends it to its
-    window.  The bounds from the spacing ``mu.scale`` and the root ball's
-    bounding box certify most such atoms; each other atom is decided by
+    window.  The bounds from the spacing ``mu.min_spacing`` and the root
+    ball's bounding box certify most such atoms; each other atom is decided by
     the window mask that would sum it.  An engine forms the O(m^3) product
     ``D W K(z - x)`` only once some atom's window leaves another atom out.
 
-    A measure whose ``N2_ARRAYS`` n x n arrays would not fit in physical
+    Every tree reads the atoms of each cube's 2B from the lattice's table
+    (``Lattice.atoms_2b``), and the best lines of all doubling cubes' 2B
+    are fitted once, in one batch, before the first tree: the roots, the
+    slope rule and the far-from-lines pass read them.  A root with one
+    atom costs a table lookup and builds no engine.
+
+    ``mu`` must be ``lattice.mu``, or have its points and weights.  A
+    measure whose ``N2_ARRAYS`` n x n arrays would not fit in physical
     memory is rejected before anything is allocated.
     """
+    _own_measure(lattice, mu)
     n = len(mu)
     need, have = N2_ARRAYS * 8 * n * n, _physical_memory()
     if need > have:
@@ -425,13 +454,20 @@ def build_top(
     if not root.doubling:
         raise ValueError("the support cube is not doubling")
     kmat = _kernel_matrix(K_ZERO, mu.points, mu.points)
+    lines = _doubling_lines(lattice, range(len(lattice.cubes)))
     last: tuple[np.ndarray, _WindowEngine] | None = None
 
     def engine_for(sub: np.ndarray) -> _WindowEngine:
         nonlocal last
         if last is None or not np.array_equal(last[0], sub):
             last = None  # free the old engine before building the next
-            c = kmat if sub.size == len(mu) else kmat[np.ix_(sub, sub)]
+            lo, hi = sub[0], sub[-1] + 1
+            if sub.size == len(mu):
+                c = kmat
+            elif hi - lo == sub.size:  # consecutive atoms: a block, copied whole
+                c = kmat[lo:hi, lo:hi].copy()
+            else:
+                c = kmat[np.ix_(sub, sub)]
             last = sub, _flat_engine(mu, sub, c)
         return last[1]
 
@@ -441,7 +477,7 @@ def build_top(
     for _ in range(K_MAX):
         nxt: list[int] = []
         for rid in generations[-1]:
-            tree = _TreeBuilder(lattice, mu, rid, params).build(engine_for)
+            tree = _TreeBuilder(lattice, mu, rid, params, lines).build(engine_for)
             trees[rid] = tree
             for q in tree.next_ids:
                 if q not in seen:

@@ -52,33 +52,51 @@ def beta2(mu: DiscreteMeasure, ball: Ball) -> BetaResult:
     """Scale-normalized least-squares line fit inside an open ball.
 
     The minimizing line passes through the weighted centroid along the top
-    principal direction, so the fit is closed form and deterministic.
+    principal direction, so the fit is closed form and deterministic.  The
+    ball's atoms are fitted by ``_fit_lines``.
     """
-    keep = ball.contains(mu.points)
-    r = ball.radius
-    if not np.any(keep):
+    keep = np.flatnonzero(ball.contains(mu.points))
+    if not keep.size:
         return BetaResult(0.0, Line(ball.center, 1 + 0j), ball, 0.0, True)
-    w = mu.weights[keep]
-    pts = mu.points[keep]
-    mass = float(w.sum())
-    cx = float((w * pts.real).sum()) / mass
-    cy = float((w * pts.imag).sum()) / mass
-    dx = pts.real - cx
-    dy = pts.imag - cy
-    sxx = float((w * dx * dx).sum())
-    sxy = float((w * dx * dy).sum())
-    syy = float((w * dy * dy).sum())
-    scatter = np.array([[sxx, sxy], [sxy, syy]])
-    evals, evecs = np.linalg.eigh(scatter)
-    lam_min = max(float(evals[0]), 0.0)
-    vx, vy = evecs[0, 1], evecs[1, 1]
-    if vx == 0.0 and vy == 0.0:
-        vx, vy = 1.0, 0.0
-    direction = complex(vx, vy) / abs(complex(vx, vy))
-    if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
-        direction = -direction
-    line = Line(complex(cx, cy), direction)
-    return BetaResult(math.sqrt(lam_min / r**3), line, ball, mass, False)
+    (line,), (mass,), (lam_min,) = _fit_lines(mu, keep, np.array([0, keep.size]))
+    return BetaResult(math.sqrt(lam_min / ball.radius**3), line, ball, mass, False)
+
+
+def _fit_lines(mu: DiscreteMeasure, atoms: np.ndarray,
+               start: np.ndarray) -> tuple[list[Line], list[float], list[float]]:
+    """The best line, the mass and the smallest scatter eigenvalue (clipped
+    at 0) of each non-empty atom set ``atoms[start[k]:start[k + 1]]``, the
+    sorted indices of some of ``mu``'s atoms.
+
+    Each set's moments are summed over its own atoms, one numpy sum per
+    moment; the scatter matrices of all sets go to one stacked
+    ``np.linalg.eigh``, which decomposes each matrix as a call of its own
+    does.
+    """
+    w, pts = mu.weights[atoms], mu.points[atoms]
+    bounds = start.tolist()
+    masses, centroids, scatter = [], [], []
+    for a, b in zip(bounds, bounds[1:]):
+        ws, xs, ys = w[a:b], pts.real[a:b], pts.imag[a:b]
+        mass = float(ws.sum())
+        cx = float((ws * xs).sum()) / mass
+        cy = float((ws * ys).sum()) / mass
+        dx, dy = xs - cx, ys - cy
+        wdx = ws * dx
+        sxy = float((wdx * dy).sum())
+        scatter.append([[float((wdx * dx).sum()), sxy], [sxy, float((ws * dy * dy).sum())]])
+        masses.append(mass)
+        centroids.append(complex(cx, cy))
+    evals, evecs = np.linalg.eigh(np.array(scatter))
+    lines = []
+    for anchor, vx, vy in zip(centroids, evecs[:, 0, 1].tolist(), evecs[:, 1, 1].tolist()):
+        if vx == 0.0 and vy == 0.0:
+            vx, vy = 1.0, 0.0
+        direction = complex(vx, vy) / abs(complex(vx, vy))
+        if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
+            direction = -direction
+        lines.append(Line(anchor, direction))
+    return lines, masses, [max(e, 0.0) for e in evals[:, 0].tolist()]
 
 
 class DistanceField:

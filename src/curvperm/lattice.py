@@ -52,6 +52,11 @@ class Cube:
 
 @dataclass
 class Lattice:
+    """The cubes of a measure, level by level, and two tables from the
+    build's one distance row per cube: the density of each cube's 2B, and
+    the atoms of each 2B, held as one flat index array with per-cube
+    offsets rather than an array per cube."""
+
     mu: DiscreteMeasure
     c0: float
     a0: float
@@ -62,6 +67,10 @@ class Lattice:
     levels: list[list[int]]
     # per cube id, the density theta(2B) of its doubled companion ball
     theta2b: np.ndarray = field(repr=False)
+    # the atoms of every 2B in one sorted index array per cube, laid end to
+    # end: cube q's are atoms2b[atoms2b_start[q]:atoms2b_start[q + 1]]
+    atoms2b: np.ndarray = field(repr=False)
+    atoms2b_start: np.ndarray = field(repr=False)
 
     @property
     def root(self) -> Cube:
@@ -90,6 +99,11 @@ class Lattice:
     def theta_2b(self, qid: int) -> float:
         """``theta(big_ball(qid, 2.0))``, read from the build's table."""
         return float(self.theta2b[qid])
+
+    def atoms_2b(self, qid: int) -> np.ndarray:
+        """``np.flatnonzero(big_ball(qid, 2.0).contains(mu.points))``, read
+        from the build's table."""
+        return self.atoms2b[self.atoms2b_start[qid]:self.atoms2b_start[qid + 1]]
 
     def set_diameter(self, qid: int) -> float:
         q = self.cubes[qid]
@@ -238,15 +252,15 @@ def build(
                 new_level.append(cid)
         levels.append(new_level)
 
-    theta2b = _ball_masses(mu, cubes, levels, doubling_constant)
     return Lattice(mu, c0, a0, separation, doubling_constant, rescale, cubes,
-                   levels, theta2b)
+                   levels, *_ball_masses(mu, cubes, levels, doubling_constant))
 
 
 def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]],
-                 doubling_constant: float) -> np.ndarray:
+                 doubling_constant: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set each cube's doubling flag, ``mass(100B) <= C mass(B)``, and return
-    its ``theta(2B)``, from one distance row per cube.
+    its ``theta(2B)`` and the atoms of its 2B as ``Lattice.atoms2b`` and
+    ``atoms2b_start``, from one distance row per cube.
 
     The balls B, 2B = 56 r and 100B share their centre, so the row needs
     only the atoms of 100B.  A cube reads the atoms of its parent's 100B
@@ -256,6 +270,7 @@ def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]]
     """
     pts, w = mu.points, mu.weights
     theta2b = np.empty(len(cubes))
+    in_2b: list[np.ndarray] = []  # in cube id order, which is level order
     in_100b: dict[int, np.ndarray] = {}
     every = np.arange(len(mu))
     for lvl in levels:
@@ -273,8 +288,13 @@ def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]]
             in_100b[qid] = idx
             q.doubling = bool(w[idx].sum() <= doubling_constant * w[idx[d < q.radius]].sum())
             big = 2.0 * BIG_BALL_FACTOR * q.radius
-            theta2b[qid] = float(w[idx[d < big]].sum()) / big
-    return theta2b
+            in_2b.append(idx[d < big])
+            theta2b[qid] = float(w[in_2b[-1]].sum()) / big
+    start = np.zeros(len(cubes) + 1, dtype=np.intp)
+    np.cumsum([a.size for a in in_2b], out=start[1:])
+    atoms = np.concatenate(in_2b)
+    atoms.flags.writeable = False
+    return theta2b, atoms, start
 
 
 def _build_report(lattice: Lattice) -> dict:

@@ -9,6 +9,7 @@ geometric queries stop being meaningful.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -79,7 +80,8 @@ class DiscreteMeasure:
                 raise ValueError(
                     f"scale {self.scale} exceeds minimal atom spacing {dmin}"
                 )
-            self.__dict__["diameter"] = dmax  # where cached_property looks first
+            # where cached_property looks first
+            self.__dict__["diameter"], self.__dict__["min_spacing"] = dmax, dmin
         pts.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -97,6 +99,15 @@ class DiscreteMeasure:
         if len(self) < 2:
             return 0.0
         return _distance_range(self.points)[1]
+
+    @cached_property
+    def min_spacing(self) -> float:
+        """A lower bound on the distance between two atoms: the smallest
+        spacing, which validation finds, or the parent's for a sub-measure;
+        inf for fewer than two atoms."""
+        if len(self) < 2:
+            return math.inf
+        return _distance_range(self.points)[0]
 
     def distances_from(self, z: complex) -> np.ndarray:
         return np.abs(self.points - z)
@@ -118,6 +129,7 @@ class DiscreteMeasure:
         object.__setattr__(sub, "points", pts)
         object.__setattr__(sub, "weights", w)
         object.__setattr__(sub, "scale", self.scale)
+        sub.__dict__["min_spacing"] = self.min_spacing
         return sub
 
     def mass_in(self, ball: Ball) -> float:

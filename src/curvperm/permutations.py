@@ -336,7 +336,7 @@ class _WindowEngine:
     where that term leaves less than ``1 / _CANCELLATION`` of the products
     ``|B|(w3 (w2ᵀ|D|))`` is summed on its window instead.  Set-up bounds
     in O(m) each row's nearest distinct slot-two atom from below, by the
-    spacing ``mu2.scale`` when slot one is slot two's point array (0
+    spacing ``mu2.min_spacing`` when slot one is slot two's point array (0
     otherwise), and its farthest from above, by the circle about the
     slot-two bounding box.  A row these bounds certify whole reads its
     total; every other row is decided, 64 at a time, from the window mask
@@ -374,14 +374,14 @@ class _WindowEngine:
             share = max(share, _max_share(self.d, w3))
         self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
         # per row, a lower bound on the nearest distinct slot-two atom and an
-        # upper bound on the farthest: the spacing a measure's atoms keep,
-        # scale / (1 + 1e-12), shrunk so that |x - y| rounded by another code
-        # path stays above it, and |x - c| + max |y - c| about the
-        # bounding-box centre c, grown likewise.  Zeros certify no row
+        # upper bound on the farthest: the spacing of the measure's atoms,
+        # shrunk so that |x - y| rounded by another code path stays above
+        # it, and |x - c| + max |y - c| about the bounding-box centre c,
+        # grown likewise.  Zeros certify no row
         self.near_lb = self.far_ub = np.zeros(p1.size)
         if p2.size:
             if p1 is p2:
-                self.near_lb = np.full(p1.size, mu2.scale * (1 - 2e-12))
+                self.near_lb = np.full(p1.size, mu2.min_spacing * (1 - 2e-12))
             re, im = p2.real, p2.imag
             c = complex((re.min() + re.max()) / 2, (im.min() + im.max()) / 2)
             self.far_ub = (np.abs(p1 - c) + np.abs(p2 - c).max()) * (1 + 1e-12)
@@ -397,15 +397,16 @@ class _WindowEngine:
         # the pair must be distinct too: the smallest positive distance
         return (d12 >= max(lo, _SMALLEST)) & (d12 <= hi)
 
-    def counts(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
-        """The numbers of triples of the slot-one points ``rows``."""
-        win = self._in_window(rows, q_radius, delta)
-        return (win.sum(axis=1) * (self.w3.size - (self.xw3[rows] > 0))
-                - (win & (self.yw3 > 0)).sum(axis=1))
+    def _counts(self, j: np.ndarray, n_in: np.ndarray, n_in3: np.ndarray) -> np.ndarray:
+        """The numbers of triples of the slot-one points ``j``, whose windows
+        hold ``n_in`` slot-two atoms, ``n_in3`` of them atoms of ``mu3``."""
+        return n_in * (self.w3.size - (self.xw3[j] > 0)) - n_in3
 
-    def point_sums(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+    def point_sums(self, rows: np.ndarray, q_radius: float, delta: float,
+                   counts: np.ndarray | None = None) -> np.ndarray:
         """The sums of the slot-one points ``rows`` with the window
-        ``[delta q_radius, q_radius / delta]``."""
+        ``[delta q_radius, q_radius / delta]``.  ``counts``, if given,
+        receives their numbers of triples, from the same window masks."""
         lo, hi = _window(delta, q_radius)
         sums = np.empty(rows.size)
 
@@ -421,14 +422,23 @@ class _WindowEngine:
 
         done = read_totals(np.arange(rows.size), (self.near_lb[rows] >= max(lo, _SMALLEST))
                            & (self.far_ub[rows] <= hi))
+        if counts is not None:
+            # a whole window holds every slot-two atom but the one at x, if
+            # any, which is an atom of mu3 when xw3 is
+            j, at_x = rows[done], self.xw2[rows[done]] > 0
+            counts[done] = self._counts(j, self.p2.size - at_x, np.count_nonzero(self.yw3 > 0)
+                                        - (at_x & (self.xw3[j] > 0)))
         left = np.flatnonzero(~done)
         for start in range(0, left.size, _ROW_BLOCK):
             i = left[start:start + _ROW_BLOCK]
             j = rows[i]
             win = self._in_window(j, q_radius, delta)
+            n_in = win.sum(axis=1)
+            if counts is not None:
+                counts[i] = self._counts(j, n_in, (win & (self.yw3 > 0)).sum(axis=1))
             # whole when the window holds every slot-two atom but the one
             # at x, if any: atoms are distinct and weights positive
-            done = read_totals(i, win.sum(axis=1) == self.p2.size - (self.xw2[j] > 0))
+            done = read_totals(i, n_in == self.p2.size - (self.xw2[j] > 0))
             if not done.all():
                 sums[i[~done]] = self._window_sums(j[~done], win[~done])
         return sums
@@ -534,8 +544,7 @@ def perm_truncated_window(
     counts = np.zeros(len(mu1), dtype=np.int64)
 
     def chunk_values(a: int, b: int) -> np.ndarray:
-        counts[a:b] = engine.counts(np.arange(a, b), q_radius, delta)
-        return engine.point_sums(np.arange(a, b), q_radius, delta)
+        return engine.point_sums(np.arange(a, b), q_radius, delta, counts[a:b])
 
     sums = _parallel_map_chunks(chunk_values, len(mu1), workers=workers)
     return TripleIntegralResult(

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from curvperm.graphfit import LENGTH_RULE, WhitneyCover, beta2
-from curvperm.kernels import kernel_values
+from curvperm.graphfit import LENGTH_RULE, BetaResult, WhitneyCover, beta2
+from curvperm.kernels import Line, kernel_values
 from curvperm.lattice import BIG_BALL_FACTOR, first_doubling_ancestor
 
 
@@ -300,6 +300,31 @@ def greedy_net_1d(coords, sep):
         chosen.append(far)
         dist = np.minimum(dist, np.abs(xs - xs[far]))
     return len(chosen)
+
+
+def beta2_scan(mu, ball) -> BetaResult:
+    """The least-squares line of one ball, scanning every atom: each moment
+    one numpy sum over the ball's atoms and one 2 x 2 ``eigh``."""
+    keep = ball.contains(mu.points)
+    if not np.any(keep):
+        return BetaResult(0.0, Line(ball.center, 1 + 0j), ball, 0.0, True)
+    w, pts = mu.weights[keep], mu.points[keep]
+    mass = float(w.sum())
+    cx = float((w * pts.real).sum()) / mass
+    cy = float((w * pts.imag).sum()) / mass
+    dx, dy = pts.real - cx, pts.imag - cy
+    sxx = float((w * dx * dx).sum())
+    sxy = float((w * dx * dy).sum())
+    syy = float((w * dy * dy).sum())
+    evals, evecs = np.linalg.eigh(np.array([[sxx, sxy], [sxy, syy]]))
+    vx, vy = evecs[0, 1], evecs[1, 1]
+    if vx == 0.0 and vy == 0.0:
+        vx, vy = 1.0, 0.0
+    direction = complex(vx, vy) / abs(complex(vx, vy))
+    if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
+        direction = -direction
+    beta = math.sqrt(max(float(evals[0]), 0.0) / ball.radius**3)
+    return BetaResult(beta, Line(complex(cx, cy), direction), ball, mass, False)
 
 
 def doubling_raw(lattice, qid) -> bool:

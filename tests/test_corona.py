@@ -9,7 +9,6 @@ from curvperm.corona import (
     Params,
     _engine_rows,
     _flat_engine,
-    _root_atoms,
     beta_packing_sum,
     build_top,
     build_tree,
@@ -29,7 +28,7 @@ from oracles import DenseEngine
 def fresh_engine(lat, mu, rid):
     """The atoms of one root's 2B and their engine, from a fresh K_0
     matrix."""
-    sub = _root_atoms(lat, mu, rid)
+    sub = lat.atoms_2b(rid)
     return sub, _flat_engine(mu, sub)
 
 
@@ -500,7 +499,7 @@ class TestEngine:
         # one pass over the measure's pairs, in row blocks
         assert sum(rows for rows, _ in matrices) == len(mu)
         assert all(cols == len(mu) for _, cols in matrices)
-        sets = [_root_atoms(lat, mu, rid) for rid in cor.trees
+        sets = [lat.atoms_2b(rid) for rid in cor.trees
                 if lat.cubes[rid].n_members >= 2]
         runs = [sets[0]] + [b for a, b in zip(sets, sets[1:])
                             if not np.array_equal(a, b)]
@@ -644,10 +643,85 @@ class TestEngine:
         monkeypatch.setattr(permutations, "kernel_values",
                             lambda k, dz: shapes.append(np.shape(dz)) or real_kv(k, dz))
         build_tree(lat, mu, rid, params)
-        m = _root_atoms(lat, mu, rid).size
+        m = lat.atoms_2b(rid).size
         assert m < len(mu)
         assert sum(rows for rows, _ in shapes) == m
         assert all(cols == m for _, cols in shapes)
+
+
+class TestTableAndFits:
+    """build_top reads 2B atoms from the lattice's table and fits each
+    doubling cube's line once, in one batch."""
+
+    def test_no_whole_measure_scan(self, monkeypatch):
+        sizes, real = [], Ball.contains
+        monkeypatch.setattr(Ball, "contains", lambda b, z: sizes.append(np.size(z)) or real(b, z))
+        for name in ("graph_0.2", "cantor4_3", "perturbed_graph"):
+            mu = corona_corpus()[name]
+            lat, params = make(mu)
+            sizes.clear()
+            build_top(lat, mu, params)
+            assert len(mu) not in sizes
+
+    def test_each_doubling_cube_fitted_once(self, monkeypatch):
+        fits, betas = [], []
+        real_fit, real_beta = corona._fit_lines, corona.beta2
+        monkeypatch.setattr(corona, "_fit_lines",
+                            lambda mu, atoms, start: fits.append(start.size - 1)
+                            or real_fit(mu, atoms, start))
+        monkeypatch.setattr(corona, "beta2", lambda *a: betas.append(a) or real_beta(*a))
+        for mu in corona_corpus().values():
+            lat, params = make(mu)
+            fits.clear()
+            cor = build_top(lat, mu, params)
+            assert fits == [sum(q.doubling for q in lat.cubes)]
+            assert len(cor.trees) > 0 and betas == []
+
+    def test_single_atom_root_is_a_table_lookup(self):
+        # no engine, no point sums and no mask over the measure's atoms
+        mu = generate("cantor4", level=6)
+        lat, params = make(mu)
+        lines = corona._doubling_lines(lat, range(len(lat.cubes)))
+        roots = [q.id for q in lat.cubes if q.doubling and q.n_members == 1]
+        assert len(roots) > 100
+
+        def no_engine(sub):
+            raise AssertionError("a single-atom root built an engine")
+
+        for rid in roots[::97]:
+            builder = corona._TreeBuilder(lat, mu, rid, params, lines)
+            tracemalloc.start()
+            try:
+                tree = builder.build(no_engine)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(mu)  # one bool per atom would not fit
+            chain = sorted(lat.descendants(rid), key=lambda q: (lat.cubes[q].level, q))
+            assert tree.tree_ids == chain and tree.stop == {} and tree.next_ids == []
+            assert tree.perm_sq == dict.fromkeys(chain, 0.0)
+            assert np.array_equal(tree.g_r, lat.cubes[rid].members)
+            assert tree.r_far.size == tree.dropped_atoms.size == 0
+            assert tree.line == lines[rid]
+
+    @pytest.mark.parametrize("change", ["points", "weights"])
+    @pytest.mark.parametrize("entry", ["build_top", "build_tree"])
+    def test_foreign_measure_is_rejected(self, change, entry):
+        mu = corona_corpus()["graph_0.1"]
+        lat, params = make(mu)
+        pts, w = mu.points.copy(), mu.weights.copy()
+        if change == "points":
+            pts[3] += 1e-9
+        else:
+            w[3] *= 2
+        other = DiscreteMeasure(pts, w, mu.scale)
+        run = ((lambda m: build_top(lat, m, params)) if entry == "build_top"
+               else (lambda m: build_tree(lat, m, lat.root.id, params)))
+        with pytest.raises(ValueError, match="lattice's own measure"):
+            run(other)
+        # an equal copy is the lattice's measure
+        copy = DiscreteMeasure(mu.points.copy(), mu.weights.copy(), mu.scale)
+        assert repr(run(copy)) == repr(run(mu))
 
 
 class TestPackingSums:

@@ -8,6 +8,7 @@ import pytest
 
 from curvperm import graphfit
 from curvperm.corona import Params, build_top, build_tree
+from curvperm.experiments import corona_corpus
 from curvperm.graphfit import (
     DistanceField,
     LipschitzGraph,
@@ -17,6 +18,7 @@ from curvperm.graphfit import (
     build_lipschitz_F,
     graph_closeness_report,
     partition_of_unity,
+    _fit_lines,
     _select_cube,
     whitney_cover,
 )
@@ -25,6 +27,7 @@ from curvperm.lattice import build
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from oracles import (
     balanced_pair_dense,
+    beta2_scan,
     blend_loop,
     finite_difference,
     golden_section_line,
@@ -94,6 +97,52 @@ class TestBeta2:
             )
             res = beta2(mu, ball)
             assert res.beta**2 <= 4 * mu.mass_in(ball) / ball.radius + 1e-12
+
+
+class TestBatchedFit:
+    """``beta2`` and the batched ``_fit_lines`` against the one-ball scan,
+    bit for bit: ``repr`` tells -0.0 from 0.0, which ``==`` does not."""
+
+    @staticmethod
+    def _lattice_fits(lat):
+        start = lat.atoms2b_start
+        lines, masses, lams = _fit_lines(lat.mu, lat.atoms2b, start)
+        assert len(lines) == len(masses) == len(lams) == len(lat.cubes)
+        return lines, masses, lams
+
+    @pytest.mark.parametrize("name", sorted(corona_corpus()))
+    def test_every_cube_ball(self, name):
+        mu = corona_corpus()[name]
+        lat = build(mu)
+        lines, masses, lams = self._lattice_fits(lat)
+        for q in lat.cubes:
+            ball = lat.big_ball(q.id, 2.0)
+            ref = beta2_scan(mu, ball)
+            assert repr(beta2(mu, ball)) == repr(ref)
+            got = (lines[q.id], masses[q.id], math.sqrt(lams[q.id] / ball.radius**3))
+            assert repr(got) == repr((ref.line, ref.mass, ref.beta))
+
+    @pytest.mark.parametrize("points, ball", [
+        ([0j, 1 + 0j], Ball(5 + 5j, 1.0)),  # empty
+        ([0.3 + 0.4j], Ball(0.3 + 0.4j, 1.0)),  # one atom
+        ([0.1 + 0.2j, 0.4 - 0.3j], Ball(0j, 2.0)),  # two atoms
+        ([0.5 + 0j, 0.5 + 0.25j, 0.5 + 0.75j, 0.5 - 0.5j], Ball(0.5 + 0j, 2.0)),  # vertical
+        ([-0.5 + 0j, -0.25 + 0j, 0.125 + 0j, 0.5 + 0j], Ball(0j, 1.0)),  # horizontal
+        ([-1 + 0j, 1 + 0j, 0 - 0.0j], Ball(0j, 2.0)),  # horizontal through -0.0
+    ], ids=["empty", "one", "two", "vertical", "horizontal", "negative-zero"])
+    def test_small_balls(self, points, ball):
+        mu = DiscreteMeasure(points, np.linspace(1.0, 2.0, len(points)), 0.01)
+        assert repr(beta2(mu, ball)) == repr(beta2_scan(mu, ball))
+
+    def test_stacked_sets_fit_as_one(self):
+        # the sets of a lattice fitted together and each alone agree
+        mu = corona_corpus()["perturbed_graph"]
+        lat = build(mu)
+        together = self._lattice_fits(lat)
+        for q in range(0, len(lat.cubes), 7):
+            atoms = lat.atoms_2b(q)
+            alone = _fit_lines(mu, atoms, np.array([0, atoms.size]))
+            assert repr([v[q] for v in together]) == repr([v[0] for v in alone])
 
 
 class TestDistanceFunctions:

@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvperm.corona import Params
 from curvperm.experiments import corona_corpus
@@ -290,6 +292,93 @@ class TestDoubling:
         orphan = [q.id for q in lat.cubes if not q.doubling]
         with pytest.raises(ValueError):
             first_doubling_ancestor(lat, orphan[0])
+
+
+def corona_build_inputs(seed: int) -> list:
+    """The four measures of the ``corona-build`` benchmark workload."""
+    rng = np.random.default_rng(seed)
+    return [generate("lipschitz_graph", n=1024), generate("circle", n=512),
+            generate("cantor4", level=5),
+            generate("perturbed", seed=int(rng.integers(2**31)), base="lipschitz_graph",
+                     n=512, amplitude=1e-4)]
+
+
+@st.composite
+def _grid_measures(draw):
+    """Distinct atoms on a scaled integer grid, with unequal weights."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)),
+                          min_size=1, max_size=48, unique=True))
+    unit = draw(st.sampled_from([1.0, 1e-3, 37.5]))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(cells),
+                            max_size=len(cells)))
+    return DiscreteMeasure([unit * complex(x, y) for x, y in cells], weights, unit)
+
+
+class TestBallTable:
+    """``Lattice.atoms_2b`` against a scan of every atom."""
+
+    @staticmethod
+    def _check(lat) -> int:
+        """Assert the table of every cube; count the cubes whose 100B is not
+        held by the parent's, which read every atom."""
+        outside = 0
+        for q in lat.cubes:
+            ref = np.flatnonzero(lat.big_ball(q.id, 2.0).contains(lat.mu.points))
+            got = lat.atoms_2b(q.id)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            if q.parent is not None:
+                p = lat.cubes[q.parent]
+                outside += (abs(q.center - p.center) + 100 * q.radius
+                            > 100 * p.radius * (1 - 1e-9))
+        return outside
+
+    @pytest.mark.parametrize("c0, a0", [(2.0, 8.0), (1.05, 1.1)])
+    def test_corpus(self, c0, a0):
+        outside = sum(self._check(build(mu, c0=c0, a0=a0))
+                      for mu in corona_corpus().values())
+        assert (outside > 0) == (a0 < 2)
+
+    def test_corona_build_inputs(self):
+        for mu in corona_build_inputs(1):
+            self._check(build(mu))
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(_grid_measures(), st.sampled_from([(2.0, 8.0), (1.05, 1.1), (1.5, 3.0)]))
+    def test_grid_measures(self, mu, constants):
+        c0, a0 = constants
+        self._check(build(mu, c0=c0, a0=a0))
+
+    def test_atoms_on_the_sphere_are_left_out(self):
+        # on the eighths of [0, 1] some atom lies exactly 2 * 28 * r from
+        # a cube's centre; the open 2B leaves it out
+        lat = build(generate("segment", n=9))
+        on = sum(np.count_nonzero(np.abs(lat.mu.points - q.center)
+                                  == 2.0 * BIG_BALL_FACTOR * q.radius) for q in lat.cubes)
+        assert on > 0
+        self._check(lat)
+
+    def test_one_read_only_index_array(self):
+        lat = build(generate("cantor4", level=3))
+        assert not lat.atoms2b.flags.writeable
+        assert lat.atoms2b_start.size == len(lat.cubes) + 1
+        assert lat.atoms2b_start[-1] == lat.atoms2b.size
+        assert all(lat.atoms_2b(q.id).base is lat.atoms2b for q in lat.cubes)
+
+    def test_table_retains_one_index_array_and_offsets(self):
+        # dropping the table frees one index array, its offsets and their
+        # two headers; an array per cube would free a header for each of
+        # the 338 cubes as well
+        tracemalloc.start()
+        try:
+            lat = build(generate("cantor4", level=4))
+            table = lat.atoms2b.nbytes + lat.atoms2b_start.nbytes
+            before = tracemalloc.get_traced_memory()[0]
+            lat.atoms2b = lat.atoms2b_start = None
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(lat.cubes) > 300 and table > 10**4
+        assert table <= freed <= table + 512
 
 
 class TestChainsAndBoundaries:

@@ -64,6 +64,34 @@ class TestBasics:
             DiscreteMeasure([0, 0.1], [1.0, 1.0], 0.5)
 
 
+class TestMinSpacing:
+    @pytest.mark.parametrize("kind, params", [
+        ("segment", {"n": 40}), ("lipschitz_graph", {"n": 64}), ("circle", {"n": 30}),
+        ("cantor4", {"level": 2}), ("perturbed", {"base": "circle", "n": 30}),
+    ])
+    def test_is_the_smallest_spacing(self, kind, params):
+        # the generators set scale below the spacing (half of it, or a
+        # third for cantor4); min_spacing is the spacing itself
+        mu = generate(kind, **params)
+        d = np.abs(mu.points[:, None] - mu.points[None, :])
+        assert mu.min_spacing == d[d > 0].min() >= mu.scale
+
+    def test_given_spacing_is_kept(self):
+        pts = np.array([0j, 1 + 0j, 3 + 0j])
+        mu = DiscreteMeasure(pts, [1.0] * 3, 0.5, spacing=(0.75, 3.0))
+        assert mu.min_spacing == 0.75 and mu.diameter == 3.0
+
+    def test_sub_measure_keeps_the_parent_bound(self):
+        mu = generate("lipschitz_graph", n=64)
+        sub = mu.restrict(Ball(0.9 + 0j, 0.2))
+        assert 1 < len(sub) < len(mu) and sub.min_spacing == mu.min_spacing
+        assert mu.restrict(Ball(5 + 0j, 0.1)).min_spacing == mu.min_spacing
+
+    def test_fewer_than_two_atoms(self):
+        assert DiscreteMeasure([1j], [1.0], 0.1).min_spacing == math.inf
+        assert DiscreteMeasure([], [], 0.1).min_spacing == math.inf
+
+
 class TestRestrictDensity:
     def test_restrict_excludes_far_atom(self):
         mu = DiscreteMeasure([2 + 0j], [1.0], 0.1)

@@ -540,13 +540,12 @@ class TestWindowEngine:
     @pytest.mark.parametrize("mu, delta, r", [c[1:] for c in _SPACED_WINDOWS],
                              ids=[c[0] for c in _SPACED_WINDOWS])
     def test_shared_slots_certify_rows(self, mu, delta, r, engine_calls):
-        # with one point array in slots one and two, the spacing mu.scale
-        # bounds each row's nearest atom: some rows skip the window mask.
-        # counts builds one mask per row as well
-        received, counted = engine_calls("point_sums"), engine_calls("counts")
-        masked = engine_calls("_in_window")
+        # with one point array in slots one and two, the spacing
+        # mu.min_spacing bounds each row's nearest atom: some rows skip the
+        # window mask, and their triples are counted without it
+        received, masked = engine_calls("point_sums"), engine_calls("_in_window")
         perm_truncated_window(mu, mu, mu, delta, r)
-        assert 0 < sum(masked) - sum(counted) < sum(received)
+        assert 0 < sum(masked) < sum(received)
 
     @pytest.mark.parametrize("mu, delta, r", [c[1:] for c in _SPACED_WINDOWS],
                              ids=[c[0] for c in _SPACED_WINDOWS])
@@ -554,11 +553,34 @@ class TestWindowEngine:
         # equal copies of mu share no point array, so every row of theirs
         # is decided by its window mask
         copies = [DiscreteMeasure(mu.points.copy(), mu.weights, mu.scale) for _ in range(3)]
-        counted, masked = engine_calls("counts"), engine_calls("_in_window")
+        masked = engine_calls("_in_window")
         shared = perm_truncated_window(mu, mu, mu, delta, r)
-        n_shared = sum(masked) - sum(counted)
+        n_shared = sum(masked)
         assert perm_truncated_window(*copies, delta, r) == shared
-        assert n_shared < sum(masked) - sum(counted) - n_shared == len(mu)
+        assert n_shared < sum(masked) - n_shared == len(mu)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_mask_per_row(self, shared, workers, engine_calls):
+        # the triple counts come from the masks that sum the rows (or, for
+        # a row certified whole, from no mask): each row is masked at most
+        # once, and the counts are those of an explicit window mask
+        mus = [generate("perturbed", base="lipschitz_graph", n=300, amplitude=1e-3,
+                        seed=s) for s in (1, 2, 3)]
+        if shared:
+            mus = [mus[0]] * 3
+        # the window holds every atom for the rows near the middle only
+        delta, r = 0.01, 0.008
+        masked = engine_calls("_in_window")
+        res = perm_truncated_window(*mus, delta, r, workers=workers)
+        assert 0 < sum(masked) <= len(mus[0])
+        assert (sum(masked) < len(mus[0])) == shared
+        p1, p2, p3 = (m.points for m in mus)
+        d12 = np.abs(p1[:, None] - p2[None, :])
+        win = (d12 >= delta * r) & (d12 <= r / delta) & (d12 > 0)
+        in3 = lambda p: np.isin(p, p3).astype(int)
+        count = (win * (p3.size - in3(p1)[:, None] - in3(p2)[None, :])).sum()
+        assert res.triples_counted == count > 0
 
     def test_spacing_bound_stays_below_the_spacing(self, monkeypatch):
         # the nearest pair sits at the smallest spacing a measure of this
