@@ -175,7 +175,7 @@ def _corona(args, mu):
     cor = build_top(lat, mu, par)
     pack = packing_sum(lat, cor, mu, workers=args.workers)
     trees = []
-    for rid in sorted(cor.trees, key=lambda r: (lat.cubes[r].level, r)):
+    for rid in sorted(cor.trees):  # cube ids run level by level
         tree = cor.trees[rid]
         rep = stop_mass_report(lat, tree)
         trees.append({

@@ -18,12 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .graphfit import _fit_lines, balanced_ball_test, beta2
+from .graphfit import balanced_ball_test
 from .kernels import K_INF, K_ZERO, Line, angle_between, theta_vertical
 from .lattice import (
     DEFAULT_DOUBLING_CONSTANT,
     DEFAULT_SEPARATION,
     Lattice,
+    _own_measure,
     build as build_lattice,
     maximal_doubling,
 )
@@ -157,24 +158,6 @@ class TreeDecomposition:
         return sorted(q for q, v in self.stop.items() if v.label == label)
 
 
-def _own_measure(lattice: Lattice, mu: DiscreteMeasure) -> None:
-    """Reject a measure other than the one the lattice was built on: the
-    lattice's densities, masses and atom tables are those of ``lattice.mu``."""
-    if mu is not lattice.mu and not (np.array_equal(mu.points, lattice.mu.points)
-                                     and np.array_equal(mu.weights, lattice.mu.weights)):
-        raise ValueError("mu must be the lattice's own measure, lattice.mu")
-
-
-def _doubling_lines(lattice: Lattice, ids) -> dict[int, Line]:
-    """The best line of the 2B of each doubling cube among ``ids``, all
-    fitted in one batch from the lattice's table of 2B atoms."""
-    ids = [q for q in ids if lattice.cubes[q].doubling]
-    atoms = [lattice.atoms_2b(q) for q in ids]
-    start = np.cumsum([0] + [a.size for a in atoms])
-    lines, _, _ = _fit_lines(lattice.mu, np.concatenate(atoms), start)
-    return dict(zip(ids, lines))
-
-
 def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
                  kmat: np.ndarray | None = None) -> _WindowEngine:
     """K_0 with the atoms ``sub`` of a root's 2B in all three slots, one
@@ -209,10 +192,7 @@ def _replacement(lattice: Lattice, qid: int) -> list[int]:
 
 class _TreeBuilder:
     def __init__(self, lattice: Lattice, mu: DiscreteMeasure, root_id: int,
-                 params: Params, lines: dict[int, Line] | None = None):
-        """``lines`` holds the best line of each doubling cube's 2B, as
-        ``_doubling_lines`` fits them; by default those of the root's
-        descendants are fitted."""
+                 params: Params):
         if not lattice.cubes[root_id].doubling:
             raise ValueError("tree roots must be doubling cubes")
         self.lattice = lattice
@@ -224,9 +204,7 @@ class _TreeBuilder:
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.perm: dict[int, float] = {}
         self.theta_density = lattice.theta_2b(root_id)
-        self.lines = (_doubling_lines(lattice, lattice.descendants(root_id))
-                      if lines is None else lines)
-        self.line = self.lines[root_id]
+        self.line = lattice.line_2b(root_id)
         self.in_t_vf, self.theta_r = theta_r_rule(
             theta_vertical(self.line), params
         )
@@ -235,7 +213,7 @@ class _TreeBuilder:
         """Best line of the doubled companion ball of the doubling cube
         ``qid``; None when the ball holds fewer than two atoms and every
         line is a minimizer."""
-        return self.lines[qid] if self.lattice.atoms_2b(qid).size >= 2 else None
+        return self.lattice.line_2b(qid) if self.lattice.atoms_2b(qid).size >= 2 else None
 
     def perm_sq(self, qid: int) -> float:
         q = self.lattice.cubes[qid]
@@ -282,10 +260,7 @@ class _TreeBuilder:
         """Grow and stop the tree; ``engine_for`` maps the root's 2B atoms
         to the engine of the windowed sums."""
         lat, mu, par = self.lattice, self.mu, self.params
-        order = sorted(
-            lat.descendants(self.root_id),
-            key=lambda q: (lat.cubes[q].level, q),
-        )
+        order = sorted(lat.descendants(self.root_id))  # ids run level by level
         if lat.cubes[self.root_id].n_members < 2:
             # a point mass has no sub-structure to stop on
             return self._decomposition(dict.fromkeys(order))
@@ -306,6 +281,7 @@ class _TreeBuilder:
         open_ids = [q for q in chain if q not in stop]
         fitted = [q for q in open_ids
                   if lat.cubes[q].doubling and self.cube_line(q) is not None]
+        lines = [self.cube_line(q) for q in fitted]
         tol = 5 * math.sqrt(par.eps0)
         # the 2B of the cubes and of the fitted ones; candidate pairs come
         # from one broadcast at a margin numpy's complex abs cannot cross,
@@ -324,7 +300,7 @@ class _TreeBuilder:
                 tid = fitted[j]
                 if abs(complex(c_fit[j] - c_open[i])) <= r_fit[j] - r_open[i]:
                     lim = tol * lat.big_ball(tid).radius
-                    far |= np.atleast_1d(self.cube_line(tid).distance(pts)) > lim
+                    far |= np.atleast_1d(lines[j].distance(pts)) > lim
             far_mass = float(mu.weights[members[far]].sum())
             if far_mass > math.sqrt(par.alpha) * lat.mass(qid):
                 stop[qid] = StopVerdict("F", far_mass / lat.mass(qid))
@@ -434,10 +410,11 @@ def build_top(
     ``D W K(z - x)`` only once some atom's window leaves another atom out.
 
     Every tree reads the atoms of each cube's 2B from the lattice's table
-    (``Lattice.atoms_2b``), and the best lines of all doubling cubes' 2B
-    are fitted once, in one batch, before the first tree: the roots, the
-    slope rule and the far-from-lines pass read them.  A root with one
-    atom costs a table lookup and builds no engine.
+    (``Lattice.atoms_2b``) and the best line of each cube's 2B from the
+    lattice's fit table (``Lattice.line_2b``), which fits every cube once,
+    in one batch, on its first read: the roots, the slope rule and the
+    far-from-lines pass read it.  A root with one atom costs a table
+    lookup and builds no engine.
 
     ``mu`` must be ``lattice.mu``, or have its points and weights.  A
     measure whose ``N2_ARRAYS`` n x n arrays would not fit in physical
@@ -454,7 +431,6 @@ def build_top(
     if not root.doubling:
         raise ValueError("the support cube is not doubling")
     kmat = _kernel_matrix(K_ZERO, mu.points, mu.points)
-    lines = _doubling_lines(lattice, range(len(lattice.cubes)))
     last: tuple[np.ndarray, _WindowEngine] | None = None
 
     def engine_for(sub: np.ndarray) -> _WindowEngine:
@@ -477,7 +453,7 @@ def build_top(
     for _ in range(K_MAX):
         nxt: list[int] = []
         for rid in generations[-1]:
-            tree = _TreeBuilder(lattice, mu, rid, params, lines).build(engine_for)
+            tree = _TreeBuilder(lattice, mu, rid, params).build(engine_for)
             trees[rid] = tree
             for q in tree.next_ids:
                 if q not in seen:
@@ -536,13 +512,9 @@ def beta_packing_sum(
 ) -> BetaPackingReport:
     """Summed squared beta numbers weighted by density and mass over every
     cube, against the curvature-plus-mass budget."""
-    terms = []
-    for q in lattice.cubes:
-        ball = lattice.big_ball(q.id, 2.0)
-        b = beta2(mu, ball)
-        theta = lattice.theta_2b(q.id)
-        terms.append(b.beta**2 * theta * lattice.mass(q.id))
-    beta_sum = math.fsum(terms)
+    _own_measure(lattice, mu)
+    beta_sum = math.fsum([lattice.beta_2b(q) ** 2 * lattice.theta_2b(q) * lattice.mass(q)
+                          for q in range(len(lattice.cubes))])
     c2 = curvature_squared(mu, workers=workers)
     denom = c2 + mu.total_mass
     return BetaPackingReport(beta_sum, c2, mu.total_mass,

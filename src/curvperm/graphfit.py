@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import Line
-from .lattice import BIG_BALL_FACTOR, Lattice, first_doubling_ancestor
+from .lattice import BIG_BALL_FACTOR, Lattice, _fit_lines, _own_measure, first_doubling_ancestor
 from .measure import _ROWS, Ball, DiscreteMeasure, _distance_rows
 from .permutations import perm_truncated_window
 
@@ -49,54 +49,15 @@ class BetaResult:
 
 
 def beta2(mu: DiscreteMeasure, ball: Ball) -> BetaResult:
-    """Scale-normalized least-squares line fit inside an open ball.
-
-    The minimizing line passes through the weighted centroid along the top
-    principal direction, so the fit is closed form and deterministic.  The
-    ball's atoms are fitted by ``_fit_lines``.
-    """
+    """Scale-normalized least-squares line fit inside an arbitrary open ball,
+    closed form and deterministic: ``lattice._fit_lines`` of the atoms a scan
+    finds.  A cube's 2B reads the same values from ``Lattice.line_2b``."""
     keep = np.flatnonzero(ball.contains(mu.points))
     if not keep.size:
         return BetaResult(0.0, Line(ball.center, 1 + 0j), ball, 0.0, True)
-    (line,), (mass,), (lam_min,) = _fit_lines(mu, keep, np.array([0, keep.size]))
-    return BetaResult(math.sqrt(lam_min / ball.radius**3), line, ball, mass, False)
-
-
-def _fit_lines(mu: DiscreteMeasure, atoms: np.ndarray,
-               start: np.ndarray) -> tuple[list[Line], list[float], list[float]]:
-    """The best line, the mass and the smallest scatter eigenvalue (clipped
-    at 0) of each non-empty atom set ``atoms[start[k]:start[k + 1]]``, the
-    sorted indices of some of ``mu``'s atoms.
-
-    Each set's moments are summed over its own atoms, one numpy sum per
-    moment; the scatter matrices of all sets go to one stacked
-    ``np.linalg.eigh``, which decomposes each matrix as a call of its own
-    does.
-    """
-    w, pts = mu.weights[atoms], mu.points[atoms]
-    bounds = start.tolist()
-    masses, centroids, scatter = [], [], []
-    for a, b in zip(bounds, bounds[1:]):
-        ws, xs, ys = w[a:b], pts.real[a:b], pts.imag[a:b]
-        mass = float(ws.sum())
-        cx = float((ws * xs).sum()) / mass
-        cy = float((ws * ys).sum()) / mass
-        dx, dy = xs - cx, ys - cy
-        wdx = ws * dx
-        sxy = float((wdx * dy).sum())
-        scatter.append([[float((wdx * dx).sum()), sxy], [sxy, float((ws * dy * dy).sum())]])
-        masses.append(mass)
-        centroids.append(complex(cx, cy))
-    evals, evecs = np.linalg.eigh(np.array(scatter))
-    lines = []
-    for anchor, vx, vy in zip(centroids, evecs[:, 0, 1].tolist(), evecs[:, 1, 1].tolist()):
-        if vx == 0.0 and vy == 0.0:
-            vx, vy = 1.0, 0.0
-        direction = complex(vx, vy) / abs(complex(vx, vy))
-        if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
-            direction = -direction
-        lines.append(Line(anchor, direction))
-    return lines, masses, [max(e, 0.0) for e in evals[:, 0].tolist()]
+    (anchor,), (direction,), (mass,), (lam_min,) = _fit_lines(mu, keep, np.array([0, keep.size]))
+    return BetaResult(math.sqrt(lam_min / ball.radius**3),
+                      Line(complex(anchor), complex(direction)), ball, float(mass), False)
 
 
 class DistanceField:
@@ -225,13 +186,14 @@ def whitney_cover(
     """Maximal dyadic intervals ``J`` (anchored at the projected base point)
     with ``len(J) <= inf_J D / 20``, each carrying the best line of a cube
     that nearly attains the infimum."""
+    _own_measure(lattice, mu)
     field = _tree_field(lattice, dbtree_ids)
     return _whitney_cover(field, mu, root_id, line, max(field.diameter(root_id), mu.scale))
 
 
 def _tree_field(lattice: Lattice, dbtree_ids) -> DistanceField:
     """The distance field of a doubling tree, its cubes coarsest first."""
-    dbtree_ids = sorted(dbtree_ids, key=lambda q: (lattice.cubes[q].level, q))
+    dbtree_ids = sorted(dbtree_ids)  # ids run level by level
     if not dbtree_ids:
         raise ValueError("empty doubling tree")
     return DistanceField(lattice, dbtree_ids)
@@ -272,7 +234,7 @@ def _whitney_cover(
     picks = _select_cube(field, proj, lattice, lo[in_window], hi[in_window])
     pieces = {}  # per cube: its fit's anchor in line coordinates and its slope
     for qid in dict.fromkeys(picks):
-        best = beta2(mu, lattice.big_ball(qid, 2.0)).line
+        best = lattice.line_2b(qid)
         turn = best.direction * np.conj(line.direction)
         pieces[qid] = None if abs(turn.real) < 1e-9 else (
             float(line.project(best.anchor)), float(line.offset(best.anchor)),
@@ -376,7 +338,8 @@ def build_lipschitz_F(
     With an empty doubling tree the function is identically zero and its
     graph is the base line itself.
     """
-    line = beta2(mu, lattice.big_ball(root_id, 2.0)).line
+    _own_measure(lattice, mu)
+    line = lattice.line_2b(root_id)
     member_pts = mu.points[lattice.cubes[root_id].members]
     dbtree_ids = list(dbtree_ids)
     if not dbtree_ids:
@@ -418,6 +381,7 @@ def graph_closeness_report(
 ) -> dict:
     """Distances from atoms to the built graph against the local distance
     field, and graph-to-base-line offsets against the root radius."""
+    _own_measure(lattice, mu)
     root = lattice.cubes[root_id]
     pts = mu.points[root.members]
     in_b0 = np.abs(pts - graph.line.embed(graph.u0)) < 10 * graph.diam
@@ -461,15 +425,14 @@ def beta_perm_comparison(
     beta number against a squared-density base plus a windowed-permutation
     term.  The fitted constant is whatever multiple of the permutation term
     absorbs the excess; it is reported, not asserted."""
+    _own_measure(lattice, mu)
     theta = lattice.theta_2b(qid)
-    ball = lattice.big_ball(qid, 2.0)
-    fit = beta2(mu, ball)
-    sub = mu.restrict(ball)
+    sub = mu._view(lattice.atoms_2b(qid))
     perm = perm_truncated_window(
         sub, sub, sub, delta, lattice.cubes[qid].radius
     ).value
     perm_term = max(perm, 0.0) / lattice.mass(qid)
-    lhs = fit.beta**2 * theta
+    lhs = lattice.beta_2b(qid)**2 * theta
     base = 4 * eps**2 * theta**2
     excess = lhs - base
     fitted_c = excess / perm_term if excess > 0 and perm_term > 0 else 0.0

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .kernels import Line
 from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range, _distance_rows
 
 __all__ = [
@@ -55,7 +56,9 @@ class Lattice:
     """The cubes of a measure, level by level, and two tables from the
     build's one distance row per cube: the density of each cube's 2B, and
     the atoms of each 2B, held as one flat index array with per-cube
-    offsets rather than an array per cube."""
+    offsets rather than an array per cube.  Cube ids run level by level.
+    The first read of ``line_2b`` or ``beta_2b`` fits every 2B's best line
+    in one ``_fit_lines`` call over the atom table, kept as flat arrays."""
 
     mu: DiscreteMeasure
     c0: float
@@ -80,6 +83,22 @@ class Lattice:
     def report(self) -> dict:
         """Separation and containment violations, computed on first read."""
         return _build_report(self)
+
+    @cached_property
+    def _fit_2b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The anchor, direction and smallest scatter eigenvalue of each 2B's
+        best line, by cube id; no 2B is empty, as it holds its cube."""
+        anchors, directions, _, lams = _fit_lines(self.mu, self.atoms2b, self.atoms2b_start)
+        return anchors, directions, lams
+
+    def line_2b(self, qid: int) -> Line:
+        """``beta2(mu, big_ball(qid, 2.0)).line``, read from the fit table."""
+        anchors, directions, _ = self._fit_2b
+        return Line(complex(anchors[qid]), complex(directions[qid]))
+
+    def beta_2b(self, qid: int) -> float:
+        """``beta2(mu, big_ball(qid, 2.0)).beta``, read from the fit table."""
+        return math.sqrt(float(self._fit_2b[2][qid]) / self.big_ball(qid, 2.0).radius**3)
 
     def ball(self, qid: int) -> Ball:
         q = self.cubes[qid]
@@ -297,6 +316,54 @@ def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]]
     return theta2b, atoms, start
 
 
+def _fit_lines(mu: DiscreteMeasure, atoms: np.ndarray, start: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The best line (anchor and unit direction), the mass and the smallest
+    scatter eigenvalue (clipped at 0) of each non-empty atom set
+    ``atoms[start[k]:start[k + 1]]``, the sorted indices of some of
+    ``mu``'s atoms, as one array each.
+
+    Each set's moments are summed over its own atoms, one numpy sum per
+    moment; the scatter matrices of all sets go to one stacked
+    ``np.linalg.eigh``, which decomposes each matrix as a call of its own
+    does.
+    """
+    w, pts = mu.weights[atoms], mu.points[atoms]
+    bounds = start.tolist()
+    masses, centroids, scatter = [], [], []
+    for a, b in zip(bounds, bounds[1:]):
+        ws, xs, ys = w[a:b], pts.real[a:b], pts.imag[a:b]
+        mass = float(ws.sum())
+        cx = float((ws * xs).sum()) / mass
+        cy = float((ws * ys).sum()) / mass
+        dx, dy = xs - cx, ys - cy
+        wdx = ws * dx
+        sxy = float((wdx * dy).sum())
+        scatter.append([[float((wdx * dx).sum()), sxy], [sxy, float((ws * dy * dy).sum())]])
+        masses.append(mass)
+        centroids.append(complex(cx, cy))
+    evals, evecs = np.linalg.eigh(np.array(scatter))
+    directions = []
+    for vx, vy in zip(evecs[:, 0, 1].tolist(), evecs[:, 1, 1].tolist()):
+        if vx == 0.0 and vy == 0.0:
+            vx, vy = 1.0, 0.0
+        direction = complex(vx, vy) / abs(complex(vx, vy))
+        if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
+            direction = -direction
+        directions.append(direction)
+    return (np.array(centroids, dtype=complex), np.array(directions, dtype=complex),
+            np.array(masses), np.array([max(e, 0.0) for e in evals[:, 0].tolist()]))
+
+
+def _own_measure(lattice: Lattice, mu: DiscreteMeasure) -> None:
+    """Reject a measure other than the one the lattice was built on: the
+    lattice's densities, masses, atom tables and lines are those of
+    ``lattice.mu``."""
+    if mu is not lattice.mu and not (np.array_equal(mu.points, lattice.mu.points)
+                                     and np.array_equal(mu.weights, lattice.mu.weights)):
+        raise ValueError("mu must be the lattice's own measure, lattice.mu")
+
+
 def _build_report(lattice: Lattice) -> dict:
     mu = lattice.mu
     report = {
@@ -422,13 +489,6 @@ def delta_mu(lattice: Lattice, qid: int, tid: int) -> float:
     if not lattice.is_ancestor(tid, qid):
         raise ValueError("second cube must contain the first")
     mu = lattice.mu
-    z_q = lattice.cubes[qid].center
-    outer = lattice.big_ball(tid, 2.0)
-    inner = lattice.big_ball(qid, 2.0)
-    d_out = np.abs(mu.points - outer.center)
-    d_in = np.abs(mu.points - inner.center)
-    in_annulus = (d_out < outer.radius) & ~(d_in < inner.radius)
-    if not np.any(in_annulus):
-        return 0.0
-    dist = np.abs(mu.points[in_annulus] - z_q)
-    return math.fsum(mu.weights[in_annulus] / dist)
+    annulus = np.setdiff1d(lattice.atoms_2b(tid), lattice.atoms_2b(qid))
+    dist = np.abs(mu.points[annulus] - lattice.cubes[qid].center)
+    return math.fsum(mu.weights[annulus] / dist)

@@ -327,6 +327,19 @@ def beta2_scan(mu, ball) -> BetaResult:
     return BetaResult(beta, Line(complex(cx, cy), direction), ball, mass, False)
 
 
+def delta_mu_scan(lattice, qid: int, tid: int) -> float:
+    """``lattice.delta_mu`` with the annulus between the two 2B balls found
+    by a distance scan of every atom."""
+    mu = lattice.mu
+    outer, inner = lattice.big_ball(tid, 2.0), lattice.big_ball(qid, 2.0)
+    in_annulus = ((np.abs(mu.points - outer.center) < outer.radius)
+                  & ~(np.abs(mu.points - inner.center) < inner.radius))
+    if not np.any(in_annulus):
+        return 0.0
+    dist = np.abs(mu.points[in_annulus] - lattice.cubes[qid].center)
+    return math.fsum(mu.weights[in_annulus] / dist)
+
+
 def doubling_raw(lattice, qid) -> bool:
     """A cube's doubling flag from its own balls, ``mass(100B) <= C
     mass(B)``, each mass a scan of every atom."""

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvperm import corona, permutations
+from curvperm import corona, graphfit, lattice, permutations
 from curvperm.corona import (
     Params,
     _engine_rows,
@@ -17,7 +17,7 @@ from curvperm.corona import (
     theta_r_rule,
 )
 from curvperm.experiments import corona_corpus
-from curvperm.graphfit import beta2
+from curvperm.graphfit import beta2, build_lipschitz_F
 from curvperm.kernels import K_ZERO
 from curvperm.lattice import build
 from curvperm.measure import Ball, DiscreteMeasure, generate
@@ -30,6 +30,17 @@ def fresh_engine(lat, mu, rid):
     matrix."""
     sub = lat.atoms_2b(rid)
     return sub, _flat_engine(mu, sub)
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The number of atom sets of each ``_fit_lines`` call the lattice
+    makes, in call order."""
+    calls, real = [], lattice._fit_lines
+    monkeypatch.setattr(lattice, "_fit_lines",
+                        lambda mu, atoms, start: calls.append(start.size - 1)
+                        or real(mu, atoms, start))
+    return calls
 
 
 def make(mu, params=None):
@@ -567,34 +578,26 @@ class TestEngine:
         assert n_open > 0
 
     def test_cube_line_reads_the_ball_atoms_of_perm_sq(self, monkeypatch):
-        # cube_line counts 2B(Q) from the atoms perm_sq found; only beta2
-        # scans the ball
+        # cube_line counts 2B(Q) from the lattice's atom table and reads its
+        # line from the lattice's fit table; neither scans the ball, not
+        # even on the first read, which fits every cube
         mu = corona_corpus()["graph_0.2"]
         lat, params = make(mu)
-        depth = {"line": 0, "beta2": 0}
-        lines, stray = [], []
+        depth, lines, stray = 0, [], []
+        real_line, real_contains = corona._TreeBuilder.cube_line, Ball.contains
 
-        def nested(key, fn):
-            def call(*args):
-                depth[key] += 1
-                try:
-                    return fn(*args)
-                finally:
-                    depth[key] -= 1
-            return call
+        def cube_line(builder, q):
+            nonlocal depth
+            depth += 1
+            try:
+                lines.append(q)
+                return real_line(builder, q)
+            finally:
+                depth -= 1
 
-        real_contains = Ball.contains
-
-        def contains(ball, z):
-            if depth["line"] and not depth["beta2"]:
-                stray.append(ball)
-            return real_contains(ball, z)
-
-        real_line = corona._TreeBuilder.cube_line
-        monkeypatch.setattr(corona._TreeBuilder, "cube_line",
-                            nested("line", lambda b, q: lines.append(q) or real_line(b, q)))
-        monkeypatch.setattr(corona, "beta2", nested("beta2", corona.beta2))
-        monkeypatch.setattr(Ball, "contains", contains)
+        monkeypatch.setattr(corona._TreeBuilder, "cube_line", cube_line)
+        monkeypatch.setattr(Ball, "contains",
+                            lambda b, z: (depth and stray.append(b)) or real_contains(b, z))
         build_top(lat, mu, params)
         assert lines and stray == []
 
@@ -650,8 +653,9 @@ class TestEngine:
 
 
 class TestTableAndFits:
-    """build_top reads 2B atoms from the lattice's table and fits each
-    doubling cube's line once, in one batch."""
+    """build_top reads 2B atoms from the lattice's table and each cube's
+    line from the lattice's fit table, which fits every cube once, in one
+    batch."""
 
     def test_no_whole_measure_scan(self, monkeypatch):
         sizes, real = [], Ball.contains
@@ -663,25 +667,37 @@ class TestTableAndFits:
             build_top(lat, mu, params)
             assert len(mu) not in sizes
 
-    def test_each_doubling_cube_fitted_once(self, monkeypatch):
-        fits, betas = [], []
-        real_fit, real_beta = corona._fit_lines, corona.beta2
-        monkeypatch.setattr(corona, "_fit_lines",
-                            lambda mu, atoms, start: fits.append(start.size - 1)
-                            or real_fit(mu, atoms, start))
-        monkeypatch.setattr(corona, "beta2", lambda *a: betas.append(a) or real_beta(*a))
+    def test_each_doubling_cube_fitted_once(self, monkeypatch, fit_calls):
+        # one fit per cube, doubling or not, in one call; no beta2 scan
+        betas, real_beta = [], graphfit.beta2
+        monkeypatch.setattr(graphfit, "beta2", lambda *a: betas.append(a) or real_beta(*a))
+        assert not hasattr(corona, "beta2") and not hasattr(corona, "_fit_lines")
         for mu in corona_corpus().values():
             lat, params = make(mu)
-            fits.clear()
+            fit_calls.clear()
             cor = build_top(lat, mu, params)
-            assert fits == [sum(q.doubling for q in lat.cubes)]
+            assert fit_calls == [len(lat.cubes)]
             assert len(cor.trees) > 0 and betas == []
+
+    def test_one_fit_serves_every_reader(self, fit_calls):
+        # the trees of build_top and build_tree, the beta packing sum and
+        # every tree's Lipschitz fit read one fit of the lattice
+        for name in ("graph_0.2", "cantor4_2"):
+            mu = corona_corpus()[name]
+            lat, params = make(mu)
+            fit_calls.clear()
+            cor = build_top(lat, mu, params)
+            build_tree(lat, mu, lat.root.id, Params(delta=0.05))
+            beta_packing_sum(lat, mu)
+            for rid, tree in cor.trees.items():
+                build_lipschitz_F(lat, mu, rid, tree.dbtree_ids, n_samples=64)
+            assert fit_calls == [len(lat.cubes)]
 
     def test_single_atom_root_is_a_table_lookup(self):
         # no engine, no point sums and no mask over the measure's atoms
         mu = generate("cantor4", level=6)
         lat, params = make(mu)
-        lines = corona._doubling_lines(lat, range(len(lat.cubes)))
+        lat.line_2b(lat.root.id)  # fit the lattice's lines, as build_top's first tree does
         roots = [q.id for q in lat.cubes if q.doubling and q.n_members == 1]
         assert len(roots) > 100
 
@@ -689,7 +705,7 @@ class TestTableAndFits:
             raise AssertionError("a single-atom root built an engine")
 
         for rid in roots[::97]:
-            builder = corona._TreeBuilder(lat, mu, rid, params, lines)
+            builder = corona._TreeBuilder(lat, mu, rid, params)
             tracemalloc.start()
             try:
                 tree = builder.build(no_engine)
@@ -702,7 +718,7 @@ class TestTableAndFits:
             assert tree.perm_sq == dict.fromkeys(chain, 0.0)
             assert np.array_equal(tree.g_r, lat.cubes[rid].members)
             assert tree.r_far.size == tree.dropped_atoms.size == 0
-            assert tree.line == lines[rid]
+            assert repr(tree.line) == repr(lat.line_2b(rid))
 
     @pytest.mark.parametrize("change", ["points", "weights"])
     @pytest.mark.parametrize("entry", ["build_top", "build_tree"])

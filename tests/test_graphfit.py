@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from curvperm import graphfit
-from curvperm.corona import Params, build_top, build_tree
+from curvperm import graphfit, lattice
+from curvperm.corona import Params, beta_packing_sum, build_top, build_tree
 from curvperm.experiments import corona_corpus
 from curvperm.graphfit import (
     DistanceField,
@@ -15,15 +15,15 @@ from curvperm.graphfit import (
     WhitneyCover,
     balanced_ball_test,
     beta2,
+    beta_perm_comparison,
     build_lipschitz_F,
     graph_closeness_report,
     partition_of_unity,
-    _fit_lines,
     _select_cube,
     whitney_cover,
 )
 from curvperm.kernels import Line
-from curvperm.lattice import build
+from curvperm.lattice import _fit_lines, build, delta_mu
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from oracles import (
     balanced_pair_dense,
@@ -105,10 +105,10 @@ class TestBatchedFit:
 
     @staticmethod
     def _lattice_fits(lat):
-        start = lat.atoms2b_start
-        lines, masses, lams = _fit_lines(lat.mu, lat.atoms2b, start)
-        assert len(lines) == len(masses) == len(lams) == len(lat.cubes)
-        return lines, masses, lams
+        anchors, directions, masses, lams = _fit_lines(lat.mu, lat.atoms2b, lat.atoms2b_start)
+        assert anchors.size == directions.size == masses.size == lams.size == len(lat.cubes)
+        lines = [Line(a, d) for a, d in zip(anchors.tolist(), directions.tolist())]
+        return lines, masses.tolist(), lams.tolist()
 
     @pytest.mark.parametrize("name", sorted(corona_corpus()))
     def test_every_cube_ball(self, name):
@@ -138,11 +138,11 @@ class TestBatchedFit:
         # the sets of a lattice fitted together and each alone agree
         mu = corona_corpus()["perturbed_graph"]
         lat = build(mu)
-        together = self._lattice_fits(lat)
+        together = _fit_lines(mu, lat.atoms2b, lat.atoms2b_start)
         for q in range(0, len(lat.cubes), 7):
             atoms = lat.atoms_2b(q)
             alone = _fit_lines(mu, atoms, np.array([0, atoms.size]))
-            assert repr([v[q] for v in together]) == repr([v[0] for v in alone])
+            assert repr([v[q].item() for v in together]) == repr([v[0].item() for v in alone])
 
 
 class TestDistanceFunctions:
@@ -289,27 +289,34 @@ class TestCubeTable:
         assert promoted
 
     def test_one_fit_and_one_diameter_per_cube(self, graph_setup, monkeypatch):
+        # each picked cube's line is read from the lattice's fit table
+        # once, and nothing is fitted again
         mu, lat, _ = graph_setup
         ids = self._family(graph_setup)
-        fits, diameters = Counter(), Counter()
-        beta2_, set_diameter = graphfit.beta2, lat.set_diameter
+        reads, diameters = Counter(), Counter()
+        line_2b, set_diameter = lat.line_2b, lat.set_diameter
 
-        def count_beta2(mu, ball):
-            fits[ball] += 1
-            return beta2_(mu, ball)
+        def count_line(qid):
+            reads[qid] += 1
+            return line_2b(qid)
 
         def count_diameter(qid):
             diameters[qid] += 1
             return set_diameter(qid)
 
-        monkeypatch.setattr(graphfit, "beta2", count_beta2)
+        def refit(*args):
+            raise AssertionError("the lattice's lines were fitted again")
+
+        line = line_2b(ids[0])
+        monkeypatch.setattr(lattice, "_fit_lines", refit)
+        monkeypatch.setattr(graphfit, "beta2", refit)
+        monkeypatch.setattr(lat, "line_2b", count_line)
         monkeypatch.setattr(lat, "set_diameter", count_diameter)
-        line = beta2_(mu, lat.big_ball(ids[0], 2.0)).line
         cover = whitney_cover(lat, mu, ids[0], ids, line)
         used = [q for q in cover.cube_of if q is not None]
         assert len(used) > len(set(used))
-        assert sum(fits.values()) == len(set(used))
-        assert set(fits.values()) == {1}
+        assert sum(reads.values()) == len(set(used))
+        assert set(reads.values()) == {1}
         assert set(diameters) <= set(ids) and set(diameters.values()) == {1}
 
     def test_fit_measures_each_cube_once(self, graph_setup, monkeypatch):
@@ -763,8 +770,6 @@ class TestBetaPermComparison:
     def test_fitted_constant_over_balanced_cubes(self):
         # positive beta excess over the squared-density base must come with
         # positive local permutations, so a finite constant absorbs it
-        from curvperm.graphfit import beta_perm_comparison
-
         params = Params()
         worst_c = 0.0
         checked = 0
@@ -789,13 +794,66 @@ class TestBetaPermComparison:
         assert math.isfinite(worst_c)
 
     def test_collinear_cube_has_no_excess(self):
-        from curvperm.graphfit import beta_perm_comparison
-
         mu = generate("segment", n=64)
         lat = build(mu)
         rec = beta_perm_comparison(lat, mu, lat.root.id, 1e-2, 1e-3)
         assert rec["lhs"] == 0.0
         assert rec["excess"] <= 0.0
+
+
+class TestLatticeMeasure:
+    """The entry points that take ``(lattice, mu)`` read the lattice's tables,
+    so they accept only the lattice's own measure, as build_top does."""
+
+    @staticmethod
+    def _setup():
+        mu = corona_corpus()["graph_0.1"]
+        lat = build(mu)
+        rid, tree = max(build_top(lat, mu, Params()).trees.items(),
+                        key=lambda kv: len(kv[1].dbtree_ids))
+        ids = tree.dbtree_ids
+        graph = build_lipschitz_F(lat, mu, rid, ids, n_samples=64)
+        small = next(q.id for q in lat.cubes if q.level == 2 and lat.atoms_2b(q.id).size >= 3)
+        return mu, lat, {
+            "whitney_cover": lambda m: whitney_cover(lat, m, rid, ids, graph.line),
+            "build_lipschitz_F": lambda m: build_lipschitz_F(lat, m, rid, ids, n_samples=64),
+            "graph_closeness_report": lambda m: graph_closeness_report(lat, m, rid, ids, graph),
+            "beta_perm_comparison": lambda m: beta_perm_comparison(lat, m, small, 1e-2, 1e-3),
+        }
+
+    @pytest.mark.parametrize("change", ["points", "weights"])
+    @pytest.mark.parametrize("entry", ["whitney_cover", "build_lipschitz_F",
+                                       "graph_closeness_report", "beta_perm_comparison"])
+    def test_foreign_measure_is_rejected(self, change, entry):
+        mu, _, entries = self._setup()
+        pts, w = mu.points.copy(), mu.weights.copy()
+        if change == "points":
+            pts[3] += 1e-9
+        else:
+            w[3] *= 2
+        with pytest.raises(ValueError, match="^mu must be the lattice's own measure, lattice.mu$"):
+            entries[entry](DiscreteMeasure(pts, w, mu.scale))
+        # an equal copy is the lattice's measure
+        copy = DiscreteMeasure(mu.points.copy(), mu.weights.copy(), mu.scale)
+        assert repr(entries[entry](copy)) == repr(entries[entry](mu))
+
+    def test_no_whole_measure_scan(self, monkeypatch):
+        # the fits, covers, beta comparisons and annulus sums read 2B atoms
+        # and lines from the lattice's tables
+        mu = corona_corpus()["perturbed_graph"]
+        lat = build(mu)
+        corona = build_top(lat, mu, Params())
+        sizes, real = [], Ball.contains
+        monkeypatch.setattr(Ball, "contains", lambda b, z: sizes.append(np.size(z)) or real(b, z))
+        for rid, tree in corona.trees.items():
+            if lat.cubes[rid].n_members >= 2:
+                build_lipschitz_F(lat, mu, rid, tree.dbtree_ids, n_samples=64)
+        for q in lat.cubes[1::9]:
+            if lat.atoms_2b(q.id).size <= 64:
+                beta_perm_comparison(lat, mu, q.id, 1e-2, 1e-3)
+            delta_mu(lat, q.id, q.parent)
+        beta_packing_sum(lat, mu)
+        assert len(mu) not in sizes
 
 
 class TestBalancedBalls:

@@ -19,7 +19,7 @@ from curvperm.lattice import (
     small_boundary_report,
 )
 from curvperm.measure import DiscreteMeasure, generate
-from oracles import doubling_raw, greedy_net_1d, level_5b_pairs
+from oracles import beta2_scan, delta_mu_scan, doubling_raw, greedy_net_1d, level_5b_pairs
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +381,56 @@ class TestBallTable:
         assert table <= freed <= table + 512
 
 
+class TestIdsRunLevelByLevel:
+    """``build`` numbers the cubes level by level, so a plain sort of cube
+    ids orders them by ``(level, id)``, as the corona, the Whitney cover
+    and the CLI sort them."""
+
+    @staticmethod
+    def _check(lat):
+        assert [i for lvl in lat.levels for i in lvl] == list(range(len(lat.cubes)))
+        assert [q.id for q in lat.cubes] == list(range(len(lat.cubes)))
+
+    @pytest.mark.parametrize("c0, a0", [(2.0, 8.0), (1.05, 1.1)])
+    def test_corpus(self, c0, a0):
+        for mu in corona_corpus().values():
+            self._check(build(mu, c0=c0, a0=a0))
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(_grid_measures(), st.sampled_from([(2.0, 8.0), (1.05, 1.1), (1.5, 3.0)]))
+    def test_grid_measures(self, mu, constants):
+        c0, a0 = constants
+        self._check(build(mu, c0=c0, a0=a0))
+
+
+class TestFitTable:
+    """``Lattice.line_2b`` and ``beta_2b`` against a scan of each cube's 2B,
+    bit for bit: ``repr`` tells -0.0 from 0.0, which ``==`` does not."""
+
+    @staticmethod
+    def _check(lat):
+        for q in lat.cubes:
+            ref = beta2_scan(lat.mu, lat.big_ball(q.id, 2.0))
+            assert not ref.degenerate  # a 2B holds its cube's members
+            assert repr((lat.line_2b(q.id), lat.beta_2b(q.id))) == repr((ref.line, ref.beta))
+
+    @pytest.mark.parametrize("name", sorted(corona_corpus()))
+    def test_corpus(self, name):
+        self._check(build(corona_corpus()[name]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_corona_build_inputs(self, seed):
+        for mu in corona_build_inputs(seed):
+            self._check(build(mu))
+
+    def test_flat_arrays_fitted_once(self):
+        lat = build(generate("cantor4", level=3))
+        table = lat._fit_2b
+        assert lat._fit_2b is table
+        assert [a.dtype for a in table] == [np.dtype(complex), np.dtype(complex), np.dtype(float)]
+        assert all(a.shape == (len(lat.cubes),) for a in table)
+
+
 class TestChainsAndBoundaries:
     def test_trivial_chain(self, segment_lattice):
         _, lat = segment_lattice
@@ -476,6 +526,23 @@ class TestChainsAndBoundaries:
         assert val > 0
         # recorded ratio stays within a modest multiple of the root density
         assert val / theta_root < 2000
+
+    @pytest.mark.parametrize("name", sorted(corona_corpus()))
+    def test_delta_mu_matches_scan(self, name):
+        # the annulus read from the 2B table sums the atoms the scan finds
+        lat = build(corona_corpus()[name])
+        pairs = [(q.id, t) for q in lat.cubes for t in lat.chain(q.id, lat.root.id)]
+        assert any(delta_mu_scan(lat, q, t) > 0 for q, t in pairs)
+        for q, t in pairs:
+            assert repr(delta_mu(lat, q, t)) == repr(delta_mu_scan(lat, q, t))
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(_grid_measures())
+    def test_delta_mu_matches_scan_on_grids(self, mu):
+        lat = build(mu)
+        for q in lat.cubes:
+            for t in lat.chain(q.id, lat.root.id):
+                assert repr(delta_mu(lat, q.id, t)) == repr(delta_mu_scan(lat, q.id, t))
 
     def test_delta_mu_precondition(self, segment_lattice):
         _, lat = segment_lattice
