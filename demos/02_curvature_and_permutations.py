@@ -11,7 +11,6 @@ and only roundoff-level minima outside the interval.
 
 from curvperm import generate
 from curvperm.kernels import K_INF, K_ZERO
-from curvperm.measure import Ball
 from curvperm.permutations import (
     curvature_squared,
     menger_curvature,
@@ -27,7 +26,7 @@ print(f"triple {triple}: curvature {c:.6f}, c^2/4 = {c * c / 4:.6f}, "
 
 print("\nsign scan over random and thin triples:")
 for t in (-3.0, -1.0, -0.75, -0.5, 0.0, 1.0):
-    r = sign_scan(t, Ball(0j, 1.0), n_samples=50_000, seed=7)
+    r = sign_scan(t, n_samples=50_000, seed=7)
     tag = "changes sign" if r.min_value < -1e-10 else "nonnegative"
     print(f"  t={t:5.2f}: min {r.min_value: .3e}  ({tag})")
 

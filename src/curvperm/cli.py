@@ -26,7 +26,7 @@ from .experiments import (
 )
 from .graphfit import build_lipschitz_F
 from .kernels import K_INF, kt
-from .measure import _RECIPE_KEYS, Ball, DiscreteMeasure, generate, load_json, save_json
+from .measure import _RECIPE_KEYS, DiscreteMeasure, generate, load_json, save_json
 from .permutations import curvature_squared, perm_measure, sign_scan
 from .sio import default_grid, l2_norm_T1, mv_identity_report, sup_l2_norm
 
@@ -243,7 +243,7 @@ def _verify(args):
 
 
 def _scan_sign(args):
-    r = sign_scan(args.t, Ball(0j, 1.0), args.samples, seed=args.seed)
+    r = sign_scan(args.t, args.samples, seed=args.seed)
     # the permutation takes negative values exactly for -2 < t < 0
     ok = r.min_value < 0 if -2.0 < args.t < 0.0 else r.min_value >= -1e-10
     return {"t": args.t, "min": r.min_value,

@@ -191,12 +191,12 @@ def _replacement(lattice: Lattice, qid: int) -> list[int]:
 
 
 class _TreeBuilder:
-    def __init__(self, lattice: Lattice, mu: DiscreteMeasure, root_id: int,
-                 params: Params):
+    def __init__(self, lattice: Lattice, root_id: int, params: Params):
         if not lattice.cubes[root_id].doubling:
             raise ValueError("tree roots must be doubling cubes")
         self.lattice = lattice
-        self.mu = mu
+        # build_top and build_tree have checked their mu against this one
+        self.mu = lattice.mu
         self.root_id = root_id
         self.params = params
         # slot-one atoms and their windowed point sums, and the normalized
@@ -374,7 +374,7 @@ def build_tree(
     """Grow and stop one tree, then derive its replacement generation.
     ``mu`` must be ``lattice.mu``, or have its points and weights."""
     _own_measure(lattice, mu)
-    return _TreeBuilder(lattice, mu, root_id, params).build(
+    return _TreeBuilder(lattice, root_id, params).build(
         lambda sub: _flat_engine(mu, sub))
 
 
@@ -453,7 +453,7 @@ def build_top(
     for _ in range(K_MAX):
         nxt: list[int] = []
         for rid in generations[-1]:
-            tree = _TreeBuilder(lattice, mu, rid, params).build(engine_for)
+            tree = _TreeBuilder(lattice, rid, params).build(engine_for)
             trees[rid] = tree
             for q in tree.next_ids:
                 if q not in seen:

@@ -27,7 +27,7 @@ from .corona import (
 )
 from .graphfit import build_lipschitz_F, partition_of_unity, DistanceField
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, kt, zero_lines
-from .measure import Ball, DiscreteMeasure, generate, pushforward
+from .measure import DiscreteMeasure, generate, pushforward
 from .permutations import (
     curvature_squared,
     estimate_c1,
@@ -201,11 +201,11 @@ def _exp_sign_dichotomy(spec: ExperimentSpec):
     records = {}
     flags = {}
     for t in (-3.0, -2.0, 0.0, 0.5, 1.0, 5.0):
-        r = sign_scan(t, Ball(0j, 1.0), spec.n_samples, seed=spec.seed)
+        r = sign_scan(t, spec.n_samples, seed=spec.seed)
         records[f"min_t_{t:g}"] = r.min_value
         flags[f"nonneg_t_{t:g}"] = bool(r.min_value >= -1e-10)
     for t in (-1.0, -0.75, -0.5):
-        r = sign_scan(t, Ball(0j, 1.0), spec.n_samples, seed=spec.seed)
+        r = sign_scan(t, spec.n_samples, seed=spec.seed)
         records[f"min_t_{t:g}"] = r.min_value
         records[f"witness_t_{t:g}"] = [
             [z.real, z.imag] for z in r.argmin_triple

@@ -467,8 +467,10 @@ def balanced_ball_test(
     Balanced: two balls of radius gamma/4 r(Q), each carrying gamma^2
     mass(Q) of the cube, every cross pair of their member atoms at distance
     at least gamma*r(28B(Q)).  Single-atom cubes are balanced by convention: a point
-    mass offers no two chunks and no descendant density gain.
+    mass offers no two chunks and no descendant density gain.  ``mu`` must
+    be ``lattice.mu``, or have its points and weights.
     """
+    _own_measure(lattice, mu)
     q = lattice.cubes[qid]
     if not q.doubling:
         raise ValueError("balance test applies to doubling cubes")

@@ -53,10 +53,10 @@ class Cube:
 
 @dataclass
 class Lattice:
-    """The cubes of a measure, level by level, and two tables from the
-    build's one distance row per cube: the density of each cube's 2B, and
-    the atoms of each 2B, held as one flat index array with per-cube
-    offsets rather than an array per cube.  Cube ids run level by level.
+    """The cubes of a measure, level by level, and three tables from the
+    build's one distance row per cube: the density of each cube's 2B, the
+    mass of each 100B, and the atoms of each 2B, held as one flat index
+    array with per-cube offsets rather than an array per cube.  Cube ids run level by level.
     The first read of ``line_2b`` or ``beta_2b`` fits every 2B's best line
     in one ``_fit_lines`` call over the atom table, kept as flat arrays."""
 
@@ -70,6 +70,8 @@ class Lattice:
     levels: list[list[int]]
     # per cube id, the density theta(2B) of its doubled companion ball
     theta2b: np.ndarray = field(repr=False)
+    # per cube id, the mass of its 100-fold ball 100B
+    mass100b: np.ndarray = field(repr=False)
     # the atoms of every 2B in one sorted index array per cube, laid end to
     # end: cube q's are atoms2b[atoms2b_start[q]:atoms2b_start[q + 1]]
     atoms2b: np.ndarray = field(repr=False)
@@ -111,9 +113,6 @@ class Lattice:
 
     def mass(self, qid: int) -> float:
         return float(self.mu.weights[self.cubes[qid].members].sum())
-
-    def theta(self, ball: Ball) -> float:
-        return self.mu.mass_in(ball) / ball.radius
 
     def theta_2b(self, qid: int) -> float:
         """``theta(big_ball(qid, 2.0))``, read from the build's table."""
@@ -276,10 +275,12 @@ def build(
 
 
 def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]],
-                 doubling_constant: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 doubling_constant: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Set each cube's doubling flag, ``mass(100B) <= C mass(B)``, and return
-    its ``theta(2B)`` and the atoms of its 2B as ``Lattice.atoms2b`` and
-    ``atoms2b_start``, from one distance row per cube.
+    its ``theta(2B)``, its ``mass(100B)`` and the atoms of its 2B as
+    ``Lattice.atoms2b`` and ``atoms2b_start``, from one distance row per
+    cube.
 
     The balls B, 2B = 56 r and 100B share their centre, so the row needs
     only the atoms of 100B.  A cube reads the atoms of its parent's 100B
@@ -288,7 +289,7 @@ def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]]
     as ``mu.mass_in`` of the ball.
     """
     pts, w = mu.points, mu.weights
-    theta2b = np.empty(len(cubes))
+    theta2b, mass100b = np.empty(len(cubes)), np.empty(len(cubes))
     in_2b: list[np.ndarray] = []  # in cube id order, which is level order
     in_100b: dict[int, np.ndarray] = {}
     every = np.arange(len(mu))
@@ -305,7 +306,8 @@ def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]]
             near = d < 100 * q.radius
             idx, d = idx[near], d[near]
             in_100b[qid] = idx
-            q.doubling = bool(w[idx].sum() <= doubling_constant * w[idx[d < q.radius]].sum())
+            mass100b[qid] = w[idx].sum()
+            q.doubling = bool(mass100b[qid] <= doubling_constant * w[idx[d < q.radius]].sum())
             big = 2.0 * BIG_BALL_FACTOR * q.radius
             in_2b.append(idx[d < big])
             theta2b[qid] = float(w[in_2b[-1]].sum()) / big
@@ -313,7 +315,7 @@ def _ball_masses(mu: DiscreteMeasure, cubes: list[Cube], levels: list[list[int]]
     np.cumsum([a.size for a in in_2b], out=start[1:])
     atoms = np.concatenate(in_2b)
     atoms.flags.writeable = False
-    return theta2b, atoms, start
+    return theta2b, mass100b, atoms, start
 
 
 def _fit_lines(mu: DiscreteMeasure, atoms: np.ndarray, start: np.ndarray
@@ -423,18 +425,16 @@ def first_doubling_ancestor(lattice: Lattice, qid: int) -> int:
 
 def density_chain_report(lattice: Lattice, qid: int, pid: int) -> dict:
     """Densities of the 100-fold balls along a chain of non-doubling
-    intermediate cubes, with the summed-density ratio to the top cube."""
+    intermediate cubes, with the summed-density ratio to the top cube.
+    The 100B masses are read from the build's table."""
     chain = lattice.chain(qid, pid)
     for mid in chain[1:-1]:
         if lattice.cubes[mid].doubling:
             raise ValueError(f"intermediate cube {mid} is doubling")
-    thetas = [
-        lattice.theta(lattice.ball(c).scaled(100)) for c in chain
-    ]
+    thetas = [float(lattice.mass100b[c]) / (100 * lattice.cubes[c].radius) for c in chain]
     theta_top = thetas[-1]
     level_gap = lattice.cubes[qid].level - lattice.cubes[pid].level
-    mass_q = lattice.mu.mass_in(lattice.ball(qid).scaled(100))
-    mass_p = lattice.mu.mass_in(lattice.ball(pid).scaled(100))
+    mass_q, mass_p = float(lattice.mass100b[qid]), float(lattice.mass100b[pid])
     bound_rhs = lattice.a0 ** (-20 * (level_gap - 1)) * mass_p
     sum_thetas = math.fsum(thetas)
     return {
@@ -470,6 +470,7 @@ def small_boundary_report(lattice: Lattice, qid: int, l: int) -> dict:
         ext_mass = 0.0
         int_mass = 0.0
     rhs_base = lattice.c0 ** (-7) * lattice.a0  # unit implicit constant
+    # the build keeps no 90B masses, so this ball scans every atom
     rhs = rhs_base ** (-l) * mu.mass_in(lattice.ball(qid).scaled(90))
     return {
         "cube": qid,

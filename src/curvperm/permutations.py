@@ -1,10 +1,10 @@
 """Pointwise permutations, Menger curvature, and triple integrals.
 
 The permutation of an odd kernel over a point triple is the symmetric
-three-term product sum; integrated against one or three measures it is a
-weighted sum over admissible atom triples.  Truncations remove the
-diagonal: a pair is admissible when its distance clears the cutoff, and
-coincident positions are always excluded.
+three-term product sum; integrated against one measure, or against three
+in a window, it is a weighted sum over admissible atom triples.
+Truncations remove the diagonal: a pair is admissible when its distance
+clears the cutoff, and coincident positions are always excluded.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# scipy is imported inside _near_pairs, _vertex_sums and sign_scan, not
-# here, so that importing curvperm loads numpy alone
+# scipy is imported inside _near_pairs and sign_scan, not here, so that
+# importing curvperm loads numpy alone
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, v_far
-from .measure import Ball, DiscreteMeasure
+from .measure import DiscreteMeasure
 
 __all__ = [
     "TripleIntegralResult",
@@ -118,147 +118,113 @@ def _parallel_map_chunks(
     return out
 
 
-def _near_pairs(pa: np.ndarray, pb: np.ndarray, lo: float):
-    """The pairs of ``pa x pb`` closer than ``lo``, coincident ones
-    included, as a sparse 0/1 ``csr_array``.
+def _near_pairs(p: np.ndarray, lo: float):
+    """The pairs ``i < j`` of the points ``p`` closer than ``lo``,
+    coincident ones included, as the strict upper triangle of a sparse 0/1
+    ``csr_array``.
 
-    Candidates come from a KD-tree at a slightly inflated radius and are
+    Candidates come from one KD-tree at a slightly inflated radius and are
     then filtered with the admissibility predicate itself, so ties at the
     cutoff fall on the same side as in the dense core."""
     from scipy.sparse import csr_array
     from scipy.spatial import cKDTree
 
-    ta, tb = (cKDTree(np.column_stack([p.real, p.imag])) for p in (pa, pb))
-    found = ta.sparse_distance_matrix(tb, lo * (1.0 + 1e-9), output_type="ndarray")
-    near = np.abs(pa[found["i"]] - pb[found["j"]]) < lo
-    rows, cols = found["i"][near], found["j"][near]
-    return csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(pa), len(pb)))
+    tree = cKDTree(np.column_stack([p.real, p.imag]))
+    found = tree.query_pairs(lo * (1.0 + 1e-9), output_type="ndarray")
+    rows, cols = found[np.abs(p[found[:, 0]] - p[found[:, 1]]) < lo].T
+    # the constructor sorts each row's column indices
+    return csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(p), len(p)))
 
 
 # a vertex whose leg products over every pair admissible to it, near ones
 # included, exceed those over its admissible pairs by more than this factor
-# sums the admissible pairs directly: A B - N would lose too many digits
+# sums the admissible pairs directly: A^2 - N would lose too many digits
 _CANCELLATION = 16.0
 
 
 def _vertex_sums(
-    k: KernelParam,
-    pv: np.ndarray,
-    mu_a: DiscreteMeasure,
-    mu_b: DiscreteMeasure,
-    lo: float,
-    workers: int,
+    k: KernelParam, mu: DiscreteMeasure, lo: float, workers: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex point v, ``sum K(v - a) K(v - b) w_a w_b`` over the legs
-    (a, b) of ``mu_a x mu_b`` with all three pairs of (v, a, b) at distance
-    >= ``lo``, and the number of such triples.
+    """Per atom x of ``mu``, ``sum K(x - a) K(x - b) w_a w_b`` over the
+    legs (a, b) of ``mu x mu`` with all three pairs of (x, a, b) at
+    distance >= ``lo``, and the number of such triples.
 
-    With ``A_v = sum_a K~(v - a) w_a`` and ``B_v`` likewise (``K~`` is the
-    kernel zeroed on inadmissible pairs) the sum is ``A_v B_v - N_v``,
-    where ``N_v`` sums the same products over the near leg pairs
-    (``|a - b| < lo``) by one sparse product.  The counts come from the
-    same product on the 0/1 masks; each entry of that product is an
-    integer below 2**24 and each later sum one below 2**53, so they are
-    exact.  A vertex without admissible triples gets
-    exactly 0.  Over one leg measure the pair set is symmetric and only its
-    upper triangle is multiplied.
+    With ``A_x = sum_a K~(x - a) w_a`` (``K~`` is the kernel zeroed on
+    inadmissible pairs) the sum is ``A_x^2 - N_x``, where ``N_x`` sums the
+    same products over the near leg pairs (``|a - b| < lo``): twice a
+    sparse product with their strict upper triangle, plus the diagonal.
+    The counts come from the same product on the 0/1 masks; each entry of
+    that product is an integer below 2**24 and each later sum one below
+    2**53, so they are exact.  An atom without admissible triples gets
+    exactly 0.
 
     The difference rounds relative to the absolute products over every leg
-    pair admissible to v; the same product on ``|K~ w|`` measures them.
+    pair admissible to x; the same product on ``|K~ w|`` measures them.
     Where they exceed the admissible ones by more than ``_CANCELLATION``
-    (heavy near pairs, light admissible ones), the vertex's admissible
-    pairs are summed directly, so every vertex's error stays relative to
-    its own admissible products.
-    Cost: O(n^2 + n P) for P near leg pairs, plus O(n^2) per vertex summed
+    (heavy near pairs, light admissible ones), the atom's admissible pairs
+    are summed directly, so every atom's error stays relative to its own
+    admissible products.
+    Cost: O(n^2 + n P) for P near leg pairs, plus O(n^2) per atom summed
     directly; memory O(n * _CHUNK + P).
     """
-    from scipy.sparse import triu
-
-    (pa, wa), (pb, wb) = (mu_a.points, mu_a.weights), (mu_b.points, mu_b.weights)
-    pairs = _near_pairs(pa, pb, lo)
-    shared = mu_a is mu_b
-    if shared:  # a symmetric set: keep its strict upper triangle
-        pairs = triu(pairs, k=1, format="csr")
+    p, w = mu.points, mu.weights
+    pairs = _near_pairs(p, lo)
     pairs32 = pairs.astype(np.float32)
-    counts = np.zeros(len(pv), dtype=np.int64)
+    counts = np.zeros(len(p), dtype=np.int64)
 
-    def legs(a: int, b: int, p: np.ndarray, w: np.ndarray):
-        d = pv[a:b, None] - p[None, :]
-        mask = np.abs(d) >= lo
-        return kernel_values(k, d) * np.where(mask, w, 0.0), mask.astype(float)
-
-    def direct(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    def direct(ka: np.ndarray) -> np.ndarray:
         # sum over the admissible leg pairs, in blocks of first legs
         out = np.zeros(len(ka))
-        for s in range(0, len(pa), _CHUNK):
-            adm = np.abs(pa[s : s + _CHUNK, None] - pb[None, :]) >= lo
-            out += (ka[:, s : s + _CHUNK] * (kb @ adm.T)).sum(axis=1)
+        for s in range(0, len(p), _CHUNK):
+            adm = np.abs(p[s : s + _CHUNK, None] - p[None, :]) >= lo
+            out += (ka[:, s : s + _CHUNK] * (ka @ adm.T)).sum(axis=1)
         return out
 
     def chunk_values(a: int, b: int) -> np.ndarray:
-        ka, ma = legs(a, b, pa, wa)
-        kb, mb = (ka, ma) if shared else legs(a, b, pb, wb)
+        d = p[a:b, None] - p[None, :]
+        ma = np.abs(d) >= lo
+        ka = kernel_values(k, d) * np.where(ma, w, 0.0)
+        ma = ma.astype(float)
         m = b - a
-        near = ((ka @ pairs) * kb).sum(axis=1)
         # the counts and the absolute products, which only decide the
         # cancellation, in single precision at half the cost; rows are
         # scaled into [0, 1] first so that none overflows
         scale = np.abs(ka).max(axis=1, initial=0.0)
         unit = np.abs(ka) / np.where(scale > 0, scale, 1.0)[:, None]
         paired = np.vstack([unit, ma]).astype(np.float32) @ pairs32
-        near_abs = scale * (paired[:m] * np.abs(kb)).sum(axis=1)
-        cnt = (paired[m:] * mb).sum(axis=1)
-        if shared:
-            # twice the upper triangle, plus the diagonal, which is near
-            diag = (ka * ka).sum(axis=1)
-            near, near_abs = 2.0 * near + diag, 2.0 * near_abs + diag
-            cnt = 2.0 * cnt + ma.sum(axis=1)
-        sums = ka.sum(axis=1) * kb.sum(axis=1) - near
-        cnt = ma.sum(axis=1) * mb.sum(axis=1) - cnt
-        full = np.abs(ka).sum(axis=1) * np.abs(kb).sum(axis=1)
+        # twice the upper triangle, plus the diagonal, which is near
+        diag = (ka * ka).sum(axis=1)
+        near = 2.0 * ((ka @ pairs) * ka).sum(axis=1) + diag
+        near_abs = 2.0 * (scale * (paired[:m] * np.abs(ka)).sum(axis=1)) + diag
+        n_adm = ma.sum(axis=1)
+        cnt = n_adm ** 2 - (2.0 * (paired[m:] * ma).sum(axis=1) + n_adm)
+        sums = ka.sum(axis=1) ** 2 - near
+        full = np.abs(ka).sum(axis=1) ** 2
         lossy = np.flatnonzero((cnt > 0) & (_CANCELLATION * (full - near_abs) < full))
         if len(lossy):
-            sums[lossy] = direct(ka[lossy], kb[lossy])
+            sums[lossy] = direct(ka[lossy])
         counts[a:b] = cnt
         return np.where(cnt > 0, sums, 0.0)
 
-    return _parallel_map_chunks(chunk_values, len(pv), workers=workers), counts
+    return _parallel_map_chunks(chunk_values, len(p), workers=workers), counts
 
 
 def perm_measure(
-    k: KernelParam,
-    mu1: DiscreteMeasure,
-    mu2: DiscreteMeasure | None = None,
-    mu3: DiscreteMeasure | None = None,
-    eps: float = 0.0,
-    workers: int = 1,
+    k: KernelParam, mu: DiscreteMeasure, eps: float = 0.0, workers: int = 1
 ) -> TripleIntegralResult:
-    """Triple integral of the permutation over three measures.
+    """Triple integral of the permutation over ``mu x mu x mu``.
 
     ``eps = 0`` keeps every triple of pairwise-distinct positions; for
-    ``eps > 0`` each of the three pairwise distances must be >= eps.
-    Each of the three permutation terms is summed at its own vertex by
-    ``_vertex_sums``, in O(n^2 + n P) time for P near pairs; over one
-    measure the three terms are equal and one is computed.
+    ``eps > 0`` each of the three pairwise distances must be >= eps.  The
+    three permutation terms are equal, so one is summed at its vertex by
+    ``_vertex_sums``, in O(n^2 + n P) time for P near pairs, and tripled.
     """
     if not (0 <= eps < math.inf):
         raise ValueError(f"truncation length must be >= 0 and finite, got {eps!r}")
     _check_workers(workers)
-    mu2 = mu1 if mu2 is None else mu2
-    mu3 = mu1 if mu3 is None else mu3
-    trunc = {"kind": "eps", "eps": float(eps)}
-    lo = max(eps, _TINY)
-    # term j has its vertex in slot j and its legs in the other two slots;
-    # every term counts the same admissible triples
-    slots = (mu1, mu2, mu3)
-    terms = []
-    for j in range(1 if mu1 is mu2 is mu3 else 3):
-        vertex, legs = slots[j], slots[:j] + slots[j + 1 :]
-        rows, counts = _vertex_sums(k, vertex.points, *legs, lo, workers)
-        terms.append(math.fsum(vertex.weights * rows))
-        triples = int(counts.sum())
-    value = 3.0 * terms[0] if len(terms) == 1 else math.fsum(terms)
-    return TripleIntegralResult(value, triples, trunc)
+    rows, counts = _vertex_sums(k, mu, max(eps, _TINY), workers)
+    return TripleIntegralResult(3.0 * math.fsum(mu.weights * rows), int(counts.sum()),
+                                {"kind": "eps", "eps": float(eps)})
 
 
 def curvature_squared(
@@ -559,15 +525,10 @@ class SignScanResult:
     samples: int
 
 
-def sign_scan(
-    t: float,
-    domain: Ball = Ball(0j, 1.0),
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> SignScanResult:
+def sign_scan(t: float, n_samples: int = 100_000, seed: int = 0) -> SignScanResult:
     """Minimum of the pointwise permutation over sampled triples.
 
-    Random triples in the ball are mixed with near-collinear families
+    Random triples in the unit disc are mixed with near-collinear families
     (where sign changes concentrate), and the best candidate is polished
     with a derivative-free local search.
     """
@@ -575,8 +536,7 @@ def sign_scan(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    r = domain.radius
-    c = domain.center
+    r, c = 1.0, 0j
 
     def sample_disc(n):
         rho = r * np.sqrt(rng.uniform(0, 1, n))

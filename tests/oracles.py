@@ -172,6 +172,21 @@ def row_sums(k, p1, mu2, mu3, ranges):
     return sums, counts
 
 
+def near_pairs_two_trees(p, lo):
+    """The strict upper triangle of the pairs of ``p`` closer than ``lo``,
+    as a sparse 0/1 ``csr_array``: every pair from a KD-tree against itself
+    at an inflated radius, filtered with ``< lo`` and cut with ``triu``."""
+    from scipy.sparse import csr_array, triu
+    from scipy.spatial import cKDTree
+
+    ta, tb = (cKDTree(np.column_stack([p.real, p.imag])) for _ in range(2))
+    found = ta.sparse_distance_matrix(tb, lo * (1.0 + 1e-9), output_type="ndarray")
+    near = np.abs(p[found["i"]] - p[found["j"]]) < lo
+    rows, cols = found["i"][near], found["j"][near]
+    pairs = csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(p), len(p)))
+    return triu(pairs, k=1, format="csr")
+
+
 def naive_perm_window(t, pts1, w1, pts2, w2, pts3, w3, delta, q_radius) -> float:
     """Triple loop with the first pair windowed, other pairs distinct."""
     lo, hi = delta * q_radius, q_radius / delta
@@ -338,6 +353,31 @@ def delta_mu_scan(lattice, qid: int, tid: int) -> float:
         return 0.0
     dist = np.abs(mu.points[in_annulus] - lattice.cubes[qid].center)
     return math.fsum(mu.weights[in_annulus] / dist)
+
+
+def density_chain_scan(lattice, qid: int, pid: int) -> dict:
+    """``density_chain_report`` with every 100B mass scanned over all atoms
+    by ``mu.mass_in``."""
+    mu = lattice.mu
+    chain = lattice.chain(qid, pid)
+    for mid in chain[1:-1]:
+        if lattice.cubes[mid].doubling:
+            raise ValueError(f"intermediate cube {mid} is doubling")
+    balls = [lattice.ball(c).scaled(100) for c in chain]
+    thetas = [mu.mass_in(b) / b.radius for b in balls]
+    level_gap = lattice.cubes[qid].level - lattice.cubes[pid].level
+    mass_q, mass_p = mu.mass_in(balls[0]), mu.mass_in(balls[-1])
+    bound_rhs = lattice.a0 ** (-20 * (level_gap - 1)) * mass_p
+    sum_thetas = math.fsum(thetas)
+    return {
+        "chain": chain,
+        "thetas": thetas,
+        "sum_thetas": sum_thetas,
+        "ratio": sum_thetas / thetas[-1] if thetas[-1] > 0 else np.inf,
+        "mass_bound_lhs": mass_q,
+        "mass_bound_rhs": bound_rhs,
+        "mass_bound_holds": mass_q <= bound_rhs,
+    }
 
 
 def doubling_raw(lattice, qid) -> bool:

@@ -705,7 +705,7 @@ class TestTableAndFits:
             raise AssertionError("a single-atom root built an engine")
 
         for rid in roots[::97]:
-            builder = corona._TreeBuilder(lat, mu, rid, params)
+            builder = corona._TreeBuilder(lat, rid, params)
             tracemalloc.start()
             try:
                 tree = builder.build(no_engine)

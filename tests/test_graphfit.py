@@ -857,6 +857,19 @@ class TestLatticeMeasure:
 
 
 class TestBalancedBalls:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_foreign_measure_is_rejected(self, n):
+        # the cube's member indices are the lattice's: a smaller measure has
+        # fewer atoms than they name, one of the same size other atoms
+        mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)
+        lat = build(mu)
+        foreign = generate("lipschitz_graph", n=n, slope=0.3, teeth=1)
+        with pytest.raises(ValueError, match="^mu must be the lattice's own measure, lattice.mu$"):
+            balanced_ball_test(lat, foreign, lat.root.id, gamma=0.5)
+        copy = DiscreteMeasure(mu.points.copy(), mu.weights.copy(), mu.scale)
+        assert (repr(balanced_ball_test(lat, copy, lat.root.id, gamma=0.5))
+                == repr(balanced_ball_test(lat, mu, lat.root.id, gamma=0.5)))
+
     def test_two_clusters_balanced(self):
         pts = np.concatenate(
             [np.linspace(0, 0.05, 10), np.linspace(0.95, 1.0, 10)]

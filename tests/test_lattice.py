@@ -19,7 +19,14 @@ from curvperm.lattice import (
     small_boundary_report,
 )
 from curvperm.measure import DiscreteMeasure, generate
-from oracles import beta2_scan, delta_mu_scan, doubling_raw, greedy_net_1d, level_5b_pairs
+from oracles import (
+    beta2_scan,
+    delta_mu_scan,
+    density_chain_scan,
+    doubling_raw,
+    greedy_net_1d,
+    level_5b_pairs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +246,8 @@ class TestDoubling:
             lat = build(mu, c0=c0, a0=a0)
             for q in lat.cubes:
                 assert q.doubling == doubling_raw(lat, q.id)
-                assert lat.theta_2b(q.id) == lat.theta(lat.big_ball(q.id, 2.0))
+                b = lat.big_ball(q.id, 2.0)
+                assert lat.theta_2b(q.id) == mu.mass_in(b) / b.radius
                 if q.parent is not None:
                     p = lat.cubes[q.parent]
                     outside += (abs(q.center - p.center) + 100 * q.radius
@@ -445,6 +453,23 @@ class TestChainsAndBoundaries:
         if len(chain) > 2 and lat.cubes[chain[1]].doubling:
             with pytest.raises(ValueError):
                 density_chain_report(lat, leaf, lat.root.id)
+
+    def test_chain_report_equals_the_scan(self):
+        # every chain up from every cube through non-doubling cubes
+        chains = cubes = 0
+        for mu in corona_corpus().values():
+            lat = build(mu)
+            cubes += len(lat.cubes)
+            for q in lat.cubes:
+                pid = q.id
+                while True:
+                    got = density_chain_report(lat, q.id, pid)
+                    assert got == density_chain_scan(lat, q.id, pid)
+                    chains += 1
+                    if pid == lat.root.id or (pid != q.id and lat.cubes[pid].doubling):
+                        break
+                    pid = lat.cubes[pid].parent
+        assert chains > cubes
 
     def test_chain_report_fields(self):
         mu = generate("circle", n=128)

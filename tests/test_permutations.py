@@ -12,8 +12,9 @@ from curvperm.corona import Params, _flat_engine, _TreeBuilder
 from curvperm.experiments import _perm_reference
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.lattice import build
-from curvperm.measure import Ball, DiscreteMeasure, generate
+from curvperm.measure import DiscreteMeasure, generate
 from curvperm.permutations import (
+    _near_pairs,
     _parallel_map_chunks,
     _WindowEngine,
     curvature_squared,
@@ -31,6 +32,7 @@ from oracles import (
     kernel_t,
     naive_perm_triple,
     naive_perm_window,
+    near_pairs_two_trees,
     perm_term,
     row_sums,
 )
@@ -247,22 +249,6 @@ class TestPermMeasure:
             4 * perm_measure(K_INF, mu).value
         )
 
-    def test_three_distinct_measures(self):
-        m1 = generate("segment", n=5)
-        m2 = generate("segment", n=4, start=0.1 + 0.5j, end=1.1 + 0.5j)
-        m3 = generate("cantor4", level=1)
-        got = perm_measure(K_ZERO, m1, m2, m3).value
-        ref = 0.0
-        for i in range(5):
-            for j in range(4):
-                for l in range(4):
-                    ref += (
-                        m1.weights[i] * m2.weights[j] * m3.weights[l]
-                        * perm_term(0.0, complex(m1.points[i]),
-                                    complex(m2.points[j]), complex(m3.points[l]))
-                    )
-        assert got == pytest.approx(ref, rel=1e-12)
-
 
 # a 5 x 4 grid of spacing 1/4 with dyadic weights: many distances tie with
 # the cutoffs 1/4 and 1/2
@@ -352,56 +338,98 @@ class TestFactorizedCore:
         assert perm_measure(K_ZERO, mu, eps=eps).triples_counted == int(counts.sum())
 
     def test_empty_slot(self):
-        mu, empty = generate("cantor4", level=1), DiscreteMeasure([], [], 0.1)
-        for mus in ((empty,), (mu, empty, mu), (mu, mu, empty)):
-            for eps in (0.0, 0.5):
-                res = perm_measure(K_ZERO, *mus, eps=eps)
-                assert res.value == 0.0 and res.triples_counted == 0
+        empty = DiscreteMeasure([], [], 0.1)
+        for eps in (0.0, 0.5):
+            res = perm_measure(K_ZERO, empty, eps=eps)
+            assert res.value == 0.0 and res.triples_counted == 0
 
     def test_vertex_without_triples_is_zero(self):
-        # every leg pair admissible to a vertex is near: A B and N agree in
-        # exact arithmetic but round apart, and no triple is admissible
+        # two clusters 10 apart at eps 1: every leg pair admissible to a
+        # vertex lies in the other cluster and is near, so A^2 and N agree
+        # in exact arithmetic but round apart, and no triple is admissible
         far = [10 + 0j, 10.1 + 0.03j, 10.05 - 0.07j]
-        near = [0j, 0.1j, 0.07 + 0.02j]
-        mu1 = DiscreteMeasure([0.03 + 0.01j, -0.02 + 0.05j], [0.3, 0.7], 0.01)
-        legs = DiscreteMeasure(far + near, [0.11, 0.23, 0.37, 0.41, 0.53, 0.67], 0.01)
+        near = [0j, 0.1j, 0.07 + 0.02j, 0.03 + 0.01j, -0.02 + 0.05j]
+        w = [0.11, 0.23, 0.37, 0.41, 0.53, 0.67, 0.3, 0.7]
+        mu = DiscreteMeasure(far + near, w, 0.01)
         for k in (K_INF, K_ZERO, kt(-0.5)):
-            res = perm_measure(k, mu1, legs, legs, eps=1.0)
+            res = perm_measure(k, mu, eps=1.0)
             assert res.value == 0.0 and res.triples_counted == 0
 
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
-    @given(_shared_measures(), st.sampled_from([None, 0.0, -0.5, 1.5]), st.booleans())
-    def test_matches_dense_core(self, case, t, one_measure):
-        mus, eps = case
-        if one_measure:
-            mus = [mus[0]] * 3
+    @given(_shared_measures(), st.sampled_from([None, 0.0, -0.5, 1.5]))
+    def test_matches_dense_core(self, case, t):
+        (mu, *_), eps = case
         k = K_INF if t is None else kt(t)
         lo = max(eps, np.finfo(float).tiny)
-        sums, counts = row_sums(k, mus[0].points, mus[1], mus[2], ((lo, math.inf),) * 3)
-        res = perm_measure(k, *mus, eps=eps)
+        sums, counts = row_sums(k, mu.points, mu, mu, ((lo, math.inf),) * 3)
+        res = perm_measure(k, mu, eps=eps)
         assert res.triples_counted == int(counts.sum())
-        dense = math.fsum(mus[0].weights * sums)
-        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, lo)
+        dense = math.fsum(mu.weights * sums)
+        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, (mu,) * 3, lo)
 
     @pytest.mark.parametrize("light", [1e-4, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=["inf", "0", "-0.5"])
-    @pytest.mark.parametrize("one_measure", [True, False])
-    def test_light_atoms_beside_a_heavy_cluster(self, light, k, one_measure):
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_light_atoms_beside_a_heavy_cluster(self, light, k, in_order):
         # ten heavy atoms closer together than eps and thirty light ones on a
         # circle: at a light vertex the near heavy leg pairs outweigh the
-        # admissible ones by about 1 / light, so A B - N cancels that much
+        # admissible ones by about 1 / light, so A^2 - N cancels that much.
+        # Out of order, the directly summed light vertices interleave the
+        # heavy ones
         rng = np.random.default_rng(0)
         heavy = 0.02 * (rng.random(10) + 1j * rng.random(10))
         ring = np.exp(2j * np.pi * (np.arange(30) + 0.5) / 30)
         w = np.concatenate([np.ones(10), light * (1 + rng.random(30))])
-        mu = DiscreteMeasure(np.concatenate([heavy, ring]), w, 1e-4)
-        mus = (mu,) * 3 if one_measure else (mu, DiscreteMeasure(mu.points, w, 1e-4), mu)
+        order = np.arange(40) if in_order else rng.permutation(40)
+        mu = DiscreteMeasure(np.concatenate([heavy, ring])[order], w[order], 1e-4)
         eps = 0.1
-        sums, counts = row_sums(k, mu.points, mus[1], mus[2], ((eps, math.inf),) * 3)
-        res = perm_measure(k, *mus, eps=eps)
+        sums, counts = row_sums(k, mu.points, mu, mu, ((eps, math.inf),) * 3)
+        res = perm_measure(k, mu, eps=eps)
         assert res.triples_counted == int(counts.sum())
         dense = math.fsum(mu.weights * sums)
-        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, mus, eps)
+        assert abs(res.value - dense) <= 1e-12 * _total_variation(k, (mu,) * 3, eps)
+
+
+def _same_csr(got, ref):
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and np.array_equal(got.indptr, ref.indptr)
+            and np.array_equal(got.indices, ref.indices)
+            and np.array_equal(got.data, ref.data))
+
+
+def _triple_dense_measures(seed):
+    """The graph and the Cantor dust of the ``triple-dense`` benchmark."""
+    slope = float(np.random.default_rng(seed).uniform(0.15, 0.3))
+    return (generate("lipschitz_graph", n=512, slope=slope, teeth=2),
+            generate("cantor4", level=4))
+
+
+class TestNearPairs:
+    """One KD-tree's ``query_pairs`` gives the same matrix as the strict
+    upper triangle of a tree queried against itself."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(_shared_measures())
+    def test_grid_ties(self, case):
+        mus, eps = case
+        for mu in mus:
+            lo = max(eps, _TINY)
+            assert _same_csr(_near_pairs(mu.points, lo), near_pairs_two_trees(mu.points, lo))
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_triple_dense_inputs(self, seed):
+        for mu in _triple_dense_measures(seed):
+            for lo in (_TINY, 0.01 * mu.diameter, 0.05 * mu.diameter):
+                got = _near_pairs(mu.points, lo)
+                assert _same_csr(got, near_pairs_two_trees(mu.points, lo))
+                assert got.nnz > 0 or lo == _TINY
+
+    @pytest.mark.parametrize("points", [[], [0.5j]], ids=["empty", "one"])
+    def test_fewer_than_two_atoms(self, points):
+        p = np.array(points, dtype=complex)
+        for lo in (_TINY, 1.0):
+            got = _near_pairs(p, lo)
+            assert _same_csr(got, near_pairs_two_trees(p, lo)) and got.nnz == 0
 
 
 _TINY = np.finfo(float).tiny
@@ -692,12 +720,12 @@ class TestWindowed:
 class TestSignScan:
     @pytest.mark.parametrize("t", [-3.0, -2.0, 0.0, 1.0])
     def test_nonnegative_outside_range(self, t):
-        r = sign_scan(t, Ball(0j, 1.0), n_samples=20000, seed=1)
+        r = sign_scan(t, n_samples=20000, seed=1)
         assert r.min_value >= -1e-10
 
     @pytest.mark.parametrize("t", [-1.0, -0.75, -0.5])
     def test_negative_witness_inside_range(self, t):
-        r = sign_scan(t, Ball(0j, 1.0), n_samples=20000, seed=1)
+        r = sign_scan(t, n_samples=20000, seed=1)
         assert r.min_value < 0
         # the witness is recomputable
         assert perm_pointwise(kt(t), *r.argmin_triple) == pytest.approx(
@@ -706,7 +734,7 @@ class TestSignScan:
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
-            sign_scan(0.0, Ball(0j, 1.0), n_samples=0)
+            sign_scan(0.0, n_samples=0)
 
 
 class TestC1Estimate:
@@ -764,12 +792,12 @@ class TestProperties:
         mus, eps = case
         k = K_INF if t is None else kt(t)
         factor = 2.0**j
-        big = [_dilated(mu, factor) for mu in mus]
-        res, res_big = perm_measure(k, *mus, eps=eps), perm_measure(k, *big, eps=factor * eps)
+        mu, big = mus[0], _dilated(mus[0], factor)
+        res, res_big = perm_measure(k, mu, eps=eps), perm_measure(k, big, eps=factor * eps)
         assert res_big.value == res.value / factor**2
         assert res_big.triples_counted == res.triples_counted
-        assert (curvature_squared(big[0], eps=factor * eps)
-                == curvature_squared(mus[0], eps=eps) / factor**2)
+        assert (curvature_squared(big, eps=factor * eps)
+                == curvature_squared(mu, eps=eps) / factor**2)
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=3, max_size=3),
@@ -826,7 +854,7 @@ class TestCorrectlyRoundedTotals:
         par = Params()
         lat = build(mu, c0=par.c0, a0=par.a0, separation=par.separation,
                     doubling_constant=par.doubling_constant)
-        builder = _TreeBuilder(lat, mu, lat.root.id, par)
+        builder = _TreeBuilder(lat, lat.root.id, par)
         tree = builder.build(lambda sub: _flat_engine(mu, sub))
         slot1, sums = builder.sums[lat.root.id]
         assert slot1.size > 256
