@@ -51,6 +51,8 @@ K_MAX = 64  # generations of trees build_top grows at most
 # measure's K_0, and the product and its transpose of an engine over every
 # atom (3.3 units were measured at 4096 and 10^4 atoms)
 N2_ARRAYS = 4
+# fitted lines per block of the far-from-lines distances
+_LINE_BLOCK = 256
 
 
 def _physical_memory() -> float:
@@ -259,7 +261,7 @@ class _TreeBuilder:
     def build(self, engine_for: Callable[[np.ndarray], _WindowEngine]) -> TreeDecomposition:
         """Grow and stop the tree; ``engine_for`` maps the root's 2B atoms
         to the engine of the windowed sums."""
-        lat, mu, par = self.lattice, self.mu, self.params
+        lat = self.lattice
         order = sorted(lat.descendants(self.root_id))  # ids run level by level
         if lat.cubes[self.root_id].n_members < 2:
             # a point mass has no sub-structure to stop on
@@ -276,34 +278,7 @@ class _TreeBuilder:
                 if v is not None:
                     stop[qid] = v
 
-        # far from the lines of the unstopped doubling tree cubes whose 2B
-        # holds the cube's 2B
-        open_ids = [q for q in chain if q not in stop]
-        fitted = [q for q in open_ids
-                  if lat.cubes[q].doubling and self.cube_line(q) is not None]
-        lines = [self.cube_line(q) for q in fitted]
-        tol = 5 * math.sqrt(par.eps0)
-        # the 2B of the cubes and of the fitted ones; candidate pairs come
-        # from one broadcast at a margin numpy's complex abs cannot cross,
-        # and each is confirmed with Python's abs, as the scalar test rounds
-        (c_open, r_open), (c_fit, r_fit) = (
-            (np.array([lat.cubes[q].center for q in ids], dtype=complex),
-             np.array([lat.big_ball(q, 2.0).radius for q in ids]))
-            for ids in (open_ids, fitted))
-        maybe = (np.abs(c_open[:, None] - c_fit[None, :]) * (1 - 1e-12)
-                 <= r_fit[None, :] - r_open[:, None])
-        for i, qid in enumerate(open_ids):
-            members = lat.cubes[qid].members
-            pts = mu.points[members]
-            far = np.zeros(members.size, dtype=bool)
-            for j in np.flatnonzero(maybe[i]):
-                tid = fitted[j]
-                if abs(complex(c_fit[j] - c_open[i])) <= r_fit[j] - r_open[i]:
-                    lim = tol * lat.big_ball(tid).radius
-                    far |= np.atleast_1d(lines[j].distance(pts)) > lim
-            far_mass = float(mu.weights[members[far]].sum())
-            if far_mass > math.sqrt(par.alpha) * lat.mass(qid):
-                stop[qid] = StopVerdict("F", far_mass / lat.mass(qid))
+        stop.update(self.far_stops([q for q in chain if q not in stop]))
 
         # maximality: keep a cube when its parent is kept and not stopped
         kept: dict[int, StopVerdict | None] = {}
@@ -312,6 +287,55 @@ class _TreeBuilder:
             if qid == self.root_id or (parent in kept and kept[parent] is None):
                 kept[qid] = stop.get(qid)
         return self._decomposition(kept)
+
+    def far_stops(self, open_ids: list[int]) -> dict[int, StopVerdict]:
+        """The F verdicts among the tree cubes ``open_ids`` that no other
+        rule stopped: a cube stops when more than ``sqrt(alpha)`` of its
+        mass lies beyond ``5 sqrt(eps0)`` times the companion radius from
+        the line of some fitted cube of ``open_ids`` whose 2B holds its 2B.
+
+        Which root members each fitted line leaves beyond its tolerance is
+        one (fitted x members) array, from ``Line.distance``'s expression on
+        the fit table, a block of lines at a time."""
+        lat, mu, par = self.lattice, self.mu, self.params
+        fitted = [q for q in open_ids
+                  if lat.cubes[q].doubling and self.cube_line(q) is not None]
+        members_r = lat.cubes[self.root_id].members
+        pts_r = mu.points[members_r]
+        anchors, directions, _ = lat._fit_2b
+        lim = 5 * math.sqrt(par.eps0) * np.array([lat.big_ball(q).radius for q in fitted])
+        beyond = np.zeros((len(fitted), members_r.size), dtype=bool)
+        for s in range(0, len(fitted), _LINE_BLOCK):
+            q = fitted[s:s + _LINE_BLOCK]
+            rel = pts_r - anchors[q, None]
+            beyond[s:s + _LINE_BLOCK] = (np.abs((rel * np.conj(directions[q, None])).imag)
+                                         > lim[s:s + _LINE_BLOCK, None])
+        cols = np.flatnonzero(beyond.any(axis=0))
+        if not cols.size:
+            return {}
+        # the 2B of the cubes and of the fitted ones; candidate pairs come
+        # from one broadcast at a margin numpy's complex abs cannot cross,
+        # and each is confirmed with Python's abs, as the scalar test rounds
+        (c_open, r_open), (c_fit, r_fit) = (
+            (np.array([lat.cubes[q].center for q in ids], dtype=complex),
+             np.array([lat.big_ball(q, 2.0).radius for q in ids]))
+            for ids in (open_ids, fitted))
+        holds = (np.abs(c_open[:, None] - c_fit[None, :]) * (1 - 1e-12)
+                 <= r_fit[None, :] - r_open[:, None])
+        for i, j in zip(*np.nonzero(holds)):
+            holds[i, j] = abs(complex(c_fit[j] - c_open[i])) <= r_fit[j] - r_open[i]
+        # a member is far when some holding line leaves it beyond: one 0/1
+        # product, and only the cubes with such members are visited
+        hits = holds.astype(np.float32) @ beyond[:, cols].astype(np.float32) > 0
+        out: dict[int, StopVerdict] = {}
+        for i in np.flatnonzero(hits.any(axis=1)):
+            qid = open_ids[i]
+            members = lat.cubes[qid].members
+            far = np.isin(members, members_r[cols[hits[i]]])
+            far_mass = float(mu.weights[members[far]].sum())
+            if far_mass > math.sqrt(par.alpha) * lat.mass(qid):
+                out[qid] = StopVerdict("F", far_mass / lat.mass(qid))
+        return out
 
     def _decomposition(self, kept: dict[int, StopVerdict | None]) -> TreeDecomposition:
         """The tree of the cubes ``kept``, each with its stop verdict or
@@ -442,8 +466,8 @@ def build_top(
                 c = kmat
             elif hi - lo == sub.size:  # consecutive atoms: a block, copied whole
                 c = kmat[lo:hi, lo:hi].copy()
-            else:
-                c = kmat[np.ix_(sub, sub)]
+            else:  # one take of flat indices, quicker than np.ix_ indexing
+                c = kmat.take((sub * n)[:, None] + sub)
             last = sub, _flat_engine(mu, sub, c)
         return last[1]
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# scipy is imported inside _near_pairs and sign_scan, not here, so that
-# importing curvperm loads numpy alone
+# scipy.sparse is imported inside _near_pairs, which only a cutoff above
+# the atom spacing calls, so that importing curvperm loads numpy alone
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, v_far
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _distance_rows
 
 __all__ = [
     "TripleIntegralResult",
@@ -45,8 +45,9 @@ def perm_values(k: KernelParam, z1, z2, z3) -> np.ndarray:
     ``z1 - z2``); a coincident pair contributes through the kernel's 0 fill.
 
     The kernel is exactly odd, ``K(-z) == -K(z)``, so the six products of
-    the symmetric sum are ``a b - a c + b c`` over the three legs."""
-    a, b, c = kernel_values(k, z1 - z2), kernel_values(k, z1 - z3), kernel_values(k, z2 - z3)
+    the symmetric sum are ``a b - a c + b c`` over the three legs, which
+    one ``kernel_values`` call evaluates."""
+    a, b, c = kernel_values(k, np.stack(np.broadcast_arrays(z1 - z2, z1 - z3, z2 - z3)))
     return a * b - a * c + b * c
 
 
@@ -95,9 +96,11 @@ _SMALLEST = float(np.nextafter(0.0, 1.0))
 _CHUNK = 256
 
 
-def _check_workers(workers) -> None:
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1: a fraction, NaN or a
+    bool, which is a numbers.Integral that would pass as 0 or 1."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _parallel_map_chunks(
@@ -123,17 +126,21 @@ def _near_pairs(p: np.ndarray, lo: float):
     coincident ones included, as the strict upper triangle of a sparse 0/1
     ``csr_array``.
 
-    Candidates come from one KD-tree at a slightly inflated radius and are
-    then filtered with the admissibility predicate itself, so ties at the
-    cutoff fall on the same side as in the dense core."""
+    The pairs come from the blocks of the distance matrix with the
+    admissibility predicate itself, so ties at the cutoff fall on the same
+    side as in the dense core.  Cost O(n^2), which ``_vertex_sums`` pays
+    anyway; memory O(n * _ROWS + P) for P pairs."""
     from scipy.sparse import csr_array
-    from scipy.spatial import cKDTree
 
-    tree = cKDTree(np.column_stack([p.real, p.imag]))
-    found = tree.query_pairs(lo * (1.0 + 1e-9), output_type="ndarray")
-    rows, cols = found[np.abs(p[found[:, 0]] - p[found[:, 1]]) < lo].T
-    # the constructor sorts each row's column indices
-    return csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(p), len(p)))
+    counts, cols = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start, d in _distance_rows(p):
+        # j > i: the block's diagonal starts at column start
+        near = np.triu(d < lo, k=start + 1)
+        counts.append(np.count_nonzero(near, axis=1))
+        cols.append(np.nonzero(near)[1])
+    cols = np.concatenate(cols)
+    return csr_array((np.ones(cols.size), cols, np.concatenate(counts).cumsum()),
+                     shape=(len(p), len(p)))
 
 
 # a vertex whose leg products over every pair admissible to it, near ones
@@ -164,12 +171,20 @@ def _vertex_sums(
     (heavy near pairs, light admissible ones), the atom's admissible pairs
     are summed directly, so every atom's error stays relative to its own
     admissible products.
+
+    When ``lo`` is at most ``mu.min_spacing``, which always holds at
+    eps = 0, there are no near leg pairs: ``N_x`` is the diagonal alone and
+    the sparse products are skipped, so such a call loads no scipy.
+
     Cost: O(n^2 + n P) for P near leg pairs, plus O(n^2) per atom summed
     directly; memory O(n * _CHUNK + P).
     """
     p, w = mu.points, mu.weights
-    pairs = _near_pairs(p, lo)
-    pairs32 = pairs.astype(np.float32)
+    if mu.min_spacing >= lo:
+        pairs = pairs32 = None
+    else:
+        pairs = _near_pairs(p, lo)
+        pairs32 = pairs.astype(np.float32)
     counts = np.zeros(len(p), dtype=np.int64)
 
     def direct(ka: np.ndarray) -> np.ndarray:
@@ -185,19 +200,23 @@ def _vertex_sums(
         ma = np.abs(d) >= lo
         ka = kernel_values(k, d) * np.where(ma, w, 0.0)
         ma = ma.astype(float)
-        m = b - a
-        # the counts and the absolute products, which only decide the
-        # cancellation, in single precision at half the cost; rows are
-        # scaled into [0, 1] first so that none overflows
-        scale = np.abs(ka).max(axis=1, initial=0.0)
-        unit = np.abs(ka) / np.where(scale > 0, scale, 1.0)[:, None]
-        paired = np.vstack([unit, ma]).astype(np.float32) @ pairs32
         # twice the upper triangle, plus the diagonal, which is near
         diag = (ka * ka).sum(axis=1)
-        near = 2.0 * ((ka @ pairs) * ka).sum(axis=1) + diag
-        near_abs = 2.0 * (scale * (paired[:m] * np.abs(ka)).sum(axis=1)) + diag
         n_adm = ma.sum(axis=1)
-        cnt = n_adm ** 2 - (2.0 * (paired[m:] * ma).sum(axis=1) + n_adm)
+        if pairs is None:
+            near = near_abs = diag
+            cnt = n_adm ** 2 - n_adm
+        else:
+            m = b - a
+            # the counts and the absolute products, which only decide the
+            # cancellation, in single precision at half the cost; rows are
+            # scaled into [0, 1] first so that none overflows
+            scale = np.abs(ka).max(axis=1, initial=0.0)
+            unit = np.abs(ka) / np.where(scale > 0, scale, 1.0)[:, None]
+            paired = np.vstack([unit, ma]).astype(np.float32) @ pairs32
+            near = 2.0 * ((ka @ pairs) * ka).sum(axis=1) + diag
+            near_abs = 2.0 * (scale * (paired[:m] * np.abs(ka)).sum(axis=1)) + diag
+            cnt = n_adm ** 2 - (2.0 * (paired[m:] * ma).sum(axis=1) + n_adm)
         sums = ka.sum(axis=1) ** 2 - near
         full = np.abs(ka).sum(axis=1) ** 2
         lossy = np.flatnonzero((cnt > 0) & (_CANCELLATION * (full - near_abs) < full))
@@ -218,10 +237,13 @@ def perm_measure(
     ``eps > 0`` each of the three pairwise distances must be >= eps.  The
     three permutation terms are equal, so one is summed at its vertex by
     ``_vertex_sums``, in O(n^2 + n P) time for P near pairs, and tripled.
+    An ``eps`` at most the atom spacing ``mu.min_spacing``, eps = 0
+    included, has no near pairs: the call is O(n^2) and loads no scipy;
+    a larger one builds the near pairs as a ``scipy.sparse`` matrix.
     """
     if not (0 <= eps < math.inf):
         raise ValueError(f"truncation length must be >= 0 and finite, got {eps!r}")
-    _check_workers(workers)
+    _check_count("workers", workers)
     rows, counts = _vertex_sums(k, mu, max(eps, _TINY), workers)
     return TripleIntegralResult(3.0 * math.fsum(mu.weights * rows), int(counts.sum()),
                                 {"kind": "eps", "eps": float(eps)})
@@ -504,7 +526,7 @@ def perm_truncated_window(
     kernel matrices: whole-row totals where the window holds every atom of
     ``mu2`` distinct from z1, and one matrix product for the other rows."""
     _window(delta, q_radius)
-    _check_workers(workers)
+    _check_count("workers", workers)
     trunc = {"kind": "window", "delta": float(delta), "q_radius": float(q_radius)}
     engine = _WindowEngine(kernel, mu1.points, mu2, mu3)
     counts = np.zeros(len(mu1), dtype=np.int64)
@@ -516,6 +538,72 @@ def perm_truncated_window(
     return TripleIntegralResult(
         math.fsum(mu1.weights * sums), int(counts.sum()), trunc
     )
+
+
+def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, maxiter: int,
+                 xatol: float, fatol: float) -> tuple[np.ndarray, float]:
+    """The point and value found by the non-adaptive Nelder-Mead simplex
+    search from ``x0``: the steps of
+    ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")``, in its order,
+    with the same initial simplex and stopping test, so both return the same
+    bits.  Stops when every vertex lies within ``xatol`` of the best in each
+    coordinate and every value within ``fatol`` of its value, or after
+    ``maxiter`` iterations.
+
+    The steps are scipy's: the initial vertices move one coordinate of
+    ``x0`` by 5 %, or to 0.00025 from 0, and the reflection, expansion,
+    contraction and shrink coefficients are 1, 2, 1/2 and 1/2, written out
+    below as the weights of the centroid and the worst vertex."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim])
+
+    def order() -> tuple[np.ndarray, np.ndarray]:
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # sorted twice, as scipy does: an unstable sort may reorder ties again
+    sim, fsim = order()
+    sim, fsim = order()
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol:
+            with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test
+                if np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                    break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside, towards the reflection
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # contract inside
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = order()
+    return sim[0], np.min(fsim)
 
 
 @dataclass(frozen=True)
@@ -530,11 +618,11 @@ def sign_scan(t: float, n_samples: int = 100_000, seed: int = 0) -> SignScanResu
 
     Random triples in the unit disc are mixed with near-collinear families
     (where sign changes concentrate), and the best candidate is polished
-    with a derivative-free local search.
+    with at most 400 iterations of the Nelder-Mead simplex search
+    (``_nelder_mead``), which needs no scipy.
     """
     k = KernelParam(t)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _check_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     r, c = 1.0, 0j
 
@@ -579,21 +667,14 @@ def sign_scan(t: float, n_samples: int = 100_000, seed: int = 0) -> SignScanResu
             return np.inf
         return float(perm_values(k, a, b, d))
 
-    from scipy.optimize import minimize
-
     v0 = np.array(
         [triple[0].real, triple[0].imag, triple[1].real, triple[1].imag,
          triple[2].real, triple[2].imag]
     )
-    res = minimize(objective, v0, method="Nelder-Mead",
-                   options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-14})
-    if np.isfinite(res.fun) and res.fun < best_val:
-        best_val = float(res.fun)
-        triple = (
-            complex(res.x[0], res.x[1]),
-            complex(res.x[2], res.x[3]),
-            complex(res.x[4], res.x[5]),
-        )
+    x, fun = _nelder_mead(objective, v0, maxiter=400, xatol=1e-10, fatol=1e-14)
+    if np.isfinite(fun) and fun < best_val:
+        best_val = float(fun)
+        triple = (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5]))
     return SignScanResult(best_val, triple, n_samples)
 
 
@@ -617,6 +698,7 @@ def estimate_c1(
     the reported value is that upper bound."""
     if not (theta > 0):
         raise ValueError("theta must be positive")
+    _check_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     n_free = n_samples // 2
     n_flat = n_samples - n_free

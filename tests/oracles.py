@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from curvperm.graphfit import LENGTH_RULE, BetaResult, WhitneyCover, beta2
-from curvperm.kernels import Line, kernel_values
+from curvperm.kernels import KernelParam, Line, kernel_values
 from curvperm.lattice import BIG_BALL_FACTOR, first_doubling_ancestor
+from curvperm.permutations import SignScanResult
 
 
 def kernel_t(t, z: complex) -> float:
@@ -185,6 +186,55 @@ def near_pairs_two_trees(p, lo):
     rows, cols = found["i"][near], found["j"][near]
     pairs = csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(p), len(p)))
     return triu(pairs, k=1, format="csr")
+
+
+def sign_scan_scipy(t, n_samples, seed) -> SignScanResult:
+    """``sign_scan`` with its best sample polished by
+    ``scipy.optimize.minimize(method="Nelder-Mead")``, and each permutation
+    from three ``kernel_values`` calls: the same samples, scipy's search."""
+    from scipy.optimize import minimize
+
+    k = KernelParam(t)
+    rng = np.random.default_rng(seed)
+
+    def perm(z1, z2, z3):
+        a, b, c = (kernel_values(k, d) for d in (z1 - z2, z1 - z3, z2 - z3))
+        return a * b - a * c + b * c
+
+    def sample_disc(n):
+        rho = np.sqrt(rng.uniform(0, 1, n))
+        ang = rng.uniform(0, 2 * np.pi, n)
+        return 0j + rho * np.exp(1j * ang)
+
+    n_free = n_samples // 2
+    n_thin = n_samples - n_free
+    free = [sample_disc(n_free) for _ in range(3)]
+    base = sample_disc(n_thin)
+    direc = np.exp(1j * rng.uniform(0, 2 * np.pi, n_thin))
+    span = rng.uniform(0.05, 1.0, n_thin)
+    frac = rng.uniform(0.1, 0.9, n_thin)
+    height = span * 10.0 ** rng.uniform(-4, -0.3, n_thin)
+    thin = [base, base + span * direc, base + frac * span * direc + 1j * height * direc]
+    z1, z2, z3 = (np.concatenate(pair) for pair in zip(free, thin))
+    good = (np.abs(z1 - z2) > 1e-12) & (np.abs(z1 - z3) > 1e-12) & (np.abs(z2 - z3) > 1e-12)
+    vals = np.where(good, perm(z1, z2, z3), np.inf)
+    best = int(np.argmin(vals))
+    best_val = float(vals[best])
+    triple = (complex(z1[best]), complex(z2[best]), complex(z3[best]))
+
+    def objective(v):
+        a, b, d = complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])
+        if min(abs(a - b), abs(a - d), abs(b - d)) < 1e-12:
+            return np.inf
+        return float(perm(a, b, d))
+
+    v0 = np.array([c for z in triple for c in (z.real, z.imag)])
+    res = minimize(objective, v0, method="Nelder-Mead",
+                   options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-14})
+    if np.isfinite(res.fun) and res.fun < best_val:
+        best_val = float(res.fun)
+        triple = tuple(complex(res.x[i], res.x[i + 1]) for i in (0, 2, 4))
+    return SignScanResult(best_val, triple, n_samples)
 
 
 def naive_perm_window(t, pts1, w1, pts2, w2, pts3, w3, delta, q_radius) -> float:
@@ -443,6 +493,30 @@ class DenseEngine:
                 + (win_w * self.abs_g[:, j].T).sum(axis=1))
             whole[start:start + j.size] = win.sum(axis=1) == (dist > 0).sum(axis=1)
         return out, mag, whole
+
+
+def far_stops_loop(builder, open_ids) -> dict:
+    """``_TreeBuilder.far_stops`` one (cube, holding line) pair at a time:
+    each fitted cube's ``Line`` measures the cube's members, and the
+    containment of the 2B balls is the scalar test."""
+    from curvperm.corona import StopVerdict
+
+    lat, mu, par = builder.lattice, builder.mu, builder.params
+    fitted = [q for q in open_ids if lat.cubes[q].doubling and builder.cube_line(q) is not None]
+    out = {}
+    for qid in open_ids:
+        members = lat.cubes[qid].members
+        ball = lat.big_ball(qid, 2.0)
+        far = np.zeros(members.size, dtype=bool)
+        for tid in fitted:
+            outer = lat.big_ball(tid, 2.0)
+            if abs(complex(outer.center - ball.center)) <= outer.radius - ball.radius:
+                lim = 5 * math.sqrt(par.eps0) * lat.big_ball(tid).radius
+                far |= np.atleast_1d(builder.cube_line(tid).distance(mu.points[members])) > lim
+        far_mass = float(mu.weights[members[far]].sum())
+        if far_mass > math.sqrt(par.alpha) * lat.mass(qid):
+            out[qid] = StopVerdict("F", far_mass / lat.mass(qid))
+    return out
 
 
 def level_5b_pairs(lattice):

@@ -9,6 +9,7 @@ from curvperm.corona import (
     Params,
     _engine_rows,
     _flat_engine,
+    _TreeBuilder,
     beta_packing_sum,
     build_top,
     build_tree,
@@ -22,7 +23,7 @@ from curvperm.kernels import K_ZERO
 from curvperm.lattice import build
 from curvperm.measure import Ball, DiscreteMeasure, generate
 from curvperm.permutations import _WindowEngine, perm_truncated_window
-from oracles import DenseEngine
+from oracles import DenseEngine, far_stops_loop
 
 
 def fresh_engine(lat, mu, rid):
@@ -190,6 +191,27 @@ class TestConstructedStops:
         for rid, tree in corona.trees.items():
             for q in tree.tree_ids:
                 assert not tree.stop.keys() & set(lat.chain(q, rid)[1:])
+
+    @pytest.mark.parametrize("params", [Params(), Params(alpha=0.5, eps0=1e-8),
+                                        Params(eps0=1e-12, alpha=0.2, theta0=2.0)],
+                             ids=["default", "loose-budget", "no-slope-rule"])
+    def test_far_stops_equal_the_pair_loop(self, params, monkeypatch):
+        # every call of the batched pass, over every tree of the corpus,
+        # gives the verdicts of the scalar loop over (cube, line) pairs
+        fired = []
+        batched = _TreeBuilder.far_stops
+
+        def both(builder, open_ids):
+            got = batched(builder, open_ids)
+            assert got == far_stops_loop(builder, open_ids)
+            fired.extend(got)
+            return got
+
+        monkeypatch.setattr(_TreeBuilder, "far_stops", both)
+        for mu in corona_corpus().values():
+            lat, params = make(mu, params)
+            build_top(lat, mu, params)
+        assert bool(fired) == (params != Params())
 
 
 class TestRFar:

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import warnings
@@ -9,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from curvperm import permutations
 from curvperm.corona import Params, _flat_engine, _TreeBuilder
-from curvperm.experiments import _perm_reference
+from curvperm.experiments import _perm_reference, corpus
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
 from curvperm.permutations import (
     _near_pairs,
+    _nelder_mead,
     _parallel_map_chunks,
     _WindowEngine,
     curvature_squared,
@@ -35,6 +37,7 @@ from oracles import (
     near_pairs_two_trees,
     perm_term,
     row_sums,
+    sign_scan_scipy,
 )
 
 
@@ -185,7 +188,7 @@ class TestPermMeasure:
         for w in (2, 3, 7):
             assert perm_measure(K_ZERO, mu, workers=w).value == base
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.0, 2.5, "2", None])
+    @pytest.mark.parametrize("workers", [0, -1, 1.0, 2.5, "2", None, True, math.nan])
     def test_bad_worker_count_rejected(self, workers):
         mu = generate("cantor4", level=1)
         with pytest.raises(ValueError, match="workers"):
@@ -405,8 +408,8 @@ def _triple_dense_measures(seed):
 
 
 class TestNearPairs:
-    """One KD-tree's ``query_pairs`` gives the same matrix as the strict
-    upper triangle of a tree queried against itself."""
+    """The pairs read from the distance-matrix blocks give the same matrix
+    as the strict upper triangle of a KD-tree queried against itself."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(_shared_measures())
@@ -419,10 +422,17 @@ class TestNearPairs:
     @pytest.mark.parametrize("seed", [1, 5])
     def test_triple_dense_inputs(self, seed):
         for mu in _triple_dense_measures(seed):
-            for lo in (_TINY, 0.01 * mu.diameter, 0.05 * mu.diameter):
-                got = _near_pairs(mu.points, lo)
-                assert _same_csr(got, near_pairs_two_trees(mu.points, lo))
-                assert got.nnz > 0 or lo == _TINY
+            p, n = mu.points, len(mu)
+            # an exact pair distance, which the pair itself does not clear,
+            # one below the spacing and one above the diameter
+            cuts = (_TINY, 0.01 * mu.diameter, 0.05 * mu.diameter,
+                    float(np.abs(p[0] - p[n // 8])), 0.5 * mu.min_spacing,
+                    2.0 * mu.diameter)
+            for lo in cuts:
+                got = _near_pairs(p, lo)
+                assert _same_csr(got, near_pairs_two_trees(p, lo))
+                assert (got.nnz > 0) == (lo > mu.min_spacing)
+            assert got.nnz == n * (n - 1) // 2
 
     @pytest.mark.parametrize("points", [[], [0.5j]], ids=["empty", "one"])
     def test_fewer_than_two_atoms(self, points):
@@ -430,6 +440,34 @@ class TestNearPairs:
         for lo in (_TINY, 1.0):
             got = _near_pairs(p, lo)
             assert _same_csr(got, near_pairs_two_trees(p, lo)) and got.nnz == 0
+
+
+class TestSpacingSkip:
+    """A cutoff at most the atom spacing has no near pairs: the sparse
+    products are skipped, and the result is the one they would give."""
+
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=str)
+    def test_corpus_equals_the_near_pair_pass(self, k):
+        for name, mu in corpus().items():
+            forced = copy.copy(mu)
+            # a spacing of 0 sends the call through _near_pairs
+            forced.__dict__["min_spacing"] = 0.0
+            for workers in (1, 2):
+                got = perm_measure(k, mu, workers=workers)
+                ref = perm_measure(k, forced, workers=workers)
+                assert (got.value, got.triples_counted) == (ref.value, ref.triples_counted), name
+
+    def test_skip_reads_no_pairs(self, monkeypatch):
+        mu = generate("lipschitz_graph", n=200, slope=0.2)
+
+        def fail(p, lo):
+            raise AssertionError("near pairs built below the spacing")
+
+        monkeypatch.setattr(permutations, "_near_pairs", fail)
+        perm_measure(K_INF, mu)
+        perm_measure(K_INF, mu, eps=mu.min_spacing)
+        with pytest.raises(AssertionError):
+            perm_measure(K_INF, mu, eps=np.nextafter(mu.min_spacing, 1.0))
 
 
 _TINY = np.finfo(float).tiny
@@ -735,6 +773,81 @@ class TestSignScan:
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
             sign_scan(0.0, n_samples=0)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, 1000.0, True, 0, -3, "100", None])
+    def test_sample_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            sign_scan(-0.5, n)
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            estimate_c1(0.5, n)
+
+    def test_numpy_integer_sample_count(self):
+        assert sign_scan(-0.5, np.int64(1000), seed=2) == sign_scan(-0.5, 1000, seed=2)
+        assert estimate_c1(0.5, np.int64(1000), seed=2) == estimate_c1(0.5, 1000, seed=2)
+
+    @pytest.mark.parametrize("n", [1000, 20000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("t", [-3.0, -1.0, -0.75, -0.5, -0.25, 0.0, 1.0])
+    def test_equals_the_scipy_polish(self, t, seed, n):
+        got, ref = sign_scan(t, n, seed), sign_scan_scipy(t, n, seed)
+        assert got.min_value.hex() == ref.min_value.hex()
+        assert got.argmin_triple == ref.argmin_triple and got.samples == ref.samples
+
+
+def _shrinks(res, n: int) -> bool:
+    """Whether a scipy Nelder-Mead run shrank its simplex: every other
+    iteration evaluates one or two points, a shrink n more."""
+    return res.nfev > (n + 1) + 2 * (res.nit - 1)
+
+
+# (objective, start, whether the search shrinks)
+_NM_CASES = {
+    "rosenbrock": (lambda x: float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2)),
+                   [-1.2, 1.0, 0.5], False),
+    "l1": (lambda x: float(np.abs(x).sum()), [0.3, -0.7, 0.0, 1.1], False),
+    "steps": (lambda x: float(np.floor(4 * x).sum()), [0.3, 0.2], True),
+    "inf-wall": (lambda x: math.inf if x.max() > 1 else float(((x - 2) ** 2).sum()),
+                 [1.0, 1.0, 0.5], True),
+    # every vertex but the start is infinite, and so is every later point
+    "inf-ties": (lambda x: math.inf if x[0] >= 1 else float((x ** 2).sum()),
+                 [1.0, 0.0, 0.0], True),
+}
+
+
+class TestNelderMead:
+    """``_nelder_mead`` takes scipy's non-adaptive steps in scipy's order."""
+
+    @pytest.mark.parametrize("case", sorted(_NM_CASES))
+    def test_equals_scipy(self, case):
+        from scipy.optimize import minimize
+
+        f, x0, shrinks = _NM_CASES[case]
+        opts = {"maxiter": 400, "xatol": 1e-10, "fatol": 1e-14}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's inf - inf
+            res = minimize(f, np.array(x0), method="Nelder-Mead", options=opts)
+        x, fun = _nelder_mead(f, np.array(x0), **opts)
+        assert _shrinks(res, len(x0)) == shrinks
+        assert np.array_equal(x, res.x) and x.dtype == res.x.dtype
+        assert fun == res.fun
+
+    def test_iteration_cap(self):
+        from scipy.optimize import minimize
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(np.abs(x).sum())
+
+        for maxiter in (1, 2, 17):
+            calls.clear()
+            x, fun = _nelder_mead(f, np.array([0.3, -0.7]), maxiter, 0.0, 0.0)
+            mine = len(calls)
+            res = minimize(f, np.array([0.3, -0.7]), method="Nelder-Mead",
+                           options={"maxiter": maxiter, "xatol": 0.0, "fatol": 0.0})
+            assert res.nit == maxiter and mine == res.nfev
+            assert np.array_equal(x, res.x) and fun == res.fun
 
 
 class TestC1Estimate:
