@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -29,7 +28,13 @@ from .lattice import (
     maximal_doubling,
 )
 from .measure import DiscreteMeasure
-from .permutations import _WindowEngine, _kernel_matrix, curvature_squared, perm_measure
+from .permutations import (
+    _WindowEngine,
+    _kernel_matrix,
+    _physical_memory,
+    curvature_squared,
+    perm_measure,
+)
 
 __all__ = [
     "Params",
@@ -53,14 +58,6 @@ K_MAX = 64  # generations of trees build_top grows at most
 N2_ARRAYS = 4
 # fitted lines per block of the far-from-lines distances
 _LINE_BLOCK = 256
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -162,11 +159,10 @@ class TreeDecomposition:
 
 def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
                  kmat: np.ndarray | None = None) -> _WindowEngine:
-    """K_0 with the atoms ``sub`` of a root's 2B in all three slots, one
-    point array, so the engine bounds its rows by ``mu.min_spacing``;
-    ``kmat`` is their K_0 matrix, if the caller has it."""
-    nu = mu._view(sub)
-    return _WindowEngine(K_ZERO, nu.points, nu, nu, kmat)
+    """K_0 over the atoms ``sub`` of a root's 2B, whose rows the engine
+    bounds by the spacing ``mu.min_spacing``; ``kmat`` is their K_0 matrix,
+    if the caller has it."""
+    return _WindowEngine(K_ZERO, mu._view(sub), kmat)
 
 
 def _engine_rows(sub: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -427,11 +423,12 @@ def build_top(
     the same atoms share one engine, and only one engine is alive at a
     time.  An atom whose window ``[delta r, r / delta]`` holds every other
     atom of the root's 2B reads its point sum from the engine's whole-row
-    totals, unless the guard on the subtracted self term sends it to its
-    window.  The bounds from the spacing ``mu.min_spacing`` and the root
-    ball's bounding box certify most such atoms; each other atom is decided by
-    the window mask that would sum it.  An engine forms the O(m^3) product
-    ``D W K(z - x)`` only once some atom's window leaves another atom out.
+    totals, unless one atom may dominate a row of ``|K| w`` and the
+    engine's cancellation guard sends every atom to its window.  The bounds
+    from the spacing ``mu.min_spacing`` and the root ball's bounding box
+    certify most such atoms; each other atom is decided by the window mask
+    that would sum it.  An engine forms the O(m^3) product ``C W C`` only
+    once some atom's window leaves another atom out.
 
     Every tree reads the atoms of each cube's 2B from the lattice's table
     (``Lattice.atoms_2b``) and the best line of each cube's 2B from the

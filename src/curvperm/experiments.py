@@ -289,14 +289,19 @@ def _perm_reference(k: KernelParam, mu: DiscreteMeasure, eps: float = 0.0,
                     window: tuple[float, float] = (0.0, math.inf)) -> float:
     """Correctly rounded sum of ``w_x w_y w_z p(x, y, z)`` over the triples of
     a small measure whose three pairs are distinct and at distance >= ``eps``
-    and whose first pair lies in the closed ``window``; O(n^3) memory."""
+    and whose first pair lies in the closed ``window``; O(n^3) memory.  The
+    kernel is evaluated once per pair, and its legs ``K(x - y)``,
+    ``K(x - z)`` and ``K(y - z)`` are slices of that (n, n) matrix."""
     p, w = mu.points, mu.weights
-    x, y, z = p[:, None, None], p[None, :, None], p[None, None, :]
-    d12 = np.abs(x - y)
-    near = np.minimum(np.minimum(d12, np.abs(x - z)), np.abs(y - z))
+    dz = p[:, None] - p[None, :]
+    d = np.abs(dz)
+    d12, d13, d23 = d[:, :, None], d[:, None, :], d[None, :, :]
+    near = np.minimum(np.minimum(d12, d13), d23)
     keep = (near > 0) & (near >= eps) & (d12 >= window[0]) & (d12 <= window[1])
     wt = w[:, None, None] * w[None, :, None] * w[None, None, :]
-    return math.fsum((wt * perm_values(k, x, y, z))[keep])
+    kp = kernel_values(k, dz)
+    a, b, c = kp[:, :, None], kp[:, None, :], kp[None, :, :]
+    return math.fsum((wt * (a * b - a * c + b * c))[keep])
 
 
 def _exp_oracle_equivalence(spec: ExperimentSpec):

@@ -13,14 +13,15 @@ into one function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Line
+from .kernels import K_ZERO, Line
 from .lattice import BIG_BALL_FACTOR, Lattice, _fit_lines, _own_measure, first_doubling_ancestor
 from .measure import _ROWS, Ball, DiscreteMeasure, _distance_rows
-from .permutations import perm_truncated_window
+from .permutations import _WindowEngine
 
 __all__ = [
     "BetaResult",
@@ -336,8 +337,13 @@ def build_lipschitz_F(
     """Assemble the blended extension for one root cube.
 
     With an empty doubling tree the function is identically zero and its
-    graph is the base line itself.
+    graph is the base line itself.  ``n_samples``, the number of grid
+    samples, must be an integer >= 2: the Lipschitz estimate needs a pair.
     """
+    # bool is a numbers.Integral, so True would pass as 1
+    if isinstance(n_samples, bool) or not (isinstance(n_samples, numbers.Integral)
+                                           and n_samples >= 2):
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     _own_measure(lattice, mu)
     line = lattice.line_2b(root_id)
     member_pts = mu.points[lattice.cubes[root_id].members]
@@ -428,9 +434,9 @@ def beta_perm_comparison(
     _own_measure(lattice, mu)
     theta = lattice.theta_2b(qid)
     sub = mu._view(lattice.atoms_2b(qid))
-    perm = perm_truncated_window(
-        sub, sub, sub, delta, lattice.cubes[qid].radius
-    ).value
+    sums = _WindowEngine(K_ZERO, sub).point_sums(np.arange(len(sub)), lattice.cubes[qid].radius,
+                                                 delta)
+    perm = math.fsum(sub.weights * sums)
     perm_term = max(perm, 0.0) / lattice.mass(qid)
     lhs = lattice.beta_2b(qid)**2 * theta
     base = 4 * eps**2 * theta**2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -281,16 +281,6 @@ def _kernel_matrix(k: KernelParam, pa: np.ndarray, pb: np.ndarray) -> np.ndarray
     return out
 
 
-def _weights_at(p: np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
-    """Per point of ``p``, the weight of the atom of ``mu`` there, or 0."""
-    if p is mu.points:
-        return mu.weights
-    order = np.argsort(mu.points)
-    pos = np.searchsorted(mu.points[order], p)
-    hit = np.append(mu.points[order], np.nan)[pos] == p
-    return np.where(hit, np.append(mu.weights[order], 0.0)[pos], 0.0)
-
-
 def _max_share(kmat: np.ndarray, w: np.ndarray) -> float:
     """The largest share of one atom in any row's ``sum_z |K[r, z]| w_z``."""
     best = 0.0
@@ -303,212 +293,158 @@ def _max_share(kmat: np.ndarray, w: np.ndarray) -> float:
 
 
 class _WindowEngine:
-    """Per slot-one point x, the sum of ``p(x, y, z) w_y w_z`` over y in
-    ``mu2`` with ``|x - y|`` in the window and z in ``mu3`` away from x and y.
+    """Per atom x of ``mu``, the sum of ``p(x, y, z) w_y w_z`` over atoms y
+    with ``|x - y|`` in the window and atoms z distinct from x and y.
 
-    With ``A = K(x - y)``, ``B = K(x - z)``, ``D = K(y - z)``, the
-    slot-three transpose ``Bt = K(z - x)`` and ``alpha = w_y A`` on the
-    window, the three terms are ``sum_y alpha_y (sum_z w_z B[x, z] - b_y)``
-    with ``b_y`` the z = y term, ``-sum_y alpha_y ((D w)[y] + A[x, y] w_x)``
-    with ``w_x`` the weight of ``mu3`` at x (K is odd; this drops z = x),
-    and ``-sum_y w_y (D W Bt)[y, x]`` on the window.  When the three slots
-    are one point set the four matrices are one, which ``kmat`` may pass in.
+    With ``C = K(x - y)`` over the atoms, which ``kmat`` may pass in, and
+    ``alpha = w_y C[x, y]`` on the window, the three terms are
+    ``sum_y alpha_y (sum_z w_z C[x, z] - C[x, y] w_y)``, then
+    ``-sum_y alpha_y ((C w)[y] + C[x, y] w_x)`` (K is odd; this drops
+    z = x), and ``-sum_y w_y (C W C)[y, x]`` on the window.
 
-    A row whose window holds every slot-two atom distinct from x needs no
-    ``D W Bt``: its sum is the whole-row total
-    ``(A w2)(B w3) - (A∘A)(w2 yw3) - A(w2 D w3) - xw3 (A∘A) w2
-    + B(w3 (w2ᵀ D)) - xw2 (B∘B) w3``, where ``yw3``, ``xw3`` and ``xw2``
-    are the weights of ``mu3`` and ``mu2`` at the slot-two and slot-one
-    points, and matrix-vector products give it for every row at once.  Its
-    last term removes the atom at x itself, which no window holds; a row
-    where that term leaves less than ``1 / _CANCELLATION`` of the products
-    ``|B|(w3 (w2ᵀ|D|))`` is summed on its window instead.  Set-up bounds
-    in O(m) each row's nearest distinct slot-two atom from below, by the
-    spacing ``mu2.min_spacing`` when slot one is slot two's point array (0
-    otherwise), and its farthest from above, by the circle about the
-    slot-two bounding box.  A row these bounds certify whole reads its
-    total; every other row is decided, 64 at a time, from the window mask
-    the window pass builds for it anyway.  The first call with a whole row
-    makes one row-blocked pass for the totals and the guard; the first call
-    with a row that needs its window forms the O(m^3) product ``D W Bt``,
-    with ``Bt = -Bᵀ``.  Each is built once, whichever thread asks first.
+    A row whose window holds every atom but x needs no ``C W C``: its sum
+    is the whole-row total
+    ``(C w)(C w) - (C∘C)(w∘w) - C(w∘Cw) - w_x (C∘C) w + C(w∘(wᵀC))
+    - w_x (C∘C) w``, which matrix-vector products give for every row at
+    once; its last term, the fourth once more, removes y = x.  Set-up
+    bounds in O(m) each row's nearest other atom from below, by the spacing
+    ``mu.min_spacing``, and its farthest from above, by the circle about the
+    bounding box.  A row these bounds certify whole reads its total; every
+    other row is decided, 64 at a time, from the window mask the window
+    pass builds for it anyway.  The first call with a whole row makes one
+    row-blocked pass for the totals; the first call with a row that needs
+    its window forms the O(m^3) product ``C W C``.
 
     Only coincident terms are subtracted.  When one atom may carry more
     than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
     checked, one whose subtracted products exceed its kept ones
     ``_CANCELLATION``-fold is summed directly, and no row uses its
-    whole-row total.
+    whole-row total.  Otherwise the self term of a total is at most that
+    share of the products ``|C|(w (wᵀ|C|))`` it is taken from: per z, it
+    is x's share of row z of ``|K| w``.
     """
 
-    def __init__(self, k: KernelParam, p1: np.ndarray, mu2: DiscreteMeasure,
-                 mu3: DiscreteMeasure, kmat: np.ndarray | None = None):
-        p2, w2, p3, w3 = mu2.points, mu2.weights, mu3.points, mu3.weights
-        self.p1, self.p2, self.w2, self.p3, self.w3 = p1, p2, w2, p3, w3
-        # one matrix per pair of point arrays, so shared slots share it
-        mats = {} if kmat is None else {(id(p1), id(p1)): kmat}
-
-        def matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-            if (id(pa), id(pb)) not in mats:
-                mats[id(pa), id(pb)] = _kernel_matrix(k, pa, pb)
-            return mats[id(pa), id(pb)]
-
-        self.a, self.b, self.d = matrix(p1, p2), matrix(p1, p3), matrix(p2, p3)
-        self.dw = self.d @ w3
-        # weights of mu2 and mu3 at the slot-one points, of mu3 at slot two
-        self.xw2, self.xw3 = _weights_at(p1, mu2), _weights_at(p1, mu3)
-        self.yw3 = _weights_at(p2, mu3)
-        share = _max_share(self.b, w3)
-        if self.d is not self.b:
-            share = max(share, _max_share(self.d, w3))
-        self.dabs = np.abs(self.d) @ w3 if share > 1 - 1 / _CANCELLATION else None
-        # per row, a lower bound on the nearest distinct slot-two atom and an
-        # upper bound on the farthest: the spacing of the measure's atoms,
-        # shrunk so that |x - y| rounded by another code path stays above
-        # it, and |x - c| + max |y - c| about the bounding-box centre c,
-        # grown likewise.  Zeros certify no row
-        self.near_lb = self.far_ub = np.zeros(p1.size)
-        if p2.size:
-            if p1 is p2:
-                self.near_lb = np.full(p1.size, mu2.min_spacing * (1 - 2e-12))
-            re, im = p2.real, p2.imag
+    def __init__(self, k: KernelParam, mu: DiscreteMeasure, kmat: np.ndarray | None = None):
+        p, w = mu.points, mu.weights
+        self.p, self.w = p, w
+        self.c = _kernel_matrix(k, p, p) if kmat is None else kmat
+        self.cw = self.c @ w
+        share = _max_share(self.c, w)
+        self.dabs = np.abs(self.c) @ w if share > 1 - 1 / _CANCELLATION else None
+        # per row, a lower bound on the nearest other atom and an upper bound
+        # on the farthest: the spacing of the measure's atoms, shrunk so that
+        # |x - y| rounded by another code path stays above it, and
+        # |x - c| + max |y - c| about the bounding-box centre c, grown
+        # likewise
+        self.near_lb = np.full(p.size, mu.min_spacing * (1 - 2e-12))
+        self.far_ub = np.zeros(p.size)
+        if p.size:
+            re, im = p.real, p.imag
             c = complex((re.min() + re.max()) / 2, (im.min() + im.max()) / 2)
-            self.far_ub = (np.abs(p1 - c) + np.abs(p2 - c).max()) * (1 + 1e-12)
-        # the whole-row pass and D W Bt, built on first use
-        self._lock = threading.Lock()
-        self._whole: tuple[np.ndarray, ...] | None = None
+            self.far_ub = (np.abs(p - c) + np.abs(p - c).max()) * (1 + 1e-12)
+        # the whole-row totals and C W C, built on first use
+        self._whole: np.ndarray | None = None
         self._g_t: np.ndarray | None = None
 
     def _in_window(self, j: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
-        """Which pairs (x, y) of the slot-one points ``j`` are in the window."""
+        """Which pairs (x, y) of the atoms ``j`` are in the window."""
         lo, hi = _window(delta, q_radius)
-        d12 = np.abs(self.p1[j, None] - self.p2[None, :])
+        d12 = np.abs(self.p[j, None] - self.p[None, :])
         # the pair must be distinct too: the smallest positive distance
         return (d12 >= max(lo, _SMALLEST)) & (d12 <= hi)
 
-    def _counts(self, j: np.ndarray, n_in: np.ndarray, n_in3: np.ndarray) -> np.ndarray:
-        """The numbers of triples of the slot-one points ``j``, whose windows
-        hold ``n_in`` slot-two atoms, ``n_in3`` of them atoms of ``mu3``."""
-        return n_in * (self.w3.size - (self.xw3[j] > 0)) - n_in3
-
-    def point_sums(self, rows: np.ndarray, q_radius: float, delta: float,
-                   counts: np.ndarray | None = None) -> np.ndarray:
-        """The sums of the slot-one points ``rows`` with the window
-        ``[delta q_radius, q_radius / delta]``.  ``counts``, if given,
-        receives their numbers of triples, from the same window masks."""
+    def point_sums(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
+        """The sums of the atoms ``rows`` with the window
+        ``[delta q_radius, q_radius / delta]``."""
         lo, hi = _window(delta, q_radius)
         sums = np.empty(rows.size)
 
         def read_totals(i: np.ndarray, whole: np.ndarray) -> np.ndarray:
-            # the rows rows[i] that are whole and pass the guard read their
-            # totals; an engine where one atom may dominate a row reads none
+            # the rows rows[i] that are whole read their totals; an engine
+            # where one atom may dominate a row reads none
             whole = whole & (self.dabs is None)
             if whole.any():
-                totals, exact = self._once("_whole", self._whole_rows)
-                whole &= exact[rows[i]]
-                sums[i[whole]] = totals[rows[i[whole]]]
+                if self._whole is None:
+                    self._whole = self._whole_rows()
+                sums[i[whole]] = self._whole[rows[i[whole]]]
             return whole
 
         done = read_totals(np.arange(rows.size), (self.near_lb[rows] >= max(lo, _SMALLEST))
                            & (self.far_ub[rows] <= hi))
-        if counts is not None:
-            # a whole window holds every slot-two atom but the one at x, if
-            # any, which is an atom of mu3 when xw3 is
-            j, at_x = rows[done], self.xw2[rows[done]] > 0
-            counts[done] = self._counts(j, self.p2.size - at_x, np.count_nonzero(self.yw3 > 0)
-                                        - (at_x & (self.xw3[j] > 0)))
         left = np.flatnonzero(~done)
         for start in range(0, left.size, _ROW_BLOCK):
             i = left[start:start + _ROW_BLOCK]
             j = rows[i]
             win = self._in_window(j, q_radius, delta)
-            n_in = win.sum(axis=1)
-            if counts is not None:
-                counts[i] = self._counts(j, n_in, (win & (self.yw3 > 0)).sum(axis=1))
-            # whole when the window holds every slot-two atom but the one
-            # at x, if any: atoms are distinct and weights positive
-            done = read_totals(i, n_in == self.p2.size - (self.xw2[j] > 0))
+            # whole when the window holds every atom but x
+            done = read_totals(i, win.sum(axis=1) == self.p.size - 1)
             if not done.all():
                 sums[i[~done]] = self._window_sums(j[~done], win[~done])
         return sums
 
-    def _once(self, name: str, build: Callable[[], object]):
-        """The attribute ``name``, built by ``build`` on first use; the lock
-        makes concurrent first calls build it once."""
-        with self._lock:
-            if getattr(self, name) is None:
-                setattr(self, name, build())
-        return getattr(self, name)
-
-    def _whole_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per slot-one point, the sum over every slot-two atom distinct from
-        it, and whether that total passes the cancellation guard."""
-        p1, w2, w3, d = self.p1, self.w2, self.w3, self.d
-        w2d, w2dabs = w2 @ d, np.zeros(d.shape[1])
-        for start in range(0, d.shape[0], _ROW_BLOCK):
+    def _whole_rows(self) -> np.ndarray:
+        """Per atom, the sum over every other atom."""
+        c, w = self.c, self.w
+        # the vectors the rows of C, C∘C and C multiply
+        on_a = np.column_stack([w, w * self.cw])
+        on_aa = np.column_stack([w, w * w])
+        on_b = np.column_stack([w, w * (w @ c)])
+        totals = np.empty(w.size)
+        for start in range(0, w.size, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            w2dabs += w2[rows] @ np.abs(d[rows])
-        # the vectors the rows of A, A∘A and B multiply
-        on_a = np.column_stack([w2, w2 * self.dw])
-        on_aa = np.column_stack([w2, w2 * self.yw3])
-        on_b = np.column_stack([w3, w3 * w2d])
-        totals = np.empty(p1.size)
-        exact = np.empty(p1.size, dtype=bool)
-        for start in range(0, p1.size, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            a, b = self.a[rows], self.b[rows]
+            a = c[rows]
             aa = a * a
-            bb = aa if self.b is self.a else b * b
-            (a_w2, a_dw), (aa_w2, aa_yw3), (b_w3, b_d) = (
-                (m @ v).T for m, v in ((a, on_a), (aa, on_aa), (b, on_b)))
-            self_term = self.xw2[rows] * (bb @ w3)
-            totals[rows] = (a_w2 * b_w3 - aa_yw3 - a_dw - self.xw3[rows] * aa_w2
-                            + b_d - self_term)
-            h_abs = np.abs(b) @ (w3 * w2dabs)
-            exact[rows] = _CANCELLATION * (h_abs - self_term) >= h_abs
-        return totals, exact
+            (a_w, a_cw), (aa_w, aa_ww), (b_w, b_wc) = (
+                (m @ v).T for m, v in ((a, on_a), (aa, on_aa), (a, on_b)))
+            totals[rows] = (a_w * b_w - aa_ww - a_cw - w[rows] * aa_w
+                            + b_wc - w[rows] * (aa @ w))
+        return totals
 
     def _product(self) -> np.ndarray:
-        """``(D W Bt)^T``, the one O(m^3) product."""
-        # Bt = -Bᵀ bit for bit (K is odd), B itself when slots one and three
-        # are one point array; row-major, as an F-ordered operand rounds differently
-        bt = self.b if self.p1 is self.p3 else np.negative(self.b.T, order="C")
-        wbt = self.w3[:, None] * bt
-        del bt
-        g = self.d @ wbt
-        del wbt  # freed before the transposed copy, g after it
+        """``(C W C)^T``, the one O(m^3) product: ``C W K(z - x)``, where
+        ``K(z - x) = C[z, x]``."""
+        wc = self.w[:, None] * self.c
+        g = self.c @ wc
+        del wc  # freed before the transposed copy, g after it
         return np.ascontiguousarray(g.T)
 
     def _window_sums(self, j: np.ndarray, win: np.ndarray) -> np.ndarray:
-        """The sums of at most ``_ROW_BLOCK`` slot-one points ``j`` summed
-        on their windows ``win``."""
-        w2, w3 = self.w2, self.w3
-        g_t = self._once("_g_t", self._product)
-        a_row = self.a[j]
-        u = self.dw + a_row * self.xw3[j, None]
-        wa = w2 * a_row
-        alpha = np.where(win, wa, 0.0)
-        # K(0) = 0, so the z = x term is zero
-        wb = wa if self.b is self.a else w3 * self.b[j]
-        # the z = y term B[x, y] w_y, with B[x, y] = A[x, y]
-        b = wb if self.p2 is self.p3 else a_row * self.yw3
-        t1 = alpha.sum(axis=1) * wb.sum(axis=1) - (alpha * b).sum(axis=1)
+        """The sums of at most ``_ROW_BLOCK`` atoms ``j`` summed on their
+        windows ``win``."""
+        w = self.w
+        if self._g_t is None:
+            self._g_t = self._product()
+        c_row = self.c[j]
+        u = self.cw + c_row * w[j, None]
+        wc = w * c_row
+        alpha = np.where(win, wc, 0.0)
+        # K(0) = 0, so the z = x term is zero; the z = y term is wc
+        t1 = alpha.sum(axis=1) * wc.sum(axis=1) - (alpha * wc).sum(axis=1)
         t2 = -(alpha * u).sum(axis=1)
-        t3 = -(np.where(win, w2, 0.0) * g_t[j]).sum(axis=1)
+        t3 = -(np.where(win, w, 0.0) * self._g_t[j]).sum(axis=1)
         out = t1 + t2 + t3
         if self.dabs is not None:
             aa = np.abs(alpha)
-            full = aa.sum(axis=1) * np.abs(wb).sum(axis=1) + aa @ self.dabs
-            cut = (aa * np.abs(a_row) * (self.yw3 + self.xw3[j, None])).sum(axis=1)
+            full = aa.sum(axis=1) * np.abs(wc).sum(axis=1) + aa @ self.dabs
+            cut = (aa * np.abs(c_row) * (w + w[j, None])).sum(axis=1)
             for i in np.flatnonzero(_CANCELLATION * (full - cut) < full):
-                out[i] = self._direct(j[i], alpha[i], wb[i]) + t3[i]
+                out[i] = self._direct(j[i], alpha[i], wc[i]) + t3[i]
         return out
 
-    def _direct(self, x: int, alpha: np.ndarray, wb: np.ndarray) -> float:
+    def _direct(self, x: int, alpha: np.ndarray, wc: np.ndarray) -> float:
         """Terms 1 and 2 of row x summed triple by triple."""
         ys = np.flatnonzero(alpha)
-        keep = (self.p2[ys, None] != self.p3) & (self.p1[x] != self.p3)
-        terms = np.where(keep, wb - self.d[ys] * self.w3, 0.0)
+        keep = (self.p[ys, None] != self.p) & (self.p[x] != self.p)
+        terms = np.where(keep, wc - self.c[ys] * self.w, 0.0)
         return float(alpha[ys] @ terms.sum(axis=1))
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def perm_truncated_window(
@@ -522,17 +458,46 @@ def perm_truncated_window(
 ) -> TripleIntegralResult:
     """Triple integral with the first pair windowed to
     ``delta * q_radius <= |z1 - z2| <= q_radius / delta``; the other pairs
-    are only required to be distinct.  Summed by ``_WindowEngine`` from
-    kernel matrices: whole-row totals where the window holds every atom of
-    ``mu2`` distinct from z1, and one matrix product for the other rows."""
-    _window(delta, q_radius)
+    are only required to be distinct.
+
+    Summed directly, in row chunks of ``mu1``: with ``K12 = K(x - y)``,
+    ``K13 = K(x - z)``, ``K23 = K(y - z)`` and ``alpha = w_y K12`` on the
+    window, each of the terms ``K12 K13 - K12 K23 + K13 K23`` is a matrix
+    product over the atoms z of ``mu3``.  The coincidence z = x is masked in
+    the second term and z = y in the first; K(0) = 0 removes every other
+    coincident term.  No coincident term is subtracted, so no cancellation
+    guard is needed.  Cost O(n1 n2 n3) time and O(n2 n3) memory, the two n2 x n3
+    arrays ``K23 w3`` and ``w3`` off the coincidences; sizes whose arrays
+    would not fit in physical memory are rejected before anything is
+    allocated.
+    """
+    lo, hi = _window(delta, q_radius)
     _check_count("workers", workers)
+    p1, p2, p3 = mu1.points, mu2.points, mu3.points
+    w2, w3 = mu2.weights, mu3.weights
+    need, have = 2 * 8 * p2.size * p3.size, _physical_memory()
+    if need > have:
+        raise ValueError(f"perm_truncated_window on {p2.size} x {p3.size} atoms needs about "
+                         f"{need} bytes (two n2 x n3 arrays of doubles); physical memory "
+                         f"is {have} bytes")
     trunc = {"kind": "window", "delta": float(delta), "q_radius": float(q_radius)}
-    engine = _WindowEngine(kernel, mu1.points, mu2, mu3)
+    k23 = _kernel_matrix(kernel, p2, p3)
+    k23 *= w3
+    apart = np.where(p2[:, None] != p3, w3, 0.0)
+    y_in3, x_in3 = np.isin(p2, p3), np.isin(p1, p3)
     counts = np.zeros(len(mu1), dtype=np.int64)
 
     def chunk_values(a: int, b: int) -> np.ndarray:
-        return engine.point_sums(np.arange(a, b), q_radius, delta, counts[a:b])
+        d12 = np.abs(p1[a:b, None] - p2)
+        win = (d12 >= max(lo, _SMALLEST)) & (d12 <= hi)
+        n_in = win.sum(axis=1)
+        counts[a:b] = n_in * (p3.size - x_in3[a:b]) - (win & y_in3).sum(axis=1)
+        alpha = np.where(win, w2 * _kernel_matrix(kernel, p1[a:b], p2), 0.0)
+        k13 = _kernel_matrix(kernel, p1[a:b], p3)
+        t1 = ((alpha @ apart) * k13).sum(axis=1)
+        t2 = ((alpha @ k23) * (p1[a:b, None] != p3)).sum(axis=1)
+        t3 = ((np.where(win, w2, 0.0) @ k23) * k13).sum(axis=1)
+        return t1 - t2 + t3
 
     sums = _parallel_map_chunks(chunk_values, len(mu1), workers=workers)
     return TripleIntegralResult(

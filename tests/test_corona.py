@@ -548,12 +548,12 @@ class TestEngine:
 
         def checked_engine(*args):
             e = real(*args)
-            d = np.abs(e.p1[:, None] - e.p2[None, :])
+            d = np.abs(e.p[:, None] - e.p[None, :])
             far = d.max(axis=1)
             d[d == 0.0] = np.inf
             assert np.all(e.near_lb <= d.min(axis=1)) and np.all(e.near_lb > 0)
             assert np.all(e.far_ub >= far)
-            checked.append(e.p1.size)
+            checked.append(e.p.size)
             return e
 
         monkeypatch.setattr(corona, "_flat_engine", checked_engine)

@@ -352,6 +352,27 @@ class TestWhitney:
         assert np.max(np.abs(g.sample_v)) == 0.0
         assert g.lipschitz_estimate == 0.0
 
+    @pytest.mark.parametrize("n_samples", [2.5, True, False, 0, 1, -3, math.nan, "64", None],
+                             ids=repr)
+    def test_sample_count_must_be_an_integer(self, n_samples, graph_setup):
+        # with 0, 1 or True the grid held at most one sample, and the
+        # Lipschitz estimate came from the interpolation points alone, which
+        # passes any bound vacuously; 2.5 failed inside numpy
+        mu, lat, corona = graph_setup
+        rid, tree = max(corona.trees.items(), key=lambda kv: len(kv[1].dbtree_ids))
+        for ids in (tree.dbtree_ids, []):
+            with pytest.raises(ValueError, match=r"^n_samples must be an integer >= 2, got "):
+                build_lipschitz_F(lat, mu, rid, ids, n_samples=n_samples)
+
+    def test_two_samples_and_numpy_integers(self, graph_setup):
+        mu, lat, corona = graph_setup
+        rid, tree = max(corona.trees.items(), key=lambda kv: len(kv[1].dbtree_ids))
+        assert tree.dbtree_ids
+        g = build_lipschitz_F(lat, mu, rid, tree.dbtree_ids, n_samples=np.int64(2))
+        ref = build_lipschitz_F(lat, mu, rid, tree.dbtree_ids, n_samples=2)
+        assert np.array_equal(g.sample_u, ref.sample_u) and g.sample_u.size >= 2
+        assert g.lipschitz_estimate == ref.lipschitz_estimate
+
     def test_disjoint_interiors_and_dyadic_lengths(self, graph_setup):
         mu, lat, corona = graph_setup
         tree = corona.trees[lat.root.id]

@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -490,15 +491,6 @@ def _row_variation(k, mus, window):
                      for z in mus[0].points])
 
 
-# windows whose lower end lies below the spacing of the measure; some rows'
-# windows hold every other atom and some do not
-_SPACED_WINDOWS = [
-    ("segment", generate("segment", n=64), 0.005, 0.004),
-    ("grid", _GRID, 0.2, 0.2),
-    ("graph", generate("lipschitz_graph", n=48, slope=0.3), 0.01, 0.008),
-]
-
-
 class TestWindowEngine:
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(_shared_measures(), st.sampled_from([None, 0.0, -0.5, 1.5]),
@@ -543,32 +535,35 @@ class TestWindowEngine:
     @pytest.mark.parametrize("light", [1e-8, 1e-12])
     @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=["inf", "0", "-0.5"])
     def test_self_term_guard(self, light, k, engine_calls):
-        # the heavy atom in slots one and two, slot three flat: no atom
-        # dominates a row of |K| w3, but at the heavy atom the subtracted
-        # self term carries all but about `light` of the whole-row products,
-        # and that row alone is summed on its window
+        # one heavy atom among light ones: at the heavy atom the self term a
+        # whole-row total subtracts carries all but about `light` of the
+        # row's products, and the heavy atom carries almost all of every
+        # other row of |K| w.  The engine reads no total: every row, though
+        # its window holds every other atom, is summed on its window
         rng = np.random.default_rng(1)
         pts = np.concatenate([[0.1 + 0.05j], np.exp(2j * np.pi * (np.arange(39) + 0.5) / 39)])
         w = light * (1 + rng.random(40))
         w[0] = 1.0
-        mus = (DiscreteMeasure(pts, w, 1e-3),) * 2 + (DiscreteMeasure(pts, 1 + rng.random(40), 1e-3),)
         delta, r = 0.01, 0.3
         window = (delta * r, r / delta)
-        windowed = engine_calls("_window_sums")
-        got = _WindowEngine(k, pts, *mus[1:]).point_sums(np.arange(40), r, delta)
-        assert windowed == [1]
-        sums, _ = row_sums(k, pts, mus[1], mus[2], (window, (_TINY, math.inf), (_TINY, math.inf)))
-        assert np.all(np.abs(got - sums) <= 1e-12 * _row_variation(k, mus, window))
+        rows = np.arange(40)
+        # with flat weights no atom dominates, and the rows read their totals
+        for mu, summed in ((DiscreteMeasure(pts, w, 1e-3), 40),
+                           (DiscreteMeasure(pts, 1 + rng.random(40), 1e-3), 0)):
+            windowed = engine_calls("_window_sums")
+            got = _WindowEngine(k, mu).point_sums(rows, r, delta)
+            assert sum(windowed) == summed
+            sums, _ = row_sums(k, pts, mu, mu, (window, (_TINY, math.inf), (_TINY, math.inf)))
+            assert np.all(np.abs(got - sums) <= 1e-12 * _row_variation(k, (mu,) * 3, window))
 
     def test_whole_window_forms_no_product(self, engine_calls):
         products = engine_calls("_product")
         for delta, r, formed in ((0.25, 1.0, []), (0.25, 0.25, [0])):
-            res = perm_truncated_window(_GRID, _GRID, _GRID, delta, r)
-            assert res.triples_counted > 0 and products == formed
+            sums = _WindowEngine(K_ZERO, _GRID).point_sums(np.arange(len(_GRID)), r, delta)
+            assert np.any(sums != 0) and products == formed
 
-    def test_worker_count_invariant(self, engine_calls, monkeypatch):
-        # three row chunks; the window holds every atom of mu2 for most
-        # rows of mu1, not for all
+    def test_worker_count_invariant(self):
+        # three row chunks, summed by one, two and four threads
         mu1 = generate("perturbed", base="circle", n=600, amplitude=1e-3, seed=4)
         mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
         res = []
@@ -576,15 +571,8 @@ class TestWindowEngine:
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for w in (1, 2, 4):
-                windowed = engine_calls("_window_sums")
-                products = engine_calls("_product")
-                totals = engine_calls("_whole_rows")
                 res.append(perm_truncated_window(mu1, mu2, mu3, 0.2, 0.5,
                                                  kernel=kt(-0.5), workers=w))
-                monkeypatch.undo()
-                # the threads share one product and one whole-row pass
-                assert products == [0] and totals == [0]
-                assert 0 < sum(windowed) < len(mu1) / 2
         finally:
             sys.setswitchinterval(interval)
         assert res[0].triples_counted > 0
@@ -603,49 +591,41 @@ class TestWindowEngine:
         assert count > 0 and res.triples_counted == count
         assert abs(Fraction(res.value) - exact) <= Fraction(1e-13) * total
 
-    @pytest.mark.parametrize("mu, delta, r", [c[1:] for c in _SPACED_WINDOWS],
-                             ids=[c[0] for c in _SPACED_WINDOWS])
-    def test_shared_slots_certify_rows(self, mu, delta, r, engine_calls):
-        # with one point array in slots one and two, the spacing
-        # mu.min_spacing bounds each row's nearest atom: some rows skip the
-        # window mask, and their triples are counted without it
-        received, masked = engine_calls("point_sums"), engine_calls("_in_window")
-        perm_truncated_window(mu, mu, mu, delta, r)
-        assert 0 < sum(masked) < sum(received)
+    @pytest.mark.parametrize("t", [None, 0, Fraction(-1, 2)])
+    @pytest.mark.parametrize(
+        "mu, delta, r", [c[1:] for c in _EXACT_WINDOWS],
+        ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in _EXACT_WINDOWS],
+    )
+    def test_engine_forward_error(self, mu, delta, r, t):
+        # the engine's rows, summed as the corona and beta_perm_comparison
+        # sum them, against the same exact oracle
+        exact, total, _ = exact_perm_triple(
+            t, mu.points, mu.weights, window=(delta * r, r / delta))
+        engine = _WindowEngine(K_INF if t is None else kt(float(t)), mu)
+        value = math.fsum(mu.weights * engine.point_sums(np.arange(len(mu)), r, delta))
+        assert abs(Fraction(value) - exact) <= Fraction(1e-13) * total
 
-    @pytest.mark.parametrize("mu, delta, r", [c[1:] for c in _SPACED_WINDOWS],
-                             ids=[c[0] for c in _SPACED_WINDOWS])
-    def test_certified_rows_equal_the_mask_path(self, mu, delta, r, engine_calls):
-        # equal copies of mu share no point array, so every row of theirs
-        # is decided by its window mask
-        copies = [DiscreteMeasure(mu.points.copy(), mu.weights, mu.scale) for _ in range(3)]
-        masked = engine_calls("_in_window")
-        shared = perm_truncated_window(mu, mu, mu, delta, r)
-        n_shared = sum(masked)
-        assert perm_truncated_window(*copies, delta, r) == shared
-        assert n_shared < sum(masked) - n_shared == len(mu)
-
-    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_mask_per_row(self, shared, workers, engine_calls):
-        # the triple counts come from the masks that sum the rows (or, for
-        # a row certified whole, from no mask): each row is masked at most
-        # once, and the counts are those of an explicit window mask
-        mus = [generate("perturbed", base="lipschitz_graph", n=300, amplitude=1e-3,
-                        seed=s) for s in (1, 2, 3)]
-        if shared:
-            mus = [mus[0]] * 3
-        # the window holds every atom for the rows near the middle only
-        delta, r = 0.01, 0.008
-        masked = engine_calls("_in_window")
+    def test_slots_share_atoms_pairwise(self, workers):
+        # each pair of slots shares some atoms and not others, so z = x and
+        # z = y each coincide for some triples but not all; mu1 and mu2
+        # share atoms too, which the window never pairs
+        grid = np.array([complex(i, j) / 4 for i in range(6) for j in range(5)])
+        rng = np.random.default_rng(3)
+        mus = [DiscreteMeasure(grid[idx], 0.5 + rng.random(idx.size), 0.25)
+               for idx in (np.arange(0, 20), np.arange(10, 30), np.r_[0:5, 15:25])]
+        (p1, w1), (p2, w2), (p3, w3) = ((m.points, m.weights) for m in mus)
+        assert all(np.isin(a, b).any() and not np.isin(a, b).all()
+                   for a, b in ((p1, p2), (p1, p3), (p2, p3)))
+        delta, r = 0.25, 0.5
         res = perm_truncated_window(*mus, delta, r, workers=workers)
-        assert 0 < sum(masked) <= len(mus[0])
-        assert (sum(masked) < len(mus[0])) == shared
-        p1, p2, p3 = (m.points for m in mus)
-        d12 = np.abs(p1[:, None] - p2[None, :])
-        win = (d12 >= delta * r) & (d12 <= r / delta) & (d12 > 0)
-        in3 = lambda p: np.isin(p, p3).astype(int)
-        count = (win * (p3.size - in3(p1)[:, None] - in3(p2)[None, :])).sum()
+        ref = naive_perm_window(0.0, list(p1), list(w1), list(p2), list(w2),
+                                list(p3), list(w3), delta, r)
+        assert abs(res.value - ref) <= 1e-12 * _total_variation(
+            K_ZERO, mus, _TINY, (delta * r, r / delta))
+        d12 = np.abs(p1[:, None, None] - p2[None, :, None])
+        distinct = (p1[:, None, None] != p3) & (p2[None, :, None] != p3)
+        count = np.count_nonzero((d12 >= delta * r) & (d12 <= r / delta) & distinct)
         assert res.triples_counted == count > 0
 
     def test_spacing_bound_stays_below_the_spacing(self, monkeypatch):
@@ -655,7 +635,7 @@ class TestWindowEngine:
         dmin = 0.3  # scale * (1 - 1e-12) rounds one ulp above it
         mu = DiscreteMeasure(dmin * np.array([0, 1, 3, 1 + 2j, 4 + 3j]), [1.0] * 5,
                              dmin * (1 + 1e-12))
-        engine = _WindowEngine(K_ZERO, mu.points, mu, mu)
+        engine = _WindowEngine(K_ZERO, mu)
         rows = np.arange(len(mu))
         d = np.abs(mu.points[:, None] - mu.points[None, :])
         real, masked = _WindowEngine._in_window, []
@@ -673,22 +653,23 @@ class TestWindowEngine:
         assert certified > 0
 
     @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=["inf", "0", "-0.5"])
-    @pytest.mark.parametrize("one_measure", [False, True])
-    def test_product_evaluates_no_kernel(self, k, one_measure, monkeypatch):
-        # K(z - x) is -B transposed: K is odd bit for bit
-        mu1 = generate("perturbed", base="circle", n=70, amplitude=1e-3, seed=4)
-        mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
-        if one_measure:
-            mu2 = mu3 = mu1
-        engine = _WindowEngine(k, mu1.points, mu2, mu3)
+    @pytest.mark.parametrize("given_kmat", [False, True])
+    def test_product_evaluates_no_kernel(self, k, given_kmat, monkeypatch):
+        # K(z - x) is C[z, x] itself: K is odd bit for bit; an engine given
+        # its kernel matrix evaluates no kernel at all
+        mu = generate("perturbed", base="circle", n=70, amplitude=1e-3, seed=4)
+        c = permutations._kernel_matrix(k, mu.points, mu.points)
         calls = []
         monkeypatch.setattr(permutations, "kernel_values",
                             lambda *a: calls.append(a) or kernel_values(*a))
+        engine = _WindowEngine(k, mu, c.copy() if given_kmat else None)
+        assert (calls == []) == given_kmat
+        calls.clear()
         g_t = engine._product()
         assert calls == []
         monkeypatch.undo()
-        bt = permutations._kernel_matrix(k, mu3.points, mu1.points)
-        assert np.array_equal(g_t, np.ascontiguousarray((engine.d @ (mu3.weights[:, None] * bt)).T))
+        assert np.array_equal(engine.c, c)
+        assert np.array_equal(g_t, np.ascontiguousarray((c @ (mu.weights[:, None] * c)).T))
 
 
 def one_atom_window(z, mu2, mu3, delta, q_radius):
@@ -744,6 +725,23 @@ class TestWindowed:
         for q_radius in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 perm_truncated_window(mu, mu, mu, 0.5, q_radius)
+
+    def test_too_large_for_memory_is_rejected(self, monkeypatch):
+        # the two n2 x n3 arrays of 400 x 300 atoms need 1.92 MB; slot one
+        # does not count
+        one, mu2, mu3 = (generate("segment", n=n) for n in (1, 400, 300))
+        monkeypatch.setattr(permutations, "_physical_memory", lambda: 1_919_999)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^perm_truncated_window on 400 x 300 atoms "
+                                                 r"needs about 1920000 bytes"):
+                perm_truncated_window(one, mu2, mu3, 0.5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+        monkeypatch.setattr(permutations, "_physical_memory", lambda: 1_920_000)
+        assert perm_truncated_window(one, mu2, mu3, 0.5, 0.1).triples_counted > 0
 
     def test_single_admissible_pair(self):
         pts = [0j, 1 + 0j, 0.5 + 1j]
@@ -953,14 +951,17 @@ def exact_sum(terms: np.ndarray) -> float:
 
 
 class TestCorrectlyRoundedTotals:
-    def test_window_total(self):
+    def test_window_total(self, monkeypatch):
         mu1 = generate("perturbed", base="circle", n=600, amplitude=1e-3, seed=8)
         mu2, mu3 = generate("cantor4", level=2), generate("lipschitz_graph", n=40)
         k, delta, r = kt(-0.5), 0.2, 0.5
-        sums = _WindowEngine(k, mu1.points, mu2, mu3).point_sums(np.arange(len(mu1)), r, delta)
+        rows, real = [], permutations._parallel_map_chunks
+        monkeypatch.setattr(permutations, "_parallel_map_chunks",
+                            lambda *a, **kw: rows.append(real(*a, **kw)) or rows[-1])
         for workers in (1, 2):
             res = perm_truncated_window(mu1, mu2, mu3, delta, r, kernel=k, workers=workers)
-            assert res.value == exact_sum(mu1.weights * sums)
+            assert res.value == exact_sum(mu1.weights * rows[-1])
+        assert np.array_equal(rows[0], rows[1])
 
     def test_corona_perm_sq_numerator(self):
         mu = generate("lipschitz_graph", n=600, slope=0.2, teeth=2)

@@ -5,11 +5,16 @@ A public module-level function or class, or a public method, must be
 referenced somewhere in ``src/`` outside its own definition, or in
 ``perfbench/*.py``.  Demos and tests do not count as callers.  The only
 exceptions are the diagnostics below, which implement lemmas of the paper
-or are the documented entry point for a single tree.
+or are the documented entry point for a single tree.  The signature of
+``perm_truncated_window``, which the benchmark calls, is pinned too.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from curvperm.kernels import K_ZERO
+from curvperm.permutations import perm_truncated_window
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "curvperm"
@@ -76,3 +81,13 @@ def test_every_public_name_has_a_caller():
     assert not extra, f"public names that nothing in src/ or perfbench/ uses: {extra}"
     stale = sorted(KEPT - unused)
     assert not stale, f"kept names that are now used or gone: {stale}"
+
+
+def test_perm_truncated_window_signature():
+    # the benchmark's window task passes three measures by position and
+    # kernel and workers by name
+    params = inspect.signature(perm_truncated_window).parameters
+    assert list(params) == ["mu1", "mu2", "mu3", "delta", "q_radius", "kernel", "workers"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert params["kernel"].default is K_ZERO and params["workers"].default == 1
+    assert all(params[n].default is inspect.Parameter.empty for n in list(params)[:5])
