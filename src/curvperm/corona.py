@@ -157,14 +157,6 @@ class TreeDecomposition:
         return sorted(q for q, v in self.stop.items() if v.label == label)
 
 
-def _flat_engine(mu: DiscreteMeasure, sub: np.ndarray,
-                 kmat: np.ndarray | None = None) -> _WindowEngine:
-    """K_0 over the atoms ``sub`` of a root's 2B, whose rows the engine
-    bounds by the spacing ``mu.min_spacing``; ``kmat`` is their K_0 matrix,
-    if the caller has it."""
-    return _WindowEngine(K_ZERO, mu._view(sub), kmat)
-
-
 def _engine_rows(sub: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     """Rows of the slot-one ``atoms`` in an engine over the atoms ``sub``.
     A tree cube's 2B lies in its root's 2B whenever separation + 56 / a0
@@ -395,7 +387,7 @@ def build_tree(
     ``mu`` must be ``lattice.mu``, or have its points and weights."""
     _own_measure(lattice, mu)
     return _TreeBuilder(lattice, root_id, params).build(
-        lambda sub: _flat_engine(mu, sub))
+        lambda sub: _WindowEngine(K_ZERO, mu._view(sub)))
 
 
 @dataclass
@@ -421,14 +413,13 @@ def build_top(
     takes its root's block of it, a slice when the root's 2B atoms are
     consecutive.  Consecutive trees whose roots' 2B hold
     the same atoms share one engine, and only one engine is alive at a
-    time.  An atom whose window ``[delta r, r / delta]`` holds every other
-    atom of the root's 2B reads its point sum from the engine's whole-row
-    totals, unless one atom may dominate a row of ``|K| w`` and the
-    engine's cancellation guard sends every atom to its window.  The bounds
-    from the spacing ``mu.min_spacing`` and the root ball's bounding box
-    certify most such atoms; each other atom is decided by the window mask
-    that would sum it.  An engine forms the O(m^3) product ``C W C`` only
-    once some atom's window leaves another atom out.
+    time.  An atom reads its point sum from the engine's whole-row totals
+    when the bounds from the spacing ``mu.min_spacing`` and the root ball's
+    bounding box certify that its window ``[delta r, r / delta]`` holds
+    every other atom of the root's 2B, unless one atom may dominate a row
+    of ``|K| w`` and the engine's cancellation guard is on.  Every other
+    atom is summed on its window, and an engine forms the O(m^3) product
+    ``C W C`` only for such an atom.
 
     Every tree reads the atoms of each cube's 2B from the lattice's table
     (``Lattice.atoms_2b``) and the best line of each cube's 2B from the
@@ -465,7 +456,7 @@ def build_top(
                 c = kmat[lo:hi, lo:hi].copy()
             else:  # one take of flat indices, quicker than np.ix_ indexing
                 c = kmat.take((sub * n)[:, None] + sub)
-            last = sub, _flat_engine(mu, sub, c)
+            last = sub, _WindowEngine(K_ZERO, mu._view(sub), c)
         return last[1]
 
     generations = [[root.id]]

@@ -29,6 +29,8 @@ from .graphfit import build_lipschitz_F, partition_of_unity, DistanceField
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, kt, zero_lines
 from .measure import DiscreteMeasure, generate, pushforward
 from .permutations import (
+    _WindowEngine,
+    _check_count,
     curvature_squared,
     estimate_c1,
     menger_curvature,
@@ -329,6 +331,14 @@ def _exp_oracle_equivalence(spec: ExperimentSpec):
                                           workers=spec.workers).value,
                     _perm_reference(k, small, window=(delta * q_radius, q_radius / delta))),
             }
+            # the corona's engine, on the same window and on one wide enough
+            # that the bounds certify rows whole
+            engine = _WindowEngine(k, small)
+            for label, (d, r) in (("engine", (delta, q_radius)),
+                                  ("engine_whole", (0.01, small.diameter))):
+                checks[f"{key}_{label}"] = (
+                    math.fsum(small.weights * engine.point_sums(np.arange(len(small)), r, d)),
+                    _perm_reference(k, small, window=(d * r, r / d)))
             for label, (fast, ref) in checks.items():
                 scalebar = max(abs(ref), 1e-12 * max(tv, 1.0))
                 rel = abs(fast - ref) / scalebar
@@ -526,8 +536,7 @@ def _exp_beta_packing(spec: ExperimentSpec):
 def cantor_growth(n_max: int = 4, workers: int = 1) -> dict:
     """Limiting-kernel permutations of the corner-Cantor family, with a
     collinear control at each level."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_count("n_max", n_max)
     if n_max > 5:
         raise ValueError("resource cap: level 5 is the largest supported")
     values = []

@@ -13,7 +13,6 @@ into one function.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .kernels import K_ZERO, Line
 from .lattice import BIG_BALL_FACTOR, Lattice, _fit_lines, _own_measure, first_doubling_ancestor
 from .measure import _ROWS, Ball, DiscreteMeasure, _distance_rows
-from .permutations import _WindowEngine
+from .permutations import _WindowEngine, _check_count
 
 __all__ = [
     "BetaResult",
@@ -340,10 +339,7 @@ def build_lipschitz_F(
     graph is the base line itself.  ``n_samples``, the number of grid
     samples, must be an integer >= 2: the Lipschitz estimate needs a pair.
     """
-    # bool is a numbers.Integral, so True would pass as 1
-    if isinstance(n_samples, bool) or not (isinstance(n_samples, numbers.Integral)
-                                           and n_samples >= 2):
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    _check_count("n_samples", n_samples, least=2)
     _own_measure(lattice, mu)
     line = lattice.line_2b(root_id)
     member_pts = mu.points[lattice.cubes[root_id].members]

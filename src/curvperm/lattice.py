@@ -18,6 +18,7 @@ import numpy as np
 
 from .kernels import Line
 from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range, _distance_rows
+from .permutations import _check_count
 
 __all__ = [
     "Cube",
@@ -216,6 +217,8 @@ def build(
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not (a0 > c0 > 1):
         raise ValueError("need a0 > c0 > 1")
+    if k_max is not None:
+        _check_count("k_max", k_max, least=0)
     rescale = mu.diameter if mu.diameter > 0 else 1.0
     if k_max is not None and len(mu) > 1:
         if separation * a0 ** (-k_max) * rescale < mu.scale:

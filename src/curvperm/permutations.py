@@ -96,11 +96,11 @@ _SMALLEST = float(np.nextafter(0.0, 1.0))
 _CHUNK = 256
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1: a fraction, NaN or a
-    bool, which is a numbers.Integral that would pass as 0 or 1."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least``: a fraction, NaN
+    or a bool, which is a numbers.Integral that would pass as 0 or 1."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _parallel_map_chunks(
@@ -257,12 +257,14 @@ def curvature_squared(
 
 
 def _window(delta: float, q_radius: float) -> tuple[float, float]:
-    """The window ``[delta * q_radius, q_radius / delta]`` of the first pair."""
+    """The window ``[delta * q_radius, q_radius / delta]`` of the first pair,
+    its lower end raised to the smallest positive distance so that the pair
+    is distinct too."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     if not (0 < q_radius < math.inf):
         raise ValueError("q_radius must be positive and finite")
-    return delta * q_radius, q_radius / delta
+    return max(delta * q_radius, _SMALLEST), q_radius / delta
 
 
 # rows per block of a kernel matrix and of the windowed sums: bounds the
@@ -281,17 +283,6 @@ def _kernel_matrix(k: KernelParam, pa: np.ndarray, pb: np.ndarray) -> np.ndarray
     return out
 
 
-def _max_share(kmat: np.ndarray, w: np.ndarray) -> float:
-    """The largest share of one atom in any row's ``sum_z |K[r, z]| w_z``."""
-    best = 0.0
-    for start in range(0, kmat.shape[0], _ROW_BLOCK):
-        a = np.abs(kmat[start:start + _ROW_BLOCK])
-        a *= w
-        share = a.max(axis=1, initial=0.0) / np.maximum(a.sum(axis=1), _TINY)
-        best = max(best, float(share.max(initial=0.0)))
-    return best
-
-
 class _WindowEngine:
     """Per atom x of ``mu``, the sum of ``p(x, y, z) w_y w_z`` over atoms y
     with ``|x - y|`` in the window and atoms z distinct from x and y.
@@ -302,103 +293,72 @@ class _WindowEngine:
     ``-sum_y alpha_y ((C w)[y] + C[x, y] w_x)`` (K is odd; this drops
     z = x), and ``-sum_y w_y (C W C)[y, x]`` on the window.
 
-    A row whose window holds every atom but x needs no ``C W C``: its sum
-    is the whole-row total
-    ``(C w)(C w) - (C∘C)(w∘w) - C(w∘Cw) - w_x (C∘C) w + C(w∘(wᵀC))
-    - w_x (C∘C) w``, which matrix-vector products give for every row at
-    once; its last term, the fourth once more, removes y = x.  Set-up
-    bounds in O(m) each row's nearest other atom from below, by the spacing
-    ``mu.min_spacing``, and its farthest from above, by the circle about the
-    bounding box.  A row these bounds certify whole reads its total; every
-    other row is decided, 64 at a time, from the window mask the window
-    pass builds for it anyway.  The first call with a whole row makes one
-    row-blocked pass for the totals; the first call with a row that needs
-    its window forms the O(m^3) product ``C W C``.
+    A row whose window holds every atom but x needs no ``C W C``: as K is
+    odd, ``wᵀC = -C w``, and its sum is the whole-row total
+    ``(C w)² - (C∘C)(w∘w) - 2 C(w∘Cw) - 2 w∘(C∘C)w``, the discrete
+    symmetrization of Melnikov and Verdera.  Set-up is ``C w`` and one pass
+    over the 64-row blocks of ``C``, which gives every row's total, its
+    ``|C| w`` and its largest atom share.  It also bounds in O(m) each row's
+    nearest other atom from below, by the spacing ``mu.min_spacing``, and
+    its farthest from above, by the circle about the bounding box.  A row
+    these bounds certify whole reads its total; every other row is summed on
+    its window, and the first such row forms the O(m^3) product ``C W C``.
 
     Only coincident terms are subtracted.  When one atom may carry more
-    than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, each row is
-    checked, one whose subtracted products exceed its kept ones
-    ``_CANCELLATION``-fold is summed directly, and no row uses its
-    whole-row total.  Otherwise the self term of a total is at most that
-    share of the products ``|C|(w (wᵀ|C|))`` it is taken from: per z, it
-    is x's share of row z of ``|K| w``.
+    than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, no row reads its
+    total, and a row whose subtracted products exceed its kept ones
+    ``_CANCELLATION``-fold is summed directly.  Otherwise the self term of a
+    total is at most that share of the products ``|C|(w (wᵀ|C|))`` it is
+    taken from: per z, it is x's share of row z of ``|K| w``.
     """
 
     def __init__(self, k: KernelParam, mu: DiscreteMeasure, kmat: np.ndarray | None = None):
         p, w = mu.points, mu.weights
         self.p, self.w = p, w
-        self.c = _kernel_matrix(k, p, p) if kmat is None else kmat
-        self.cw = self.c @ w
-        share = _max_share(self.c, w)
-        self.dabs = np.abs(self.c) @ w if share > 1 - 1 / _CANCELLATION else None
-        # per row, a lower bound on the nearest other atom and an upper bound
-        # on the farthest: the spacing of the measure's atoms, shrunk so that
-        # |x - y| rounded by another code path stays above it, and
-        # |x - c| + max |y - c| about the bounding-box centre c, grown
-        # likewise
-        self.near_lb = np.full(p.size, mu.min_spacing * (1 - 2e-12))
+        c = self.c = _kernel_matrix(k, p, p) if kmat is None else kmat
+        cw = self.cw = c @ w
+        dabs, share = np.empty(w.size), 0.0
+        self.totals = np.empty(w.size)
+        on_a, on_aa = w * cw, np.column_stack([w * w, w])
+        # one block buffer holds |a| w, then a∘a
+        buf = np.empty((min(_ROW_BLOCK, w.size), w.size))
+        for start in range(0, w.size, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            a = c[rows]
+            b = np.abs(a, out=buf[:a.shape[0]])
+            b *= w
+            dabs[rows] = b.sum(axis=1)
+            share = max(share, float((b.max(axis=1) / np.maximum(dabs[rows], _TINY)).max()))
+            aa_ww, aa_w = (np.multiply(a, a, out=b) @ on_aa).T
+            self.totals[rows] = cw[rows] ** 2 - aa_ww - 2.0 * (a @ on_a) - 2.0 * w[rows] * aa_w
+        self.dabs = dabs if share > 1 - 1 / _CANCELLATION else None
+        # a lower bound on every row's nearest other atom and, per row, an
+        # upper bound on its farthest: the spacing of the measure's atoms,
+        # shrunk so that |x - y| rounded by another code path stays above
+        # it, and |x - o| + max |y - o| about the bounding-box centre o,
+        # grown likewise
+        self.near_lb = mu.min_spacing * (1 - 2e-12)
         self.far_ub = np.zeros(p.size)
         if p.size:
             re, im = p.real, p.imag
-            c = complex((re.min() + re.max()) / 2, (im.min() + im.max()) / 2)
-            self.far_ub = (np.abs(p - c) + np.abs(p - c).max()) * (1 + 1e-12)
-        # the whole-row totals and C W C, built on first use
-        self._whole: np.ndarray | None = None
+            o = complex((re.min() + re.max()) / 2, (im.min() + im.max()) / 2)
+            self.far_ub = (np.abs(p - o) + np.abs(p - o).max()) * (1 + 1e-12)
+        # C W C, formed on first use
         self._g_t: np.ndarray | None = None
-
-    def _in_window(self, j: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
-        """Which pairs (x, y) of the atoms ``j`` are in the window."""
-        lo, hi = _window(delta, q_radius)
-        d12 = np.abs(self.p[j, None] - self.p[None, :])
-        # the pair must be distinct too: the smallest positive distance
-        return (d12 >= max(lo, _SMALLEST)) & (d12 <= hi)
 
     def point_sums(self, rows: np.ndarray, q_radius: float, delta: float) -> np.ndarray:
         """The sums of the atoms ``rows`` with the window
         ``[delta q_radius, q_radius / delta]``."""
         lo, hi = _window(delta, q_radius)
-        sums = np.empty(rows.size)
-
-        def read_totals(i: np.ndarray, whole: np.ndarray) -> np.ndarray:
-            # the rows rows[i] that are whole read their totals; an engine
-            # where one atom may dominate a row reads none
-            whole = whole & (self.dabs is None)
-            if whole.any():
-                if self._whole is None:
-                    self._whole = self._whole_rows()
-                sums[i[whole]] = self._whole[rows[i[whole]]]
-            return whole
-
-        done = read_totals(np.arange(rows.size), (self.near_lb[rows] >= max(lo, _SMALLEST))
-                           & (self.far_ub[rows] <= hi))
-        left = np.flatnonzero(~done)
+        whole = (self.dabs is None) & (self.near_lb >= lo) & (self.far_ub[rows] <= hi)
+        sums = self.totals[rows]
+        left = np.flatnonzero(~whole)
         for start in range(0, left.size, _ROW_BLOCK):
             i = left[start:start + _ROW_BLOCK]
             j = rows[i]
-            win = self._in_window(j, q_radius, delta)
-            # whole when the window holds every atom but x
-            done = read_totals(i, win.sum(axis=1) == self.p.size - 1)
-            if not done.all():
-                sums[i[~done]] = self._window_sums(j[~done], win[~done])
+            d12 = np.abs(self.p[j, None] - self.p[None, :])
+            sums[i] = self._window_sums(j, (d12 >= lo) & (d12 <= hi))
         return sums
-
-    def _whole_rows(self) -> np.ndarray:
-        """Per atom, the sum over every other atom."""
-        c, w = self.c, self.w
-        # the vectors the rows of C, C∘C and C multiply
-        on_a = np.column_stack([w, w * self.cw])
-        on_aa = np.column_stack([w, w * w])
-        on_b = np.column_stack([w, w * (w @ c)])
-        totals = np.empty(w.size)
-        for start in range(0, w.size, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            a = c[rows]
-            aa = a * a
-            (a_w, a_cw), (aa_w, aa_ww), (b_w, b_wc) = (
-                (m @ v).T for m, v in ((a, on_a), (aa, on_aa), (a, on_b)))
-            totals[rows] = (a_w * b_w - aa_ww - a_cw - w[rows] * aa_w
-                            + b_wc - w[rows] * (aa @ w))
-        return totals
 
     def _product(self) -> np.ndarray:
         """``(C W C)^T``, the one O(m^3) product: ``C W K(z - x)``, where
@@ -489,7 +449,7 @@ def perm_truncated_window(
 
     def chunk_values(a: int, b: int) -> np.ndarray:
         d12 = np.abs(p1[a:b, None] - p2)
-        win = (d12 >= max(lo, _SMALLEST)) & (d12 <= hi)
+        win = (d12 >= lo) & (d12 <= hi)
         n_in = win.sum(axis=1)
         counts[a:b] = n_in * (p3.size - x_in3[a:b]) - (win & y_in3).sum(axis=1)
         alpha = np.where(win, w2 * _kernel_matrix(kernel, p1[a:b], p2), 0.0)

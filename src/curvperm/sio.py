@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
 from .measure import _ROWS, DiscreteMeasure
-from .permutations import perm_measure
+from .permutations import _check_count, perm_measure
 
 __all__ = [
     "TruncationGrid",
@@ -53,6 +53,7 @@ def default_grid(mu: DiscreteMeasure, n: int = 16) -> TruncationGrid:
     distances, and its sup typically lives at small cutoffs, where the
     geometric grid is densest.
     """
+    _check_count("n", n)
     lo = mu.scale
     hi = max(mu.diameter, lo * 2)
     return TruncationGrid(tuple(np.geomspace(lo, hi, n)))

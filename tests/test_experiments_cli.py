@@ -77,6 +77,11 @@ class TestHarness:
         with pytest.raises(ValueError):
             cantor_growth(6)
 
+    @pytest.mark.parametrize("n_max", [True, 2.5, 0])
+    def test_cantor_growth_level_must_be_a_count(self, n_max):
+        with pytest.raises(ValueError, match=rf"^n_max must be an integer >= 1, got {n_max!r}$"):
+            cantor_growth(n_max)
+
     def test_identity_suite_passes(self):
         rep = run(ExperimentSpec("identity-suite", n_samples=20000))
         assert rep.passed
@@ -291,7 +296,7 @@ class TestCli:
             "corona", "--measure", "segment:n=8", "--params", '{"c2": true}').stderr
         assert "theta must be positive" in self.run_cli(
             "c1-estimate", "--theta", "nan").stderr
-        assert "n_max must be at least 1" in self.run_cli(
+        assert "n_max must be an integer >= 1, got 0" in self.run_cli(
             "cantor-growth", "--n-max", "0").stderr
 
     def test_failed_invariant_exits_1(self, monkeypatch, capsys):

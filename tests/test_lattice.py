@@ -197,6 +197,14 @@ class TestBuild:
         full = build(mu)
         assert len(full.levels) > 3
 
+    @pytest.mark.parametrize("k_max", [-1, 1.5, True])
+    def test_k_max_must_be_a_count(self, k_max):
+        with pytest.raises(ValueError, match=rf"^k_max must be an integer >= 0, got {k_max!r}$"):
+            build(generate("segment", n=64), k_max=k_max)
+
+    def test_k_max_zero_builds_the_root(self):
+        assert len(build(generate("segment", n=64), k_max=0).levels) == 1
+
     def test_k_max_below_resolution(self):
         mu = generate("segment", n=8)
         with pytest.raises(ValueError):

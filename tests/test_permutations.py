@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from curvperm import permutations
-from curvperm.corona import Params, _flat_engine, _TreeBuilder
+from curvperm.corona import Params, _TreeBuilder
 from curvperm.experiments import _perm_reference, corpus
 from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
 from curvperm.lattice import build
@@ -472,8 +472,11 @@ class TestSpacingSkip:
 
 
 _TINY = np.finfo(float).tiny
-# windows [delta r, r / delta] with dyadic ends that tie with distances; the
-# last holds every distinct pair, so its rows read the whole-row totals
+# windows [delta r, r / delta] with dyadic ends that tie with distances;
+# ("grid", 0.25, 1.0) holds every distinct pair, and the engine sums its rows
+# on their windows; the last two hold every distinct pair with room to
+# spare, so the engine's bounds certify every row and it reads the whole-row
+# totals
 _EXACT_WINDOWS = [
     ("cantor1", generate("cantor4", level=1), 0.5, 1.5),
     ("cantor2", generate("cantor4", level=2), 0.5, 0.375),
@@ -481,6 +484,8 @@ _EXACT_WINDOWS = [
     ("grid", _GRID, 0.5, 0.5),
     ("grid", _GRID, 0.25, 0.25),
     ("grid", _GRID, 0.25, 1.0),
+    ("grid", _GRID, 0.01, 1.0),
+    ("cantor2", generate("cantor4", level=2), 0.01, 1.0),
 ]
 
 
@@ -557,8 +562,9 @@ class TestWindowEngine:
             assert np.all(np.abs(got - sums) <= 1e-12 * _row_variation(k, (mu,) * 3, window))
 
     def test_whole_window_forms_no_product(self, engine_calls):
+        # at (0.01, 1.0) the bounds certify every row whole
         products = engine_calls("_product")
-        for delta, r, formed in ((0.25, 1.0, []), (0.25, 0.25, [0])):
+        for delta, r, formed in ((0.01, 1.0, []), (0.25, 0.25, [0])):
             sums = _WindowEngine(K_ZERO, _GRID).point_sums(np.arange(len(_GRID)), r, delta)
             assert np.any(sums != 0) and products == formed
 
@@ -631,15 +637,15 @@ class TestWindowEngine:
     def test_spacing_bound_stays_below_the_spacing(self, monkeypatch):
         # the nearest pair sits at the smallest spacing a measure of this
         # scale may have; a window that starts just above it must send every
-        # row with that pair to its mask
+        # row with that pair to its window
         dmin = 0.3  # scale * (1 - 1e-12) rounds one ulp above it
         mu = DiscreteMeasure(dmin * np.array([0, 1, 3, 1 + 2j, 4 + 3j]), [1.0] * 5,
                              dmin * (1 + 1e-12))
         engine = _WindowEngine(K_ZERO, mu)
         rows = np.arange(len(mu))
         d = np.abs(mu.points[:, None] - mu.points[None, :])
-        real, masked = _WindowEngine._in_window, []
-        monkeypatch.setattr(_WindowEngine, "_in_window",
+        real, masked = _WindowEngine._window_sums, []
+        monkeypatch.setattr(_WindowEngine, "_window_sums",
                             lambda e, j, *a: masked.append(j) or real(e, j, *a))
         delta, certified = 0.125, 0
         for lo in (dmin / 2, *dmin + np.arange(4) * np.spacing(dmin), dmin * (1 + 1e-12)):
@@ -969,7 +975,7 @@ class TestCorrectlyRoundedTotals:
         lat = build(mu, c0=par.c0, a0=par.a0, separation=par.separation,
                     doubling_constant=par.doubling_constant)
         builder = _TreeBuilder(lat, lat.root.id, par)
-        tree = builder.build(lambda sub: _flat_engine(mu, sub))
+        tree = builder.build(lambda sub: _WindowEngine(K_ZERO, mu._view(sub)))
         slot1, sums = builder.sums[lat.root.id]
         assert slot1.size > 256
         numerator = max(exact_sum(mu.weights[slot1] * sums), 0.0)

@@ -144,6 +144,11 @@ class TestSupNorm:
         # for this family the norm is monotone decreasing in the cutoff
         assert all(a >= b - 1e-12 for a, b in zip(per_eps, per_eps[1:]))
 
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_grid_count_must_be_a_count(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {n!r}$"):
+            default_grid(generate("segment", n=16), n)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TruncationGrid(())
