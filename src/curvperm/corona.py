@@ -11,7 +11,6 @@ generation of roots.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -27,7 +26,7 @@ from .lattice import (
     build as build_lattice,
     maximal_doubling,
 )
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _check_length, _check_real
 from .permutations import (
     _WindowEngine,
     _kernel_matrix,
@@ -51,10 +50,9 @@ __all__ = [
 ]
 
 LABELS = ("HD", "LD", "UB", "BP", "BS", "F")
-K_MAX = 64  # generations of trees build_top grows at most
 # build_top's peak memory in units of one n x n array of doubles: the whole
-# measure's K_0, and the product and its transpose of an engine over every
-# atom (3.3 units were measured at 4096 and 10^4 atoms)
+# measure's K_0, which engines over consecutive atoms view, and an engine's
+# gathered block, its product C W C and the product's transposed copy
 N2_ARRAYS = 4
 # fitted lines per block of the far-from-lines distances
 _LINE_BLOCK = 256
@@ -86,20 +84,16 @@ class Params:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None:
-                continue
-            # bool is a numbers.Real, so True would pass as 1
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+            if f.name in ("theta0", "eps0", "alpha"):
+                _check_length(f.name, v)
+            elif v is not None:
+                _check_real(f.name, v)
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
         if not (0 < 1.0 / self.a <= self.tau**2):
             raise ValueError("need 1/a <= tau^2")
         if not (0 < self.gamma <= self.tau**3):
             raise ValueError("need gamma <= tau^3")
-        for name in ("theta0", "eps0", "alpha", "delta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if not (0 < self.delta < 1):
             raise ValueError("delta must lie in (0, 1)")
 
@@ -407,11 +401,11 @@ def build_top(
     params: Params,
 ) -> CoronaDecomposition:
     """Iterate tree building from the root until no replacements remain,
-    for at most ``K_MAX`` generations.
+    which ends, as each root strictly descends from an earlier one.
 
     The K_0 matrix of the whole measure is evaluated once; each engine
-    takes its root's block of it, a slice when the root's 2B atoms are
-    consecutive.  Consecutive trees whose roots' 2B hold
+    views its root's block of it when the root's 2B atoms are consecutive
+    and gathers a copy otherwise.  Consecutive trees whose roots' 2B hold
     the same atoms share one engine, and only one engine is alive at a
     time.  An atom reads its point sum from the engine's whole-row totals
     when the bounds from the spacing ``mu.min_spacing`` and the root ball's
@@ -450,20 +444,17 @@ def build_top(
         if last is None or not np.array_equal(last[0], sub):
             last = None  # free the old engine before building the next
             lo, hi = sub[0], sub[-1] + 1
-            if sub.size == len(mu):
-                c = kmat
-            elif hi - lo == sub.size:  # consecutive atoms: a block, copied whole
-                c = kmat[lo:hi, lo:hi].copy()
-            else:  # one take of flat indices, quicker than np.ix_ indexing
-                c = kmat.take((sub * n)[:, None] + sub)
+            c = (kmat[lo:hi, lo:hi] if hi - lo == sub.size
+                 else kmat.take(sub, axis=0).take(sub, axis=1))
             last = sub, _WindowEngine(K_ZERO, mu._view(sub), c)
         return last[1]
 
-    generations = [[root.id]]
+    generations: list[list[int]] = []
     trees: dict[int, TreeDecomposition] = {}
-    seen = {root.id}
-    for _ in range(K_MAX):
-        nxt: list[int] = []
+    seen, nxt = {root.id}, [root.id]
+    while nxt:
+        generations.append(sorted(nxt))
+        nxt = []
         for rid in generations[-1]:
             tree = _TreeBuilder(lattice, rid, params).build(engine_for)
             trees[rid] = tree
@@ -471,9 +462,6 @@ def build_top(
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
-        if not nxt:
-            break
-        generations.append(sorted(nxt))
     return CoronaDecomposition(params, generations, trees)
 
 

@@ -27,10 +27,9 @@ from .corona import (
 )
 from .graphfit import build_lipschitz_F, partition_of_unity, DistanceField
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, kt, zero_lines
-from .measure import DiscreteMeasure, generate, pushforward
+from .measure import DiscreteMeasure, _check_count, generate, pushforward
 from .permutations import (
     _WindowEngine,
-    _check_count,
     curvature_squared,
     estimate_c1,
     menger_curvature,

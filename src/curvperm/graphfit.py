@@ -19,8 +19,8 @@ import numpy as np
 
 from .kernels import K_ZERO, Line
 from .lattice import BIG_BALL_FACTOR, Lattice, _fit_lines, _own_measure, first_doubling_ancestor
-from .measure import _ROWS, Ball, DiscreteMeasure, _distance_rows
-from .permutations import _WindowEngine, _check_count
+from .measure import _ROWS, Ball, DiscreteMeasure, _check_count, _distance_rows
+from .permutations import _WindowEngine
 
 __all__ = [
     "BetaResult",

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measure import _check_real
+
 __all__ = [
     "KernelParam",
     "K_INF",
@@ -33,8 +35,8 @@ class KernelParam:
     t: float | None
 
     def __post_init__(self):
-        if self.t is not None and not math.isfinite(self.t):
-            raise ValueError("finite kernel parameter required; use K_INF instead")
+        if self.t is not None:
+            _check_real("t", self.t)
 
     @property
     def is_infinite(self) -> bool:
@@ -49,7 +51,7 @@ K_ZERO = KernelParam(0.0)
 
 
 def kt(t: float) -> KernelParam:
-    return KernelParam(float(t))
+    return KernelParam(_check_real("t", t))
 
 
 # |z|^4 = r2 * r2 is a normal double exactly when r2 lies in [2^-511, 2^512)
@@ -95,7 +97,7 @@ def zero_lines(t: float) -> list[float]:
     so the vertical line is always a zero line and the others solve
     cos^2(a) = -t.
     """
-    t = float(t)
+    t = _check_real("t", t)
     angles = [math.pi / 2]
     if -1.0 <= t < 0.0:
         c = math.sqrt(-t)

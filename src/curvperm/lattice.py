@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import Line
-from .measure import _ROWS, Ball, DiscreteMeasure, _distance_range, _distance_rows
-from .permutations import _check_count
+from .measure import (_ROWS, Ball, DiscreteMeasure, _check_count, _check_length,
+                      _distance_range, _distance_rows)
 
 __all__ = [
     "Cube",
@@ -211,10 +211,9 @@ def build(
     """Build the cube hierarchy down to single-atom cells (or ``k_max``)."""
     if len(mu) == 0:
         raise ValueError("cannot build a lattice on the empty measure")
+    # a zero level separation would grow a net forever
     for name, value in (("c0", c0), ("a0", a0), ("separation", separation)):
-        # a zero level separation would grow a net forever
-        if not (0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _check_length(name, value)
     if not (a0 > c0 > 1):
         raise ValueError("need a0 > c0 > 1")
     if k_max is not None:
@@ -455,8 +454,7 @@ def small_boundary_report(lattice: Lattice, qid: int, l: int) -> dict:
     """Masses of the interior/exterior collars of width A0^(-k-l) and the
     reference bound with unit implicit constant.  Diagnostic only: atomic
     measures generically violate the bound at fine l."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    _check_count("l", l, least=0)
     mu = lattice.mu
     q = lattice.cubes[qid]
     width = lattice.a0 ** (-(q.level + l)) * lattice.rescale

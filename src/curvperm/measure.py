@@ -27,6 +27,29 @@ __all__ = [
 ]
 
 
+def _check_real(name: str, v) -> float:
+    """``float(v)`` for a finite real ``v``; NaN, an infinity, a string and a
+    bool, which is a numbers.Real that would pass as 0 or 1, are rejected."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _check_length(name: str, v, zero: bool = False) -> float:
+    """``_check_real`` for a length: also > 0, or >= 0 where ``zero``."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)
+                                   and (v >= 0 if zero else v > 0)):
+        raise ValueError(f"{name} must be a finite number {'>=' if zero else '>'} 0, got {v!r}")
+    return float(v)
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least``: a fraction, NaN
+    or a bool, which is a numbers.Integral that would pass as 0 or 1."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open disc ``{z : |z - center| < radius}``."""
@@ -35,8 +58,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0 and np.isfinite(self.radius)):
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        _check_length("radius", self.radius)
 
     def scaled(self, factor: float) -> "Ball":
         """Concentric ball with radius multiplied by ``factor``."""
@@ -70,8 +92,7 @@ class DiscreteMeasure:
             raise ValueError("positions must be finite")
         if np.any(w <= 0):
             raise ValueError("all weights must be positive")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise ValueError("discretization scale must be positive")
+        _check_length("scale", self.scale)
         if pts.size > 1:
             dmin, dmax = _distance_range(pts) if spacing is None else spacing
             if dmin == 0.0:
@@ -196,6 +217,7 @@ def pushforward(
     declared constant since distances shrink at most by that factor.  A
     mapping that collides atoms fails the image measure's own check.
     """
+    _check_length("lipschitz", lipschitz)
     if lipschitz < 1:
         raise ValueError("bi-Lipschitz constant must be >= 1")
     new_pts = np.asarray(mapping(mu.points), dtype=complex)
@@ -276,9 +298,9 @@ def _recipe(
         return pts, w, length / (2 * (n - 1)), None
     if kind == "lipschitz_graph":
         n = _count(params, "n", 128)
-        slope = float(params.get("slope", 0.2))
+        slope = _check_length("slope", params.get("slope", 0.2), zero=True)
         teeth = _count(params, "teeth", 2)
-        if n < 2 or teeth < 1 or slope < 0:
+        if n < 2 or teeth < 1:
             raise ValueError("invalid lipschitz_graph parameters")
         x = np.linspace(0.0, 1.0, n)
         y = slope * _triangle_wave(x, teeth)
@@ -287,9 +309,9 @@ def _recipe(
         return pts, w, float(np.min(np.abs(np.diff(pts)))) / 2, None
     if kind == "circle":
         n = _count(params, "n", 128)
-        radius = float(params.get("radius", 1.0))
+        radius = _check_length("radius", params.get("radius", 1.0))
         center = complex(params.get("center", 0.0))
-        if n < 3 or radius <= 0:
+        if n < 3:
             raise ValueError("invalid circle parameters")
         ang = 2 * np.pi * np.arange(n) / n
         pts = center + radius * np.exp(1j * ang)
@@ -314,7 +336,7 @@ def _recipe(
     if kind == "perturbed":
         base = dict(params)
         base_kind = base.pop("base", "segment")
-        amplitude = float(base.pop("amplitude", 1e-3))
+        amplitude = _check_length("amplitude", base.pop("amplitude", 1e-3), zero=True)
         pts, w, scale, _ = _recipe(base_kind, seed, base)
         rng = np.random.default_rng(seed)
         pts = pts + amplitude * (rng.uniform(-1, 1, pts.size)

@@ -10,7 +10,6 @@ clears the cutoff, and coincident positions are always excluded.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 # the atom spacing calls, so that importing curvperm loads numpy alone
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, v_far
-from .measure import DiscreteMeasure, _distance_rows
+from .measure import DiscreteMeasure, _check_count, _check_length, _distance_rows
 
 __all__ = [
     "TripleIntegralResult",
@@ -94,13 +93,9 @@ _SMALLEST = float(np.nextafter(0.0, 1.0))
 # indices per chunk of the per-index values: the grid is fixed, so every
 # worker count assembles the same array
 _CHUNK = 256
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Reject a count that is not an integer >= ``least``: a fraction, NaN
-    or a bool, which is a numbers.Integral that would pass as 0 or 1."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+# bytes a near pair costs _vertex_sums, as tracemalloc measured it: 34-40 on
+# 1000-3000 atoms, one and two workers
+_PAIR_BYTES = 40
 
 
 def _parallel_map_chunks(
@@ -129,15 +124,21 @@ def _near_pairs(p: np.ndarray, lo: float):
     The pairs come from the blocks of the distance matrix with the
     admissibility predicate itself, so ties at the cutoff fall on the same
     side as in the dense core.  Cost O(n^2), which ``_vertex_sums`` pays
-    anyway; memory O(n * _ROWS + P) for P pairs."""
+    anyway; memory O(n * _ROWS + P) for P pairs, which is rejected once it
+    exceeds physical memory at ``_PAIR_BYTES`` a pair."""
     from scipy.sparse import csr_array
 
+    have, found = _physical_memory(), 0
     counts, cols = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for start, d in _distance_rows(p):
         # j > i: the block's diagonal starts at column start
         near = np.triu(d < lo, k=start + 1)
         counts.append(np.count_nonzero(near, axis=1))
         cols.append(np.nonzero(near)[1])
+        found += cols[-1].size
+        if found * _PAIR_BYTES > have:
+            raise ValueError(f"perm_measure on {p.size} atoms at eps {lo!r} has at least {found} "
+                             f"near pairs, over the {have} bytes of memory at {_PAIR_BYTES} each")
     cols = np.concatenate(cols)
     return csr_array((np.ones(cols.size), cols, np.concatenate(counts).cumsum()),
                      shape=(len(p), len(p)))
@@ -241,8 +242,7 @@ def perm_measure(
     included, has no near pairs: the call is O(n^2) and loads no scipy;
     a larger one builds the near pairs as a ``scipy.sparse`` matrix.
     """
-    if not (0 <= eps < math.inf):
-        raise ValueError(f"truncation length must be >= 0 and finite, got {eps!r}")
+    _check_length("eps", eps, zero=True)
     _check_count("workers", workers)
     rows, counts = _vertex_sums(k, mu, max(eps, _TINY), workers)
     return TripleIntegralResult(3.0 * math.fsum(mu.weights * rows), int(counts.sum()),
@@ -262,8 +262,7 @@ def _window(delta: float, q_radius: float) -> tuple[float, float]:
     is distinct too."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    if not (0 < q_radius < math.inf):
-        raise ValueError("q_radius must be positive and finite")
+    _check_length("q_radius", q_radius)
     return max(delta * q_radius, _SMALLEST), q_radius / delta
 
 
@@ -621,8 +620,7 @@ def estimate_c1(
     """Empirical infimum of p_0 / p_inf over sampled far-from-vertical
     triples.  A scan can only certify an upper bound on the true constant;
     the reported value is that upper bound."""
-    if not (theta > 0):
-        raise ValueError("theta must be positive")
+    _check_length("theta", theta)
     _check_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     n_free = n_samples // 2

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import K_INF, K_ZERO, KernelParam, kernel_values
-from .measure import _ROWS, DiscreteMeasure
-from .permutations import _check_count, perm_measure
+from .measure import _ROWS, DiscreteMeasure, _check_count, _check_length
+from .permutations import perm_measure
 
 __all__ = [
     "TruncationGrid",
@@ -36,11 +36,9 @@ class TruncationGrid:
     epsilons: tuple[float, ...]
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
+        eps = tuple(_check_length("eps", e) for e in self.epsilons)
         if len(eps) == 0:
             raise ValueError("empty truncation grid")
-        if not all(e > 0 for e in eps):
-            raise ValueError("truncation lengths must be positive")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("truncation grid must be strictly increasing")
         object.__setattr__(self, "epsilons", eps)
@@ -65,8 +63,8 @@ def _truncated_sums(values, targets, mu: DiscreteMeasure, epsilons):
     cutoff.  Targets are taken ``_ROWS`` at a time and each row is reduced
     on its own, so a target's sum depends neither on the other targets nor
     on its block."""
-    if not all(e > 0 for e in epsilons):
-        raise ValueError("truncation length must be positive")
+    for e in epsilons:
+        _check_length("eps", e)
     blocks = []
     for start in range(0, targets.size, _ROWS):
         dz = targets[start:start + _ROWS, None] - mu.points[None, :]

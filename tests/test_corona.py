@@ -541,6 +541,37 @@ class TestEngine:
         assert len(engines) == len(runs)
         assert all(np.array_equal(a, mu.points[b]) for a, b in zip(engines, runs))
 
+    def test_engines_view_or_gather_the_kernel_matrix(self, monkeypatch):
+        # an engine over consecutive atoms, the whole measure included, views
+        # the measure's K_0; any other engine holds a gathered copy
+        kmats, engines, kinds = [], [], set()
+        real_kmat = corona._kernel_matrix
+
+        def kernel_matrix(*args):
+            kmats.append(real_kmat(*args))
+            return kmats[-1]
+
+        def new_engine(k, nu, c):
+            engines.append((nu.points, c))
+            return _WindowEngine(k, nu, c)
+
+        monkeypatch.setattr(corona, "_kernel_matrix", kernel_matrix)
+        monkeypatch.setattr(corona, "_WindowEngine", new_engine)
+        for mu in (generate("lipschitz_graph", n=128, slope=0.2, teeth=1),
+                   generate("cantor4", level=3)):
+            kmats.clear()
+            engines.clear()
+            lat, params = make(mu)
+            build_top(lat, mu, params)
+            index = {z: i for i, z in enumerate(mu.points.tolist())}
+            for pts, c in engines:
+                sub = np.array([index[z] for z in pts.tolist()])
+                consecutive = sub[-1] - sub[0] + 1 == sub.size
+                kinds.add((consecutive, sub.size == len(mu)))
+                assert np.shares_memory(c, kmats[0]) == consecutive
+                assert np.array_equal(c, kmats[0][np.ix_(sub, sub)])
+        assert kinds == {(True, True), (True, False), (False, False)}
+
     @pytest.mark.parametrize("delta", [1e-3, 0.05])
     def test_row_bounds_hold(self, delta, monkeypatch):
         # every engine row's bounds on its nearest and farthest distinct

@@ -189,6 +189,19 @@ class TestCli:
         assert res.returncode == 0
         assert "PASS" in res.stderr
 
+    def test_verify_honours_workers_and_seed(self, monkeypatch):
+        from curvperm import cli
+        from curvperm.experiments import Report
+
+        specs = []
+        monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or Report(
+            spec.to_dict(), {}, {"held": True}, 0.0))
+        assert cli.main(["verify", "--criteria", "5,8", "--workers", "2", "--seed", "3"]) == 0
+        assert [(s.name, s.workers, s.seed) for s in specs] == [
+            ("collinear-suite", 2, 3), ("corona-structure", 2, 3)]
+        res = self.run_cli("verify", "--criteria", "5", "--workers", "2")
+        assert res.returncode == 0 and "PASS" in res.stderr
+
     def test_cantor_growth_dat(self, tmp_path):
         res = self.run_cli("cantor-growth", "--n-max", "2",
                            "--out", str(tmp_path))
@@ -214,7 +227,7 @@ class TestCli:
         for cmd in ("sio", "mv-check"):
             res = self.run_cli(cmd, "--measure", "segment:n=16", "--eps", "0")
             assert res.returncode == 2
-            assert "--eps must be positive" in res.stderr
+            assert "eps must be a finite number > 0, got 0.0" in res.stderr
 
     def test_bad_measure(self):
         res = self.run_cli("perm", "--measure", "nonsense:n=2")
@@ -294,7 +307,7 @@ class TestCli:
         assert "keys among" in res.stderr and "tau" in res.stderr
         assert "c2 must be a finite number, got True" in self.run_cli(
             "corona", "--measure", "segment:n=8", "--params", '{"c2": true}').stderr
-        assert "theta must be positive" in self.run_cli(
+        assert "theta must be a finite number > 0, got nan" in self.run_cli(
             "c1-estimate", "--theta", "nan").stderr
         assert "n_max must be an integer >= 1, got 0" in self.run_cli(
             "cantor-growth", "--n-max", "0").stderr

@@ -182,7 +182,7 @@ class TestBuild:
     def test_constant_that_would_never_finish_is_named(self, name, value):
         # a zero separation or an infinite a0 makes every atom a net point
         # at every level, so the build would never end
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value!r}"):
             build(generate("segment", n=5), **{name: value})
 
     def test_underflowing_separation_is_rejected(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -390,3 +391,80 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=repr(drop)):
             load_json(path)
+
+
+def _policy_sites():
+    """(id, kind, argument name, call) for every argument under the number
+    policy; kind is "real", "length", "length0" (zero allowed) or "count0"
+    (an integer >= 0)."""
+    from curvperm.corona import Params
+    from curvperm.kernels import K_ZERO, KernelParam, kt, zero_lines
+    from curvperm.lattice import build, small_boundary_report
+    from curvperm.permutations import (_WindowEngine, curvature_squared, estimate_c1,
+                                       perm_measure, perm_truncated_window, sign_scan)
+    from curvperm.sio import (TruncationGrid, cauchy_l2_norm, l2_norm_T1,
+                              mv_identity_report, t1_values)
+
+    mu = generate("segment", n=8)
+    lat = build(mu)
+    return [
+        ("perm_measure", "length0", "eps", lambda v: perm_measure(K_ZERO, mu, eps=v)),
+        ("curvature_squared", "length0", "eps", lambda v: curvature_squared(mu, eps=v)),
+        ("t1_values", "length", "eps", lambda v: t1_values(K_ZERO, mu, v)),
+        ("l2_norm_T1", "length", "eps", lambda v: l2_norm_T1(K_ZERO, mu, v)),
+        ("cauchy_l2_norm", "length", "eps", lambda v: cauchy_l2_norm(mu, v)),
+        ("mv_identity_report", "length", "eps", lambda v: mv_identity_report(K_ZERO, mu, v)),
+        ("TruncationGrid", "length", "eps", lambda v: TruncationGrid((0.5, v))),
+        ("perm_truncated_window", "length", "q_radius",
+         lambda v: perm_truncated_window(mu, mu, mu, 0.5, v)),
+        ("window_engine", "length", "q_radius",
+         lambda v: _WindowEngine(K_ZERO, mu).point_sums(np.arange(len(mu)), v, 0.5)),
+        ("estimate_c1", "length", "theta", lambda v: estimate_c1(v, n_samples=100)),
+        ("Ball", "length", "radius", lambda v: Ball(0j, v)),
+        ("DiscreteMeasure", "length", "scale", lambda v: DiscreteMeasure([0, 1], [1, 1], v)),
+        ("pushforward", "length", "lipschitz", lambda v: pushforward(mu, lambda z: z, v)),
+        ("build_c0", "length", "c0", lambda v: build(mu, c0=v)),
+        ("build_a0", "length", "a0", lambda v: build(mu, a0=v)),
+        ("build_separation", "length", "separation", lambda v: build(mu, separation=v)),
+        ("circle_radius", "length", "radius", lambda v: generate("circle", n=8, radius=v)),
+        ("graph_slope", "length0", "slope",
+         lambda v: generate("lipschitz_graph", n=8, slope=v)),
+        ("perturbed_amplitude", "length0", "amplitude",
+         lambda v: generate("perturbed", n=8, amplitude=v)),
+        ("Params_theta0", "length", "theta0", lambda v: Params(theta0=v)),
+        ("Params_c_f", "real", "c_f", lambda v: Params(c_f=v)),
+        ("KernelParam", "real", "t", KernelParam),
+        ("kt", "real", "t", kt),
+        ("sign_scan", "real", "t", lambda v: sign_scan(v, n_samples=100)),
+        ("zero_lines", "real", "t", zero_lines),
+        ("small_boundary_report", "count0", "l", lambda v: small_boundary_report(lat, 0, v)),
+    ]
+
+
+_BAD = {"real": [True, math.nan, math.inf, "1"],
+        "length": [True, math.nan, math.inf, -1, "1", 0],
+        "length0": [True, math.nan, math.inf, -1, "1"],
+        "count0": [True, math.nan, math.inf, -1, "1", 1.5]}
+_MESSAGE = {"real": "{} must be a finite number, got {!r}",
+            "length": "{} must be a finite number > 0, got {!r}",
+            "length0": "{} must be a finite number >= 0, got {!r}",
+            "count0": "{} must be an integer >= 0, got {!r}"}
+
+
+class TestNumberPolicy:
+    """Every length, count and real argument goes through the checks in
+    ``measure``: a bool, NaN, an infinity, a string, and a value out of
+    range raise one ValueError that names the argument."""
+
+    @pytest.mark.parametrize("kind, name, call",
+                             [pytest.param(*s[1:], id=s[0]) for s in _policy_sites()])
+    def test_bad_values_are_rejected_by_name(self, kind, name, call):
+        for v in _BAD[kind]:
+            with pytest.raises(ValueError, match=f"^{re.escape(_MESSAGE[kind].format(name, v))}$"):
+                call(v)
+
+    def test_numpy_and_integer_values_pass(self):
+        assert measure._check_real("t", np.float32(-0.5)) == -0.5
+        assert measure._check_length("eps", np.int64(2)) == 2.0
+        assert measure._check_length("eps", 0, zero=True) == 0.0
+        assert measure._check_length("eps", Fraction(1, 4)) == 0.25

@@ -234,10 +234,10 @@ class TestPermMeasure:
             perm_measure(K_INF, mu, eps=math.nan)
 
     def test_infinite_eps_rejected(self):
-        # an infinite cutoff admits no triple, but would ask the KD-tree
-        # for every pair first
+        # an infinite cutoff admits no triple, but would collect every pair
+        # as a near pair first
         mu = generate("cantor4", level=1)
-        with pytest.raises(ValueError, match="finite, got inf"):
+        with pytest.raises(ValueError, match="^eps must be a finite number >= 0, got inf$"):
             perm_measure(K_INF, mu, eps=math.inf)
 
     def test_eps_truncation_against_naive(self):
@@ -434,6 +434,22 @@ class TestNearPairs:
                 assert _same_csr(got, near_pairs_two_trees(p, lo))
                 assert (got.nnz > 0) == (lo > mu.min_spacing)
             assert got.nnz == n * (n - 1) // 2
+
+    def test_too_many_pairs_for_memory_are_rejected(self, monkeypatch):
+        # above the diameter every pair of 1000 atoms is near: the call
+        # stops after the first 256-row block, which holds 223,104 of them
+        monkeypatch.setattr(permutations, "_physical_memory", lambda: 10**6)
+        with pytest.raises(ValueError, match=r"^perm_measure on 1000 atoms at eps 2\.0 has "
+                                             r"at least 223104 near pairs"):
+            perm_measure(K_ZERO, generate("segment", n=1000), eps=2.0)
+        # the 44,850 pairs of 300 atoms run exactly when they fit
+        small = generate("segment", n=300)
+        fits = 300 * 299 // 2 * permutations._PAIR_BYTES
+        monkeypatch.setattr(permutations, "_physical_memory", lambda: fits - 1)
+        with pytest.raises(ValueError, match="at least 44850 near pairs"):
+            perm_measure(K_ZERO, small, eps=2.0)
+        monkeypatch.setattr(permutations, "_physical_memory", lambda: fits)
+        assert perm_measure(K_ZERO, small, eps=2.0).triples_counted == 0
 
     @pytest.mark.parametrize("points", [[], [0.5j]], ids=["empty", "one"])
     def test_fewer_than_two_atoms(self, points):
