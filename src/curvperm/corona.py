@@ -118,6 +118,7 @@ def lattice_for(mu: DiscreteMeasure, params: Params) -> Lattice:
 def theta_r_rule(theta_v: float, params: Params) -> tuple[bool, float]:
     """Slope budget for a root: roots whose best line is far from vertical
     get the tight budget, the others twice the inflated one."""
+    _check_real("theta_v", theta_v)
     gate = (1 + params.c_f) * params.theta0
     if theta_v >= gate:
         return True, params.theta0

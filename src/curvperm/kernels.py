@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import _check_real
+from .measure import _check_length, _check_real
 
 __all__ = [
     "KernelParam",
@@ -30,13 +30,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelParam:
-    """Finite parameter ``t`` or ``None`` for the limiting kernel."""
+    """Finite parameter ``t``, stored as a Python float, or ``None`` for the
+    limiting kernel."""
 
     t: float | None
 
     def __post_init__(self):
         if self.t is not None:
-            _check_real("t", self.t)
+            # a numpy float32 t would round the scalar path to single precision
+            object.__setattr__(self, "t", _check_real("t", self.t))
 
     @property
     def is_infinite(self) -> bool:
@@ -51,7 +53,7 @@ K_ZERO = KernelParam(0.0)
 
 
 def kt(t: float) -> KernelParam:
-    return KernelParam(_check_real("t", t))
+    return KernelParam(t)
 
 
 # |z|^4 = r2 * r2 is a normal double exactly when r2 lies in [2^-511, 2^512)
@@ -88,6 +90,17 @@ def kernel_values(k: KernelParam, dz: np.ndarray) -> np.ndarray:
             vals = np.ldexp(_kernel_formula(k, xs, xs * xs + ys * ys), -e)
             out.reshape(-1)[odd] = np.where(z == 0, 0.0, vals)
     return out
+
+
+def _kernel_scalar(k: KernelParam, dz: complex) -> float:
+    """``kernel_values`` at one difference, on Python floats: each ``*``,
+    ``/`` and ``+`` rounds as numpy's elementwise operations do, so the bits
+    are the same.  An abnormal ``r2`` takes the array path."""
+    x = dz.real
+    r2 = x * x + dz.imag * dz.imag
+    if _R2_LO <= r2 < _R2_HI:
+        return _kernel_formula(k, x, r2)
+    return float(kernel_values(k, dz))
 
 
 def zero_lines(t: float) -> list[float]:
@@ -157,6 +170,7 @@ def v_far(z1, z2, z3, theta: float):
     the sum of their vertical angles is at least ``theta``.
 
     Arrays of triples broadcast like ``z1 - z2``; scalars give a bool."""
+    _check_length("theta", theta)
     z1, z2, z3 = (np.asarray(z, dtype=complex) for z in (z1, z2, z3))
     d12, d13, d23 = z1 - z2, z1 - z3, z2 - z3
     if np.any((d12 == 0) | (d13 == 0) | (d23 == 0)):

@@ -19,7 +19,7 @@ import numpy as np
 # scipy.sparse is imported inside _near_pairs, which only a cutoff above
 # the atom spacing calls, so that importing curvperm loads numpy alone
 
-from .kernels import K_INF, K_ZERO, KernelParam, kernel_values, v_far
+from .kernels import K_INF, K_ZERO, KernelParam, _kernel_scalar, kernel_values, v_far
 from .measure import DiscreteMeasure, _check_count, _check_length, _distance_rows
 
 __all__ = [
@@ -51,11 +51,15 @@ def perm_values(k: KernelParam, z1, z2, z3) -> np.ndarray:
 
 
 def perm_pointwise(k: KernelParam, z1: complex, z2: complex, z3: complex) -> float:
-    """Symmetric kernel-product sum over one triple."""
+    """Symmetric kernel-product sum over one triple, evaluated on Python
+    floats through the kernel formula of ``kernel_values``: the same legs,
+    the same ``a b - a c + b c`` and so the same bits as ``perm_values``,
+    without its array overhead."""
     z1, z2, z3 = complex(z1), complex(z2), complex(z3)
     if z1 == z2 or z1 == z3 or z2 == z3:
         raise ValueError("permutation needs pairwise distinct points")
-    return float(perm_values(k, z1, z2, z3))
+    a, b, c = _kernel_scalar(k, z1 - z2), _kernel_scalar(k, z1 - z3), _kernel_scalar(k, z2 - z3)
+    return a * b - a * c + b * c
 
 
 def menger_curvature(z1, z2, z3):
@@ -302,6 +306,8 @@ class _WindowEngine:
     its farthest from above, by the circle about the bounding box.  A row
     these bounds certify whole reads its total; every other row is summed on
     its window, and the first such row forms the O(m^3) product ``C W C``.
+    A block where ``C∘C`` overflows is squared again with each row weighted
+    first, and a row whose total is still not finite is summed on its window.
 
     Only coincident terms are subtracted.  When one atom may carry more
     than ``1 - 1 / _CANCELLATION`` of a row of ``|K| w``, no row reads its
@@ -328,8 +334,13 @@ class _WindowEngine:
             b *= w
             dabs[rows] = b.sum(axis=1)
             share = max(share, float((b.max(axis=1) / np.maximum(dabs[rows], _TINY)).max()))
-            aa_ww, aa_w = (np.multiply(a, a, out=b) @ on_aa).T
-            self.totals[rows] = cw[rows] ** 2 - aa_ww - 2.0 * (a @ on_a) - 2.0 * w[rows] * aa_w
+            with np.errstate(over="ignore", invalid="ignore"):
+                aa_ww, aa_w = (np.multiply(a, a, out=b) @ on_aa).T
+                if not (np.isfinite(aa_ww).all() and np.isfinite(aa_w).all()):
+                    # a∘a overflowed: weight before squaring
+                    aw = np.multiply(a, w, out=b)
+                    aa_ww, aa_w = (aw * aw).sum(axis=1), (aw * a).sum(axis=1)
+                self.totals[rows] = cw[rows] ** 2 - aa_ww - 2.0 * (a @ on_a) - 2.0 * w[rows] * aa_w
         self.dabs = dabs if share > 1 - 1 / _CANCELLATION else None
         # a lower bound on every row's nearest other atom and, per row, an
         # upper bound on its farthest: the spacing of the measure's atoms,
@@ -349,8 +360,9 @@ class _WindowEngine:
         """The sums of the atoms ``rows`` with the window
         ``[delta q_radius, q_radius / delta]``."""
         lo, hi = _window(delta, q_radius)
-        whole = (self.dabs is None) & (self.near_lb >= lo) & (self.far_ub[rows] <= hi)
         sums = self.totals[rows]
+        whole = ((self.dabs is None) & (self.near_lb >= lo) & (self.far_ub[rows] <= hi)
+                 & np.isfinite(sums))
         left = np.flatnonzero(~whole)
         for start in range(0, left.size, _ROW_BLOCK):
             i = left[start:start + _ROW_BLOCK]
@@ -543,7 +555,9 @@ def sign_scan(t: float, n_samples: int = 100_000, seed: int = 0) -> SignScanResu
     Random triples in the unit disc are mixed with near-collinear families
     (where sign changes concentrate), and the best candidate is polished
     with at most 400 iterations of the Nelder-Mead simplex search
-    (``_nelder_mead``), which needs no scipy.
+    (``_nelder_mead``), which needs no scipy.  The samples are evaluated in
+    one ``perm_values`` call; the polish evaluates one triple at a time with
+    ``perm_pointwise``, on Python floats, with the same bits.
     """
     k = KernelParam(t)
     _check_count("n_samples", n_samples)
@@ -583,13 +597,13 @@ def sign_scan(t: float, n_samples: int = 100_000, seed: int = 0) -> SignScanResu
     triple = (complex(z1[best]), complex(z2[best]), complex(z3[best]))
 
     def objective(v):
-        a = complex(v[0], v[1])
-        b = complex(v[2], v[3])
-        d = complex(v[4], v[5])
+        x1, y1, x2, y2, x3, y3 = v.tolist()
+        a, b, d = complex(x1, y1), complex(x2, y2), complex(x3, y3)
         m = min(abs(a - b), abs(a - d), abs(b - d))
         if m < 1e-12 * r:
             return np.inf
-        return float(perm_values(k, a, b, d))
+        # distinct points, so perm_pointwise does not raise
+        return perm_pointwise(k, a, b, d)
 
     v0 = np.array(
         [triple[0].real, triple[0].imag, triple[1].real, triple[1].imag,

@@ -62,14 +62,23 @@ def _truncated_sums(values, targets, mu: DiscreteMeasure, epsilons):
     distance at least each cutoff from each target ``z``, one row per
     cutoff.  Targets are taken ``_ROWS`` at a time and each row is reduced
     on its own, so a target's sum depends neither on the other targets nor
-    on its block."""
+    on its block.
+
+    ``epsilons`` must be increasing: the terms closer than each cutoff are
+    zeroed in place, on top of those the smaller cutoffs zeroed, so each
+    row sums the same ``+0.0`` at the same positions as a fresh mask would.
+    """
     for e in epsilons:
         _check_length("eps", e)
     blocks = []
     for start in range(0, targets.size, _ROWS):
         dz = targets[start:start + _ROWS, None] - mu.points[None, :]
         v, d = values(dz) * mu.weights, np.abs(dz)
-        blocks.append([np.where(d >= e, v, 0.0).sum(axis=1) for e in epsilons])
+        block = []
+        for e in epsilons:
+            v[d < e] = 0.0
+            block.append(v.sum(axis=1))
+        blocks.append(block)
     return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(epsilons), 0))
 
 

@@ -456,9 +456,12 @@ class DenseEngine:
         dz = self.pts[:, None] - self.pts[None, :]
         x = dz.real
         r2 = x * x + dz.imag * dz.imag
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c = (x * x * x) / (r2 * r2) + 0.0 * (x / r2)
-        self.c = np.where(r2 == 0.0, 0.0, c)
+            # where |z|^4 is not a normal double, (x / |z|)^3 / |z|
+            r = np.abs(dz)
+            c = np.where((r2 >= 2.0**-511) & (r2 < 2.0**512), c, (x / r) ** 3 / r)
+        self.c = np.where(dz == 0, 0.0, c)
         self.cw = self.c @ self.w
         self.g = self.c @ (self.w[:, None] * self.c)
         self.abs_cw = np.abs(self.c) @ self.w

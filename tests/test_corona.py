@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,41 @@ class TestEngine:
         assert n_cubes == 0
         # both kinds of row occur under either delta
         assert 0 < n_whole < n_rows
+
+    def test_atoms_at_far_scales_neither_warn_nor_drift(self, monkeypatch):
+        # 0, 1, 10 and 10^-k for even k <= 168, each weighted by its smaller
+        # gap: squares of K_0 overflow and squares of the weights underflow
+        x = np.array(sorted([0.0, 1.0, 10.0] + [10.0**-k for k in range(2, 169, 2)]))
+        gap = np.diff(x)
+        mu = DiscreteMeasure(x + 0j, np.minimum(np.r_[np.inf, gap], np.r_[gap, np.inf]),
+                             gap.min())
+        assert len(mu) == 87
+        with np.errstate(over="ignore"):
+            assert np.isinf(permutations._kernel_matrix(K_ZERO, mu.points, mu.points) ** 2).any()
+        seen, real = [], _TreeBuilder.perm_sq
+
+        def perm_sq(builder, qid):
+            seen.append((builder, qid, real(builder, qid)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(_TreeBuilder, "perm_sq", perm_sq)
+        lat, params = make(mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            build_top(lat, mu, params)
+        assert len(seen) > 1000
+        dense = {}
+        for builder, qid, got in seen:
+            key = builder.sub.tobytes()
+            if key not in dense:
+                dense[key] = DenseEngine(mu.points, mu.weights, builder.sub)
+            slot1 = lat.atoms_2b(qid)
+            ref, mag, _ = dense[key].point_sums(slot1, lat.cubes[qid].radius, params.delta)
+            w = mu.weights[slot1]
+            denom = builder.theta_density**2 * lat.mass(qid)
+            want = max(math.fsum(w * ref), 0.0) / denom
+            # within 1e-12 of the products in absolute value
+            assert abs(got - want) <= 1e-12 * math.fsum(w * mag) / denom
 
     def test_one_kernel_pass_and_one_engine_per_run(self, monkeypatch):
         mu = generate("lipschitz_graph", n=128, slope=0.2, teeth=1)

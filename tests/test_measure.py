@@ -397,8 +397,8 @@ def _policy_sites():
     """(id, kind, argument name, call) for every argument under the number
     policy; kind is "real", "length", "length0" (zero allowed) or "count0"
     (an integer >= 0)."""
-    from curvperm.corona import Params
-    from curvperm.kernels import K_ZERO, KernelParam, kt, zero_lines
+    from curvperm.corona import Params, theta_r_rule
+    from curvperm.kernels import K_ZERO, KernelParam, kt, v_far, zero_lines
     from curvperm.lattice import build, small_boundary_report
     from curvperm.permutations import (_WindowEngine, curvature_squared, estimate_c1,
                                        perm_measure, perm_truncated_window, sign_scan)
@@ -420,6 +420,8 @@ def _policy_sites():
         ("window_engine", "length", "q_radius",
          lambda v: _WindowEngine(K_ZERO, mu).point_sums(np.arange(len(mu)), v, 0.5)),
         ("estimate_c1", "length", "theta", lambda v: estimate_c1(v, n_samples=100)),
+        ("v_far", "length", "theta", lambda v: v_far(0j, 1 + 0j, 1j, v)),
+        ("theta_r_rule", "real", "theta_v", lambda v: theta_r_rule(v, Params())),
         ("Ball", "length", "radius", lambda v: Ball(0j, v)),
         ("DiscreteMeasure", "length", "scale", lambda v: DiscreteMeasure([0, 1], [1, 1], v)),
         ("pushforward", "length", "lipschitz", lambda v: pushforward(mu, lambda z: z, v)),

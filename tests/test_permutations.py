@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curvperm import permutations
+from curvperm import kernels, permutations
 from curvperm.corona import Params, _TreeBuilder
 from curvperm.experiments import _perm_reference, corpus
-from curvperm.kernels import K_INF, K_ZERO, kernel_values, kt
+from curvperm.kernels import K_INF, K_ZERO, KernelParam, kernel_values, kt
 from curvperm.lattice import build
 from curvperm.measure import DiscreteMeasure, generate
 from curvperm.permutations import (
@@ -71,6 +71,50 @@ class TestPointwise:
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
             perm_pointwise(K_ZERO, 1j, 1j, 0)
+
+    # a numpy float32 t is stored as a Python float, so the scalar path
+    # does not round in single precision
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.75), kt(-0.5), kt(1.5),
+                                   KernelParam(np.float32(-0.3))], ids=str)
+    def test_scalar_path_has_the_bits_of_perm_values(self, k):
+        rng = np.random.default_rng(29)
+        z = rng.uniform(-1, 1, (3, 2000)) + 1j * rng.uniform(-1, 1, (3, 2000))
+        # some near-collinear triples, where the three terms cancel
+        z[2, :500] = z[0, :500] + 0.4 * (z[1, :500] - z[0, :500]) + 1e-7j
+        for i in range(z.shape[1]):
+            got = perm_pointwise(k, *z[:, i])
+            assert isinstance(got, float)
+            assert got.hex() == float(perm_values(k, *z[:, i])).hex()
+
+    @pytest.mark.parametrize("k", [K_INF, K_ZERO, kt(-0.5)], ids=str)
+    def test_scalar_path_at_the_ends_of_the_normal_range(self, k, monkeypatch):
+        # r2 of each leg against [2^-511, 2^512): outside it the array path
+        # rescales, so each such leg is one kernel_values call
+        lo, hi = 2.0**-256, 2.0**256
+        legs = {
+            complex(lo, lo): True,  # r2 = 2^-511
+            complex(lo, 0.0): False,  # r2 = 2^-512
+            complex(np.nextafter(lo, 0.0), lo): False,
+            complex(np.nextafter(hi, 0.0), 0.0): True,
+            complex(hi, 0.0): False,  # r2 = 2^512
+            complex(1e-160, 0.0): False,
+            complex(1e-160, -1e-160): False,
+            complex(1e160, 0.0): False,
+            complex(-1e160, 1e160): False,
+        }
+        calls = []
+        vectorized = kernels.kernel_values
+        monkeypatch.setattr(kernels, "kernel_values",
+                            lambda *a: calls.append(1) or vectorized(*a))
+        for dz, normal in legs.items():
+            calls.clear()
+            assert kernels._kernel_scalar(k, dz).hex() == float(vectorized(k, dz)).hex()
+            assert len(calls) == (not normal)
+            # a triple with this leg and two legs of the same size
+            for z3 in (dz * (0.5 + 0.5j), dz * (0.3 - 0.9j)):
+                with np.errstate(all="ignore"):  # products beyond the double range
+                    want = float(perm_values(k, 0j, dz, z3))
+                assert perm_pointwise(k, 0j, dz, z3).hex() == want.hex()
 
     def test_full_symmetry(self):
         # reassociation noise scales with the term magnitudes, not the
@@ -804,6 +848,22 @@ class TestSignScan:
     def test_numpy_integer_sample_count(self):
         assert sign_scan(-0.5, np.int64(1000), seed=2) == sign_scan(-0.5, 1000, seed=2)
         assert estimate_c1(0.5, np.int64(1000), seed=2) == estimate_c1(0.5, 1000, seed=2)
+
+    def test_polish_calls_no_array_kernel(self, monkeypatch):
+        # the sampled batch is one kernel_values call; the polish evaluates
+        # its triples on Python floats
+        calls = []
+        vectorized = kernels.kernel_values
+
+        def counted(k, dz):
+            calls.append(np.shape(dz))
+            return vectorized(k, dz)
+
+        want = sign_scan(-0.5, 2000, seed=3)
+        monkeypatch.setattr(kernels, "kernel_values", counted)
+        monkeypatch.setattr(permutations, "kernel_values", counted)
+        assert sign_scan(-0.5, 2000, seed=3) == want
+        assert calls == [(3, 2000)]
 
     @pytest.mark.parametrize("n", [1000, 20000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
